@@ -13,7 +13,7 @@ validates the whole chain.
 from .config import RunConfig, emit_config, load_config, parse_config
 from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeline,
                        compare_series, hermiticity_trace_report, run_ensemble,
-                       run_equilibration, write_csv, write_document)
+                       write_csv, write_document)
 from .kernels import (KernelContext, k_complex, k_imag_even, k_imag_odd, k_real_i,
                       k_real_r, l_matrix)
 from .model import (BathSpec, Drive, NormalModes, SystemSpec, diagonalize_bath,
@@ -36,6 +36,6 @@ __all__ = [
     "equilibrate", "evolve", "exact_reduced_dynamics", "factorize", "hamiltonian_at",
     "hermiticity_trace_report", "hs_identity_check", "k_complex", "k_imag_even",
     "k_imag_odd", "k_real_i", "k_real_r", "l_matrix", "load_config", "mode_couplings",
-    "parse_config", "run_ensemble", "run_equilibration", "run_trajectory", "sample",
-    "takagi", "verify_empirical", "write_csv", "write_document",
+    "parse_config", "run_ensemble", "run_trajectory", "sample", "takagi",
+    "verify_empirical", "write_csv", "write_document",
 ]

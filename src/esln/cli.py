@@ -22,11 +22,11 @@ import sys
 import numpy as np
 
 from . import ensemble as ens
-from .config import RunConfig, emit_config, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, EslnError, NumericalError, ValidationError
 from .kernels import KernelContext, l_matrix
 from .model import diagonalize_bath, mode_couplings
-from .noise import build_covariance, factorize, hs_identity_check, verify_empirical
+from .noise import hs_identity_check, verify_empirical
 from .oracle import TruncatedBath, exact_reduced_dynamics
 
 EXIT_OK = 0
@@ -120,7 +120,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_equilibrate(args) -> int:
     cfg = _load(args)
-    result = ens.run_equilibration(cfg, n_traj=args.n_traj, workers=args.workers)
+    result = ens.run_ensemble(cfg, n_traj=args.n_traj, workers=args.workers,
+                              real_time=False)
     doc = {
         "schema": "esln-equilibrate/1",
         "n_ok": result.n_ok,
@@ -139,11 +140,8 @@ def _cmd_equilibrate(args) -> int:
 
 def _cmd_verify_noise(args) -> int:
     cfg = _load(args)
-    modes = diagonalize_bath(cfg.bath)
-    ctx = KernelContext.from_bath(cfg.bath, modes, cfg.system.hbar, cfg.system.beta)
-    cov = build_covariance(ctx, cfg.grids, cross_kernel=cfg.cross_kernel,
-                           dim_cap=cfg.dim_cap)
-    factor = factorize(cov, method=cfg.factorization)
+    pipe = ens.build_pipeline(cfg)
+    cov, factor = pipe.cov, pipe.factor
     report = verify_empirical(factor, cov, args.samples, seed=cfg.master_seed)
     for line in report.lines():
         print(line)

@@ -14,11 +14,10 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import BathSpec, Drive, SystemSpec, check_hermitian
-from .noise import CROSS_KERNEL_VARIANTS, DEFAULT_DIM_CAP, TimeGrids
+from .noise import DEFAULT_DIM_CAP, TimeGrids
 from .oracle import DEFAULT_CAP as ORACLE_DEFAULT_CAP
 
 NORMALIZE_MODES = ("ensemble", "per-trajectory")
-FACTORIZATION_METHODS = ("takagi", "cholesky")
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,6 @@ class RunConfig:
     master_seed: int
     normalize: str
     checkpoint_interval: int
-    factorization: str
-    cross_kernel: str
     dim_cap: int
     oracle_n_levels: int
     oracle_cap: int
@@ -171,16 +168,6 @@ def parse_config(document) -> RunConfig:
 
     noise_node = dict(_expect_map(
         _take(doc, "noise", "config", required=False, default={}), "noise"))
-    factorization = _take(noise_node, "factorization", "noise", required=False,
-                          default="takagi")
-    if factorization not in FACTORIZATION_METHODS:
-        raise ValidationError("noise.factorization",
-                              f"must be one of {FACTORIZATION_METHODS}")
-    cross_kernel = _take(noise_node, "cross_kernel", "noise", required=False,
-                         default="equilibrium")
-    if cross_kernel not in CROSS_KERNEL_VARIANTS:
-        raise ValidationError("noise.cross_kernel",
-                              f"must be one of {CROSS_KERNEL_VARIANTS}")
     dim_cap = _integer(_take(noise_node, "dim_cap", "noise", required=False,
                              default=DEFAULT_DIM_CAP), "noise.dim_cap", minimum=1)
     _no_extras(noise_node, "noise")
@@ -217,11 +204,8 @@ def parse_config(document) -> RunConfig:
         amps = _real_vector(_take(dnode, "amplitudes", f"system.drives[{i}]"),
                             f"system.drives[{i}].amplitudes", length=n_t)
         _no_extras(dnode, f"system.drives[{i}]")
-        try:
-            check_hermitian(mat, f"system.drives[{i}].matrix")
-            drives.append(Drive(matrix=mat, times=grids.t, amplitudes=amps))
-        except ValidationError:
-            raise
+        check_hermitian(mat, f"system.drives[{i}].matrix")
+        drives.append(Drive(matrix=mat, times=grids.t, amplitudes=amps))
     try:
         system = SystemSpec(dim=dim, h0=h0, couplings=tuple(couplings), hbar=hbar,
                             beta=beta, drive=tuple(drives))
@@ -233,9 +217,8 @@ def parse_config(document) -> RunConfig:
 
     return RunConfig(system=system, bath=bath, grids=grids, n_traj=n_traj,
                      master_seed=master_seed, normalize=normalize,
-                     checkpoint_interval=checkpoint_interval,
-                     factorization=factorization, cross_kernel=cross_kernel,
-                     dim_cap=dim_cap, oracle_n_levels=n_levels, oracle_cap=oracle_cap,
+                     checkpoint_interval=checkpoint_interval, dim_cap=dim_cap,
+                     oracle_n_levels=n_levels, oracle_cap=oracle_cap,
                      output_document=output_document, output_csv=output_csv)
 
 
@@ -275,11 +258,7 @@ def emit_config(cfg: RunConfig) -> dict:
             "normalize": cfg.normalize,
             "checkpoint_interval": cfg.checkpoint_interval,
         },
-        "noise": {
-            "factorization": cfg.factorization,
-            "cross_kernel": cfg.cross_kernel,
-            "dim_cap": cfg.dim_cap,
-        },
+        "noise": {"dim_cap": cfg.dim_cap},
         "oracle": {"n_levels": cfg.oracle_n_levels, "cap": cfg.oracle_cap},
     }
     if cfg.system.drive:

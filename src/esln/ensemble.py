@@ -70,9 +70,8 @@ class Pipeline:
 def build_pipeline(cfg: RunConfig) -> Pipeline:
     modes = diagonalize_bath(cfg.bath)
     ctx = KernelContext.from_bath(cfg.bath, modes, cfg.system.hbar, cfg.system.beta)
-    cov = build_covariance(ctx, cfg.grids, cross_kernel=cfg.cross_kernel,
-                           dim_cap=cfg.dim_cap)
-    factor = factorize(cov, method=cfg.factorization)
+    cov = build_covariance(ctx, cfg.grids, dim_cap=cfg.dim_cap)
+    factor = factorize(cov)
     return Pipeline(config=cfg, modes=modes, ctx=ctx, cov=cov, factor=factor)
 
 
@@ -95,14 +94,11 @@ class _Stats:
             return other
         if other.n == 0:
             return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        w = other.n / n
-        mean = self.mean + delta * w
-        corr = self.n * other.n / n
-        m2_re = self.m2_re + other.m2_re + delta.real ** 2 * corr
-        m2_im = self.m2_im + other.m2_im + delta.imag ** 2 * corr
-        return _Stats(n, mean, m2_re, m2_im)
+        return _chan(self, other)
+
+    def rows(self, sl: slice) -> "_Stats":
+        """The stacked partials ``sl`` selects (``n`` an array along axis 0)."""
+        return _Stats(self.n[sl], self.mean[sl], self.m2_re[sl], self.m2_im[sl])
 
     def se(self):
         """Standard error of the mean, (re, im) parts."""
@@ -113,37 +109,33 @@ class _Stats:
         return np.sqrt(self.m2_re * f), np.sqrt(self.m2_im * f)
 
 
+def _chan(a: _Stats, b: _Stats) -> _Stats:
+    """Chan's merge of two nonempty partials; ``n`` may be an array that
+    broadcasts against the means, merging many pairs at once."""
+    n = a.n + b.n
+    delta = b.mean - a.mean
+    corr = a.n * b.n / n
+    return _Stats(n, a.mean + delta * (b.n / n),
+                  a.m2_re + b.m2_re + delta.real ** 2 * corr,
+                  a.m2_im + b.m2_im + delta.imag ** 2 * corr)
+
+
 def _pairwise_stats(values: np.ndarray) -> _Stats:
     """Pairwise-tree (mean, M2) of values along axis 0 (complex array)."""
     k = values.shape[0]
     if k == 0:
         return _Stats.empty(values.shape[1:])
-    n = np.ones(k)
-    mean = values.astype(complex)
-    m2_re = np.zeros(values.shape, dtype=float)
-    m2_im = np.zeros(values.shape, dtype=float)
+    st = _Stats(np.ones((k,) + (1,) * (values.ndim - 1)), values.astype(complex),
+                np.zeros(values.shape), np.zeros(values.shape))
     while k > 1:
-        pairs = k // 2
-        a = slice(0, 2 * pairs, 2)
-        b = slice(1, 2 * pairs, 2)
-        na, nb = n[a], n[b]
-        nsum = na + nb
-        delta = mean[b] - mean[a]
-        shape = (-1,) + (1,) * (values.ndim - 1)
-        w = (nb / nsum).reshape(shape)
-        corr = (na * nb / nsum).reshape(shape)
-        new_mean = mean[a] + delta * w
-        new_m2_re = m2_re[a] + m2_re[b] + delta.real ** 2 * corr
-        new_m2_im = m2_im[a] + m2_im[b] + delta.imag ** 2 * corr
-        if k % 2:
-            mean = np.concatenate([new_mean, mean[-1:]])
-            m2_re = np.concatenate([new_m2_re, m2_re[-1:]])
-            m2_im = np.concatenate([new_m2_im, m2_im[-1:]])
-            n = np.concatenate([nsum, n[-1:]])
-        else:
-            mean, m2_re, m2_im, n = new_mean, new_m2_re, new_m2_im, nsum
-        k = mean.shape[0]
-    return _Stats(int(n[0]), mean[0], m2_re[0], m2_im[0])
+        even = k - k % 2
+        merged = _chan(st.rows(slice(0, even, 2)), st.rows(slice(1, even, 2)))
+        if k % 2:                       # the odd partial waits for the next level
+            merged = _Stats(*(np.concatenate([getattr(merged, f), getattr(st, f)[-1:]])
+                              for f in ("n", "mean", "m2_re", "m2_im")))
+        st = merged
+        k = st.mean.shape[0]
+    return _Stats(int(st.n.flat[0]), st.mean[0], st.m2_re[0], st.m2_im[0])
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +143,16 @@ def _pairwise_stats(values: np.ndarray) -> _Stats:
 
 @dataclass
 class _BatchResult:
-    series: _Stats          # (n_t, d, d) trajectory statistics
+    series: _Stats          # (n_t, d, d) trajectory statistics; (1, d, d) without real time
     zfac: _Stats            # scalar z-factor statistics
     n_failed: int
 
 
-def _run_batch(pipe: Pipeline, indices: np.ndarray, substeps: int,
-               integrator: str) -> _BatchResult:
+def _run_batch(pipe: Pipeline, indices: np.ndarray, real_time: bool) -> _BatchResult:
+    """Draw, quench and (with ``real_time``) evolve one batch of trajectories.
+
+    Without real time the series is the single t = 0 entry, rho(hbar*beta).
+    """
     cfg = pipe.config
     system, grids, factor = cfg.system, cfg.grids, pipe.factor
     m, n_t, n_tau = factor.n_sites, factor.n_t, factor.n_tau
@@ -167,11 +162,9 @@ def _run_batch(pipe: Pipeline, indices: np.ndarray, substeps: int,
         w[:, j] = draw_normal(factor, derive_seed(cfg.master_seed, int(idx)))
     z = factor.a @ w                                   # (dim, b)
     ne = m * n_t
-    eta = z[:ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
-    nu = z[ne:2 * ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
     mu = z[2 * ne:].T.reshape(b, m, n_tau) if m else np.zeros((b, 0, n_tau), complex)
 
-    rho_end, div_imag = equilibrate_batch(system, mu, grids, substeps)
+    rho_end, div_imag = equilibrate_batch(system, mu, grids)
     traces = np.trace(rho_end, axis1=1, axis2=2)
     degenerate = np.abs(traces) < 1e-300
     failed = div_imag | degenerate
@@ -180,9 +173,13 @@ def _run_batch(pipe: Pipeline, indices: np.ndarray, substeps: int,
         rho_start = rho_end / safe[:, None, None]
     else:
         rho_start = rho_end
-    series, div_real = evolve_batch(system, eta, nu, grids, rho_start, substeps,
-                                    integrator)
-    failed |= div_real
+    if real_time:
+        eta = z[:ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
+        nu = z[ne:2 * ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
+        series, div_real = evolve_batch(system, eta, nu, grids, rho_start)
+        failed |= div_real
+    else:
+        series = rho_start[:, None]
     ok = ~failed
     zfac = traces[ok] / system.dim
     return _BatchResult(series=_pairwise_stats(series[ok]),
@@ -320,15 +317,22 @@ def _read_checkpoint(path: str, cfg_echo: dict):
 
 def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
                  master_seed: int | None = None, workers: int = 1,
-                 substeps: int = 1, integrator: str = "direct",
                  checkpoint_path: str | None = None,
-                 pipeline: Pipeline | None = None) -> EnsembleResult:
+                 pipeline: Pipeline | None = None,
+                 real_time: bool = True) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
     Deterministic in (config, master_seed, n_traj): the per-trajectory seeds,
     the batch layout, and the reduction tree are all functions of trajectory
     indices alone, so the worker count cannot change any output bit.
+
+    With ``real_time`` False only the imaginary-time phase runs and the result
+    holds the statistics of the initial reduced density on the single time
+    t = 0.  Checkpoints belong to full runs, so that phase refuses one.
     """
+    if checkpoint_path and not real_time:
+        raise ValidationError("checkpoint",
+                              "only full (real-time) runs write or resume checkpoints")
     if n_traj is not None or master_seed is not None:
         cfg = cfg.with_overrides(
             **({"n_traj": n_traj} if n_traj is not None else {}),
@@ -338,7 +342,8 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
     cfg_echo = emit_config(cfg)
     ranges = _batch_ranges(cfg.n_traj)
     d = cfg.system.dim
-    series_acc = _Stats.empty((cfg.grids.n_t, d, d))
+    times = cfg.grids.t if real_time else cfg.grids.t[:1]
+    series_acc = _Stats.empty((times.size, d, d))
     zfac_acc = _Stats.empty(())
     n_failed = 0
     start_batch = 0
@@ -352,7 +357,7 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
 
     def work(batch_idx: int) -> _BatchResult:
         lo, hi = ranges[batch_idx]
-        return _run_batch(pipe, np.arange(lo, hi), substeps, integrator)
+        return _run_batch(pipe, np.arange(lo, hi), real_time)
 
     todo = list(range(start_batch, len(ranges)))
     pos = 0
@@ -391,77 +396,11 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
         se_im = se_im * abs(scale)
     zf_se_re, zf_se_im = zfac_acc.se()
     return EnsembleResult(
-        times=cfg.grids.t, mean_rho=mean, se_re=se_re, se_im=se_im,
+        times=times, mean_rho=mean, se_re=se_re, se_im=se_im,
         mean_rho0=mean[0].copy(), n_traj=cfg.n_traj, n_ok=n_ok, n_failed=n_failed,
         master_seed=cfg.master_seed, normalize=cfg.normalize,
         z_factor_mean=complex(zfac_acc.mean), z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
         config_echo=cfg_echo)
-
-
-def run_equilibration(cfg: RunConfig, n_traj: int | None = None,
-                      master_seed: int | None = None, workers: int = 1,
-                      substeps: int = 1) -> EnsembleResult:
-    """Imaginary-time phase only: statistics of the initial reduced density.
-
-    Returns an EnsembleResult whose time axis has the single entry t = 0.
-    """
-    if n_traj is not None or master_seed is not None:
-        cfg = cfg.with_overrides(
-            **({"n_traj": n_traj} if n_traj is not None else {}),
-            **({"master_seed": master_seed} if master_seed is not None else {}))
-    pipe = build_pipeline(cfg)
-    d = cfg.system.dim
-    factor = pipe.factor
-    m, n_t, n_tau = factor.n_sites, factor.n_t, factor.n_tau
-
-    def work(rng):
-        lo, hi = rng
-        idx = np.arange(lo, hi)
-        w = np.empty((factor.rank, len(idx)))
-        for j, i in enumerate(idx):
-            w[:, j] = draw_normal(factor, derive_seed(cfg.master_seed, int(i)))
-        z = factor.a @ w
-        mu = z[2 * m * n_t:].T.reshape(len(idx), m, n_tau) if m else \
-            np.zeros((len(idx), 0, n_tau), complex)
-        rho_end, diverged = equilibrate_batch(cfg.system, mu, cfg.grids, substeps)
-        traces = np.trace(rho_end, axis1=1, axis2=2)
-        failed = diverged | (np.abs(traces) < 1e-300)
-        ok = ~failed
-        vals = rho_end[ok]
-        if cfg.normalize == "per-trajectory":
-            vals = vals / traces[ok][:, None, None]
-        return (_pairwise_stats(vals[:, None]),          # (1, d, d) time axis
-                _pairwise_stats(traces[ok] / d), int(failed.sum()))
-
-    ranges = _batch_ranges(cfg.n_traj)
-    series_acc = _Stats.empty((1, d, d))
-    zfac_acc = _Stats.empty(())
-    n_failed = 0
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(work, ranges))
-    else:
-        outs = [work(r) for r in ranges]
-    for s, zf, nf in outs:
-        series_acc = series_acc.merge(s)
-        zfac_acc = zfac_acc.merge(zf)
-        n_failed += nf
-    if n_failed > FAILURE_FRACTION * cfg.n_traj:
-        raise TooManyFailures(f"{n_failed} of {cfg.n_traj} trajectories diverged")
-    mean = series_acc.mean
-    se_re, se_im = series_acc.se()
-    if cfg.normalize == "ensemble":
-        scale = 1.0 / np.trace(mean[0])
-        mean = mean * scale
-        se_re = se_re * abs(scale)
-        se_im = se_im * abs(scale)
-    zf_se_re, zf_se_im = zfac_acc.se()
-    return EnsembleResult(
-        times=np.zeros(1), mean_rho=mean, se_re=se_re, se_im=se_im,
-        mean_rho0=mean[0].copy(), n_traj=cfg.n_traj, n_ok=series_acc.n,
-        n_failed=n_failed, master_seed=cfg.master_seed, normalize=cfg.normalize,
-        z_factor_mean=complex(zfac_acc.mean), z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
-        config_echo=emit_config(cfg))
 
 
 # ---------------------------------------------------------------------------

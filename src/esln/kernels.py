@@ -22,8 +22,6 @@ import numpy as np
 
 from .model import BathSpec, NormalModes
 
-L_KINDS = ("R", "I", "e", "o", "complex")
-
 
 def coth(x):
     """coth(x) for x > 0, stable for both tiny and huge arguments."""
@@ -109,24 +107,6 @@ def k_complex(ctx: KernelContext, lam: int, t, tau) -> np.ndarray:
     return (cosh_ratio * np.cos(w * t) - 1j * sinh_ratio * np.sin(w * t)) / (2.0 * w)
 
 
-def k_complex_printed_split(ctx: KernelContext, lam: int, t, tau) -> np.ndarray:
-    """Alternative split form of the complex-time kernel, kept for comparison only.
-
-    Returns K^R + i K^I with
-        K^R = [coth(X) cosh(w tau) - sinh(w tau)] cos(w t) / (2 w)
-        K^I = -[cosh(w tau) + coth(X) sinh(w tau)] sin(w t) / (2 w)
-    which differs from the direct decomposition of ``k_complex`` in the sign of
-    the coth*sinh term of K^I.  See ``noise.build_covariance`` for usage.
-    """
-    w = ctx.modes.omegas[lam]
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    cth = coth(0.5 * ctx.hbar_beta * w)
-    k_r = (cth * np.cosh(w * tau) - np.sinh(w * tau)) * np.cos(w * t) / (2.0 * w)
-    k_i = -(np.cosh(w * tau) + cth * np.sinh(w * tau)) * np.sin(w * t) / (2.0 * w)
-    return k_r + 1j * k_i
-
-
 def _mode_values(ctx: KernelContext, kind: str, t, tau):
     """Stacked per-mode kernel values, shape (M,) + broadcast(t, tau)."""
     funcs = {
@@ -135,14 +115,13 @@ def _mode_values(ctx: KernelContext, kind: str, t, tau):
         "e": lambda lam: k_imag_even(ctx, lam, tau),
         "o": lambda lam: k_imag_odd(ctx, lam, tau),
         "complex": lambda lam: k_complex(ctx, lam, t, tau),
-        "printed-split": lambda lam: k_complex_printed_split(ctx, lam, t, tau),
     }
     if kind not in funcs:
         raise ValueError(f"unknown kernel kind {kind!r}")
     vals = [np.asarray(funcs[kind](lam)) for lam in range(ctx.n_modes)]
     if not vals:
         shape = np.broadcast(np.asarray(t, dtype=float), np.asarray(tau, dtype=float)).shape
-        dtype = complex if kind in ("complex", "printed-split") else float
+        dtype = complex if kind == "complex" else float
         return np.zeros((0,) + shape, dtype=dtype)
     return np.stack(vals)
 

@@ -6,16 +6,16 @@ mu_i(tau_k) on the imaginary-time grid.  Only the unconjugated second moments
 
     <eta_i(t) eta_j(t')> = hbar * L^R_ij(t - t')
     <eta_i(t) nu_j(t')>  = 2i Theta(t - t') L^I_ij(t - t'),  Theta(0) = 1/2
-    <eta_i(t) mu_j(tau)> = hbar * L_ij(t - i (hbar*beta - tau))      [default]
+    <eta_i(t) mu_j(tau)> = hbar * L_ij(t - i (hbar*beta - tau))
     <mu_i(tau) mu_j(tau')> = hbar * [L^e_ij(tau - tau') - L^o_ij(|tau - tau'|)]
     <nu nu> = <nu mu> = 0
 
 The eta-mu cross block fixes the correlation between the equilibrium
-preparation and the subsequent real-time kicks.  Two alternative conventions
-for it circulate (see ``CROSS_KERNEL_VARIANTS``); the default is the one
-validated against exact diagonalization — with either alternative the
-noise-averaged state drifts away from a manifestly stationary equilibrium
-(tests/test_ensemble.py covers this).
+preparation and the subsequent real-time kicks.  This convention is the one
+that keeps the noise-averaged state of an undriven system exactly stationary;
+flipping it to -hbar L(t - i tau) makes it drift
+(tests/test_ensemble.py::test_printed_cross_kernel_breaks_stationarity and
+tests/test_second_order_consistency.py hold that evidence).
 
 Sampling draws z = a @ w with w real i.i.d. standard normal and a a^T = sigma,
 so the pseudo-covariance holds by construction while <z z^dagger> = a a^dagger
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import CapExceeded, FactorizationFailure
 from .kernels import KernelContext, site_kernel, _mode_values
 
-CROSS_KERNEL_VARIANTS = ("equilibrium", "printed-master", "printed-split")
 DEFAULT_DIM_CAP = 6000
 FACTOR_REL_TOL = 1e-8
 SV_TRUNCATION = 1e-12
@@ -91,7 +90,6 @@ class NoiseCovariance:
     n_sites: int
     n_t: int
     n_tau: int
-    cross_kernel: str
 
     @property
     def dim(self) -> int:
@@ -123,20 +121,8 @@ def _interleave(block: np.ndarray) -> np.ndarray:
 
 
 def build_covariance(ctx: KernelContext, grids: TimeGrids,
-                     cross_kernel: str = "equilibrium",
                      dim_cap: int = DEFAULT_DIM_CAP) -> NoiseCovariance:
-    """Assemble the dense joint pseudo-covariance on the two-time grid.
-
-    ``cross_kernel`` selects the eta-mu block convention:
-
-    * ``"equilibrium"`` (default): +hbar L(t - i(hbar*beta - tau)); keeps the
-      noise-averaged state of an undriven system exactly stationary.
-    * ``"printed-master"``: -hbar L(t - i tau) with L from the master kernel.
-    * ``"printed-split"``: -hbar L built from the printed split form (sign of
-      the coth*sinh term flipped relative to the master kernel).
-    """
-    if cross_kernel not in CROSS_KERNEL_VARIANTS:
-        raise ValueError(f"cross_kernel must be one of {CROSS_KERNEL_VARIANTS}")
+    """Assemble the dense joint pseudo-covariance on the two-time grid."""
     m = ctx.n_modes
     n_t, n_tau = grids.n_t, grids.n_tau
     dim = m * (2 * n_t + n_tau)
@@ -152,8 +138,7 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
         raise ValueError("imaginary grid span does not equal hbar*beta of the kernel context")
 
     sigma = np.zeros((dim, dim), dtype=complex)
-    cov = NoiseCovariance(sigma=sigma, n_sites=m, n_t=n_t, n_tau=n_tau,
-                          cross_kernel=cross_kernel)
+    cov = NoiseCovariance(sigma=sigma, n_sites=m, n_t=n_t, n_tau=n_tau)
     if m == 0:
         sigma.setflags(write=False)
         return cov
@@ -179,19 +164,11 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
     sigma[eta_sl, nu_sl] = blk
     sigma[nu_sl, eta_sl] = blk.T
 
-    # <eta mu>: convention selected by ``cross_kernel``.
+    # <eta mu>: +hbar L(t - i(hbar*beta - tau)).
     tt = t[:, None] + 0.0 * tau[None, :]
-    if cross_kernel == "equilibrium":
-        kv = _mode_values(ctx, "complex", tt, hb - tau[None, :])
-        sign = +1.0
-    elif cross_kernel == "printed-master":
-        kv = _mode_values(ctx, "complex", tt, tau[None, :] + 0.0 * t[:, None])
-        sign = -1.0
-    else:  # printed-split
-        kv = _mode_values(ctx, "printed-split", tt, tau[None, :] + 0.0 * t[:, None])
-        sign = -1.0
+    kv = _mode_values(ctx, "complex", tt, hb - tau[None, :])
     l_c = np.moveaxis(site_kernel(ctx, kv), (-2, -1), (0, 1))        # (M, M, n_t, n_tau)
-    blk = _interleave(sign * hbar * l_c)
+    blk = _interleave(hbar * l_c)
     sigma[eta_sl, mu_sl] = blk
     sigma[mu_sl, eta_sl] = blk.T
 
@@ -214,7 +191,6 @@ class NoiseFactor:
     """Factor a with a @ a.T ~= sigma, plus the grid layout needed to unpack draws."""
 
     a: np.ndarray
-    method: str
     n_sites: int
     n_t: int
     n_tau: int
@@ -228,7 +204,7 @@ class NoiseFactor:
         return self.a.shape[1]
 
 
-def takagi(sym: np.ndarray, rel_cutoff: float = 0.0):
+def takagi(sym: np.ndarray):
     """Takagi factorization sym = U diag(s) U^T of a complex symmetric matrix.
 
     Computed through the real symmetric embedding
@@ -238,8 +214,7 @@ def takagi(sym: np.ndarray, rel_cutoff: float = 0.0):
     vectors, including inside degenerate clusters (their pair partners live in
     the mirrored negative-s subspace).  This stays accurate where SVD-based
     constructions lose the pairing between near-degenerate singular subspaces.
-    Returns (s, U) with s descending; ``rel_cutoff`` is accepted for signature
-    stability but truncation happens in ``factorize``.
+    Returns (s, U) with s descending; truncation happens in ``factorize``.
     """
     n = sym.shape[0]
     if n == 0:
@@ -253,63 +228,23 @@ def takagi(sym: np.ndarray, rel_cutoff: float = 0.0):
     return s, u
 
 
-def _symmetric_cholesky(sym: np.ndarray, jitter: float) -> np.ndarray:
-    """Lower-triangular l with l @ l.T = sym + jitter*I (non-conjugated, complex sqrt)."""
-    n = sym.shape[0]
-    a = sym + jitter * np.eye(n)
-    l = np.zeros_like(a)
-    for k in range(n):
-        d = a[k, k] - np.sum(l[k, :k] ** 2)
-        piv = np.sqrt(d + 0j)
-        if abs(piv) < np.sqrt(jitter) * 1e-3:
-            piv = np.sqrt(jitter + 0j)
-        l[k, k] = piv
-        if k + 1 < n:
-            l[k + 1:, k] = (a[k + 1:, k] - l[k + 1:, :k] @ l[k, :k]) / piv
-    return l
+def factorize(cov: NoiseCovariance) -> NoiseFactor:
+    """Factor sigma = a a^T by Takagi, truncating singular values below 1e-12 * max.
 
-
-def _factor_once(cov: NoiseCovariance, method: str) -> np.ndarray:
-    sigma = cov.sigma
-    scale = np.abs(sigma).max() if sigma.size else 0.0
-    if method == "takagi":
-        s, u = takagi(sigma, rel_cutoff=SV_TRUNCATION)
-        if scale == 0.0 or s.size == 0:
-            return np.zeros((cov.dim, 0), dtype=complex)
-        keep = s > SV_TRUNCATION * s.max()
-        return u[:, keep] * np.sqrt(s[keep])[None, :]
-    if method == "cholesky":
-        jitter = 1e-10 * max(scale, 1e-300)
-        return _symmetric_cholesky(sigma, jitter)
-    raise ValueError(f"unknown factorization method {method!r}")
-
-
-def factorize(cov: NoiseCovariance, method: str = "takagi",
-              rel_tol: float = FACTOR_REL_TOL) -> NoiseFactor:
-    """Factor sigma = a a^T, truncating singular values below 1e-12 * max.
-
-    ``method`` is "takagi" (default) or "cholesky" (symmetric non-conjugated
-    Cholesky with diagonal jitter).  If the requested method misses the
-    residual bound ``rel_tol * max|sigma|`` the other method is tried;
-    FactorizationFailure is raised only when both fail.
+    Raises FactorizationFailure when the factor misses the residual bound
+    ``FACTOR_REL_TOL * max|sigma|``.
     """
     sigma = cov.sigma
-    scale = np.abs(sigma).max() if sigma.size else 0.0
-    order = [method] + [m for m in ("takagi", "cholesky") if m != method]
-    if method not in ("takagi", "cholesky"):
-        raise ValueError(f"unknown factorization method {method!r}")
-    worst = 0.0
-    for m in order:
-        a = _factor_once(cov, m)
-        residual = np.abs(a @ a.T - sigma).max() if sigma.size else 0.0
-        if residual <= rel_tol * max(scale, 1e-300):
-            a.setflags(write=False)
-            return NoiseFactor(a=a, method=m, n_sites=cov.n_sites, n_t=cov.n_t,
-                               n_tau=cov.n_tau)
-        worst = max(worst, residual)
-    raise FactorizationFailure(
-        f"factor residual {worst:g} exceeds {rel_tol:g} * {scale:g} "
-        f"after both methods")
+    s, u = takagi(sigma)
+    keep = s > SV_TRUNCATION * s.max(initial=0.0)
+    a = u[:, keep] * np.sqrt(s[keep])[None, :]
+    scale = np.abs(sigma).max(initial=0.0)
+    residual = np.abs(a @ a.T - sigma).max(initial=0.0)
+    if residual > FACTOR_REL_TOL * max(scale, 1e-300):
+        raise FactorizationFailure(
+            f"factor residual {residual:g} exceeds {FACTOR_REL_TOL:g} * {scale:g}")
+    a.setflags(write=False)
+    return NoiseFactor(a=a, n_sites=cov.n_sites, n_t=cov.n_t, n_tau=cov.n_tau)
 
 
 @dataclass(frozen=True)

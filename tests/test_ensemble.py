@@ -1,15 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from esln import (diagonalize_bath, exact_reduced_dynamics, hermiticity_trace_report,
-                  mode_couplings, parse_config, run_ensemble, run_equilibration,
-                  TruncatedBath, write_csv, write_document)
+from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
+                  hermiticity_trace_report, l_matrix, mode_couplings, parse_config,
+                  run_ensemble, TruncatedBath, write_csv, write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats,
                            compare_series, document_bytes, read_csv, result_document)
-from esln.errors import TooManyFailures
+from esln.errors import TooManyFailures, ValidationError
+from esln.noise import NoiseCovariance
 
 from conftest import small_doc
 
@@ -83,13 +85,25 @@ def test_stationarity_against_oracle():
 
 
 def test_printed_cross_kernel_breaks_stationarity():
-    # The retained comparison variants visibly drift from the exact
-    # equilibrium; this pins down why the default was chosen.
+    # Flipping the eta-mu block to -hbar L(t - i tau) makes the average drift
+    # visibly from the exact equilibrium; this pins down why the package uses
+    # +hbar L(t - i(hbar*beta - tau)).
     doc = small_doc(n_traj=3000, master_seed=31)
     doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 11}
-    doc["noise"] = {"cross_kernel": "printed-master"}
     cfg = parse_config(doc)
-    res = run_ensemble(cfg)
+    pipe = build_pipeline(cfg)
+    cov = pipe.cov
+    grids = cfg.grids
+    l_c = l_matrix(pipe.ctx, "complex", t=grids.t[:, None] + 0.0 * grids.tau[None, :],
+                   tau=grids.tau[None, :] + 0.0 * grids.t[:, None])
+    blk = -pipe.ctx.hbar * l_c[..., 0, 0]          # one bath site
+    sigma = cov.sigma.copy()
+    sigma[cov.field_slice("eta"), cov.field_slice("mu")] = blk
+    sigma[cov.field_slice("mu"), cov.field_slice("eta")] = blk.T
+    flipped = NoiseCovariance(sigma=sigma, n_sites=cov.n_sites, n_t=cov.n_t,
+                              n_tau=cov.n_tau)
+    res = run_ensemble(cfg, pipeline=dataclasses.replace(
+        pipe, cov=flipped, factor=factorize(flipped)))
     modes = diagonalize_bath(cfg.bath)
     g = mode_couplings(modes, cfg.bath, cfg.system)
     exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(14), cfg.grids)
@@ -130,15 +144,18 @@ def test_per_trajectory_normalization_mode():
     assert np.abs(res.mean_rho - exact).max() < 0.05
 
 
-def test_equilibration_only():
+def test_equilibration_only(tmp_path):
     cfg = parse_config(small_doc(n_traj=2000, master_seed=9))
-    res = run_equilibration(cfg)
+    res = run_ensemble(cfg, real_time=False)
     modes = diagonalize_bath(cfg.bath)
     g = mode_couplings(modes, cfg.bath, cfg.system)
     exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(14), cfg.grids)
     z = np.abs(res.mean_rho0 - exact[0]) / np.maximum(res.stderr_rho[0], 1e-30)
     assert z.max() < 5.0
     assert res.times.size == 1
+    # only full runs write checkpoints, so this phase can resume none
+    with pytest.raises(ValidationError):
+        run_ensemble(cfg, real_time=False, checkpoint_path=str(tmp_path / "state.json"))
 
 
 def test_too_many_failures_aborts():

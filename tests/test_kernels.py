@@ -3,7 +3,9 @@ import pytest
 
 from esln import (BathSpec, KernelContext, diagonalize_bath, k_complex, k_imag_even,
                   k_imag_odd, k_real_i, k_real_r, l_matrix)
-from esln.kernels import coth, k_complex_printed_split
+from esln.kernels import coth
+
+from conftest import k_complex_printed_split
 
 COTH1_OVER_2 = 0.6565176427496657   # coth(1)/2 evaluated in extended precision
 
@@ -136,8 +138,8 @@ def test_l_matrix_master_consistency_real_time(ctx_two_mode):
 
 
 def test_printed_split_variant_differs(ctx_unit):
-    # The retained alternative split flips the sign of the coth*sinh term in
-    # the imaginary part; away from tau = 0 the two disagree.
+    # The wrong split flips the sign of the coth*sinh term in the imaginary
+    # part; away from tau = 0 the two disagree.
     val_master = k_complex(ctx_unit, 0, 0.9, 0.7)
     val_printed = k_complex_printed_split(ctx_unit, 0, 0.9, 0.7)
     assert abs(val_master.real - val_printed.real) < 1e-12

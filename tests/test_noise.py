@@ -4,9 +4,11 @@ import pytest
 from esln import (KernelContext, TimeGrids, build_covariance, diagonalize_bath,
                   factorize, hs_identity_check, l_matrix, sample, takagi,
                   verify_empirical)
-from esln.errors import CapExceeded
-from esln.kernels import coth
+from esln.errors import CapExceeded, FactorizationFailure
+from esln.kernels import coth, k_complex
 from esln.noise import NoiseCovariance, NoiseFactor, derive_seed, draw_normal
+
+from conftest import k_complex_printed_split
 
 
 def test_grid_endpoints():
@@ -90,14 +92,17 @@ def test_mu_mu_block_matches_split_kernels(ctx_one_mode, small_grids):
 
 
 def test_cross_kernel_variants_differ(ctx_one_mode, small_grids):
-    blocks = {}
-    for variant in ("equilibrium", "printed-master", "printed-split"):
-        cov = build_covariance(ctx_one_mode, small_grids, cross_kernel=variant)
-        blocks[variant] = cov.block("eta", "mu").copy()
-    assert np.abs(blocks["equilibrium"] - blocks["printed-master"]).max() > 1e-3
-    assert np.abs(blocks["printed-master"] - blocks["printed-split"]).max() > 1e-3
-    with pytest.raises(ValueError):
-        build_covariance(ctx_one_mode, small_grids, cross_kernel="nope")
+    # the eta-mu block is +hbar L(t - i(hbar*beta - tau)); the sign-flipped
+    # -hbar L(t - i tau) forms (master kernel or wrong split) are different
+    cov = build_covariance(ctx_one_mode, small_grids)
+    hbar, hb = ctx_one_mode.hbar, ctx_one_mode.hbar_beta
+    t, tau = small_grids.t[:, None], small_grids.tau[None, :]
+    blk = cov.block("eta", "mu")
+    assert np.abs(blk - hbar * k_complex(ctx_one_mode, 0, t, hb - tau)).max() < 1e-14
+    master = -hbar * k_complex(ctx_one_mode, 0, t, tau)
+    split = -hbar * k_complex_printed_split(ctx_one_mode, 0, t, tau)
+    assert np.abs(blk - master).max() > 1e-3
+    assert np.abs(master - split).max() > 1e-3
 
 
 def test_dimension_cap(ctx_one_mode):
@@ -152,46 +157,38 @@ def test_factorize_residual_bound(ctx_two_mode, small_grids):
     factor = factorize(cov)
     res = np.abs(factor.a @ factor.a.T - cov.sigma).max()
     assert res <= 1e-8 * np.abs(cov.sigma).max()
-    assert factor.method == "takagi"
 
 
 def test_factorize_zero_covariance_rank_zero(small_grids):
-    cov = NoiseCovariance(sigma=np.zeros((6, 6), complex), n_sites=1, n_t=2, n_tau=2,
-                          cross_kernel="equilibrium")
+    cov = NoiseCovariance(sigma=np.zeros((6, 6), complex), n_sites=1, n_t=2, n_tau=2)
     factor = factorize(cov)
     assert factor.rank == 0
 
 
-def test_factorize_cholesky_on_full_rank_matrix():
+def test_factorize_takagi_on_full_rank_matrix():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     sigma = b @ b.T + 4.0 * np.eye(8)
-    cov = NoiseCovariance(sigma=sigma, n_sites=1, n_t=3, n_tau=2,
-                          cross_kernel="equilibrium")
-    factor = factorize(cov, method="cholesky")
+    cov = NoiseCovariance(sigma=sigma, n_sites=1, n_t=3, n_tau=2)
+    factor = factorize(cov)
+    assert factor.rank == 8
     res = np.abs(factor.a @ factor.a.T - cov.sigma).max()
     assert res <= 1e-8 * np.abs(cov.sigma).max()
-    assert factor.method == "cholesky"
 
 
-def test_factorize_cholesky_falls_back_when_singular(ctx_one_mode, small_grids):
-    # the nu rows make sigma rank deficient with zero diagonal entries, which
-    # the unpivoted symmetric Cholesky cannot factor accurately
-    cov = build_covariance(ctx_one_mode, small_grids)
-    factor = factorize(cov, method="cholesky")
-    res = np.abs(factor.a @ factor.a.T - cov.sigma).max()
-    assert res <= 1e-8 * np.abs(cov.sigma).max()
-    assert factor.method == "takagi"
-    with pytest.raises(ValueError):
-        factorize(cov, method="qr")
+def test_factorize_raises_when_residual_bound_missed():
+    # a a^T is symmetric, so no factor reproduces a non-symmetric sigma
+    sigma = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]], complex)
+    cov = NoiseCovariance(sigma=sigma, n_sites=1, n_t=1, n_tau=1)
+    with pytest.raises(FactorizationFailure):
+        factorize(cov)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 def test_sample_zero_factor_gives_zero_noise():
-    factor = NoiseFactor(a=np.zeros((6, 0), complex), method="takagi", n_sites=1,
-                         n_t=2, n_tau=2)
+    factor = NoiseFactor(a=np.zeros((6, 0), complex), n_sites=1, n_t=2, n_tau=2)
     bundle = sample(factor, seed=123)
     assert np.all(bundle.eta == 0) and np.all(bundle.nu == 0) and np.all(bundle.mu_bar == 0)
 

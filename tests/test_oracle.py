@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -118,6 +120,23 @@ def test_truncation_warning_when_occupation_high():
     with pytest.warns(TruncationWarning):
         exact_reduced_dynamics(system, modes, [np.zeros((2, 2), complex)],
                                TruncatedBath(n_levels=2), grids)
+
+
+def test_truncation_warning_tracks_thermal_weight():
+    # the two-mode acceptance bath (softest mode q = exp(-1.34) = 0.26): at 8
+    # states q^n = 2.2e-5 (truncation error 2.6e-6) warns; at 10 states
+    # q^n = 1.5e-6 (error 2.4e-7) stays silent
+    system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(0.3 * SZ, 0.2 * SZ), hbar=1.0,
+                        beta=1.0)
+    bath = BathSpec(masses=[1.0, 1.0], lam=[[2.0, -0.5], [-0.5, 3.0]])
+    modes = diagonalize_bath(bath)
+    g = mode_couplings(modes, bath, system)
+    grids = TimeGrids.from_spans(t_f=1.0, n_t=2, hbar_beta=1.0, n_tau=3)
+    with pytest.warns(TruncationWarning):
+        exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=8), grids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=10), grids)
 
 
 def test_mode_occupation_matches_bose_factor():

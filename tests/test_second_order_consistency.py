@@ -6,9 +6,10 @@ correlation function and the resulting double integrals are evaluated by
 quadrature, so this checks the covariance conventions and the propagation
 equations directly against exact diagonalization with no Monte Carlo error.
 
-With the default eta-mu cross correlation (+hbar L(t - i(hbar beta - tau)))
+With the package's eta-mu cross correlation (+hbar L(t - i(hbar beta - tau)))
 the averaged state reproduces the exact stationary reduced state at every
-time; with either retained alternative convention it drifts at O(coupling^2).
+time; with either sign-flipped alternative (-hbar L(t - i tau), from the
+master kernel or from a wrong split form) it drifts at O(coupling^2).
 """
 
 import numpy as np
@@ -16,7 +17,9 @@ import pytest
 
 from esln import (BathSpec, SystemSpec, TimeGrids, TruncatedBath, diagonalize_bath,
                   exact_reduced_dynamics, k_complex, mode_couplings)
-from esln.kernels import KernelContext, k_complex_printed_split
+from esln.kernels import KernelContext
+
+from conftest import k_complex_printed_split
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
