@@ -14,8 +14,7 @@ from .config import RunConfig, emit_config, load_config, parse_config
 from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeline,
                        compare_series, hermiticity_trace_report, run_ensemble,
                        write_csv, write_document)
-from .kernels import (KernelContext, k_complex, k_imag_even, k_imag_odd, k_real_i,
-                      k_real_r, l_matrix)
+from .kernels import KernelContext, k_complex, l_matrix
 from .model import (BathSpec, Drive, NormalModes, SystemSpec, diagonalize_bath,
                     hamiltonian_at, mode_couplings)
 from .noise import (NoiseBundle, NoiseCovariance, NoiseFactor, TimeGrids,
@@ -34,8 +33,7 @@ __all__ = [
     "TruncatedBath", "build_covariance", "build_pipeline", "build_total_hamiltonian",
     "commutator_step_generator", "compare_series", "diagonalize_bath", "emit_config",
     "equilibrate", "evolve", "exact_reduced_dynamics", "factorize", "hamiltonian_at",
-    "hermiticity_trace_report", "hs_identity_check", "k_complex", "k_imag_even",
-    "k_imag_odd", "k_real_i", "k_real_r", "l_matrix", "load_config", "mode_couplings",
-    "parse_config", "run_ensemble", "run_trajectory", "sample", "takagi",
-    "verify_empirical", "write_csv", "write_document",
+    "hermiticity_trace_report", "hs_identity_check", "k_complex", "l_matrix",
+    "load_config", "mode_couplings", "parse_config", "run_ensemble", "run_trajectory",
+    "sample", "takagi", "verify_empirical", "write_csv", "write_document",
 ]

@@ -91,15 +91,16 @@ def _load(args) -> RunConfig:
         if args.seed < 0:
             raise ValidationError("--seed", "must be >= 0")
         cfg = cfg.with_overrides(master_seed=args.seed)
-    if getattr(args, "n_traj", None) is not None and args.n_traj < 2:
-        raise ValidationError("--n-traj", "must be >= 2")
+    if getattr(args, "n_traj", None) is not None:
+        if args.n_traj < 2:
+            raise ValidationError("--n-traj", "must be >= 2")
+        cfg = cfg.with_overrides(n_traj=args.n_traj)
     return cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    result = ens.run_ensemble(cfg, n_traj=args.n_traj, workers=args.workers,
-                              checkpoint_path=args.checkpoint)
+    result = ens.run_ensemble(cfg, workers=args.workers, checkpoint_path=args.checkpoint)
     out_doc = args.output or cfg.output_document
     out_csv = args.csv or cfg.output_csv
     if out_doc:
@@ -120,8 +121,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_equilibrate(args) -> int:
     cfg = _load(args)
-    result = ens.run_ensemble(cfg, n_traj=args.n_traj, workers=args.workers,
-                              real_time=False)
+    result = ens.run_ensemble(cfg, workers=args.workers, real_time=False)
     doc = {
         "schema": "esln-equilibrate/1",
         "n_ok": result.n_ok,
@@ -183,11 +183,11 @@ def _cmd_kernels(args) -> int:
     t = cfg.grids.t
     tau = cfg.grids.tau
     m = modes.n_modes
-    l_r = np.stack([l_matrix(ctx, "R", t=tk) for tk in t]) if m else np.zeros((t.size, 0, 0))
-    l_i = np.stack([l_matrix(ctx, "I", t=tk) for tk in t]) if m else l_r
-    l_e = np.stack([l_matrix(ctx, "e", tau=tk) for tk in tau]) if m else \
-        np.zeros((tau.size, 0, 0))
-    l_o = np.stack([l_matrix(ctx, "o", tau=tk) for tk in tau]) if m else l_e
+    l_t = l_matrix(ctx, t=t)                       # L(t) = L^R + i L^I
+    l_up = l_matrix(ctx, tau=-tau)                 # L(i tau) = L^e + L^o
+    l_down = l_matrix(ctx, tau=tau)                # L(-i tau) = L^e - L^o
+    l_r, l_i = l_t.real, l_t.imag
+    l_e, l_o = (0.5 * (l_up + l_down)).real, (0.5 * (l_up - l_down)).real
     lines = ["i,j,t,l_r,l_i,tau,l_e,l_o"]
     n_rows = max(t.size, tau.size)
     for i in range(m):

@@ -140,8 +140,6 @@ def parse_config(document) -> RunConfig:
     lam = lam.real
     if m and np.abs(lam - lam.T).max() > 1e-12 * max(np.abs(lam).max(), 1.0):
         raise ValidationError("bath.lambda", "must be symmetric")
-    if np.any(masses <= 0):
-        raise ValidationError("bath.masses", "all masses must be positive")
     _no_extras(bath_node, "bath")
     if len(couplings) != m:
         raise ValidationError("system.couplings",

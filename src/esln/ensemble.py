@@ -18,6 +18,7 @@ Two normalization estimators:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,9 +29,9 @@ import numpy as np
 from .config import RunConfig, emit_config
 from .errors import TooManyFailures, ValidationError
 from .kernels import KernelContext
-from .model import BathSpec, NormalModes, SystemSpec, diagonalize_bath, mode_couplings
-from .noise import (NoiseCovariance, NoiseFactor, TimeGrids, build_covariance,
-                    derive_seed, draw_normal, factorize)
+from .model import NormalModes, diagonalize_bath
+from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
+                    draw_normal, factorize)
 from .propagate import equilibrate_batch, evolve_batch
 
 BATCH_SIZE = 256
@@ -51,21 +52,6 @@ class Pipeline:
     cov: NoiseCovariance
     factor: NoiseFactor
 
-    @property
-    def system(self) -> SystemSpec:
-        return self.config.system
-
-    @property
-    def bath(self) -> BathSpec:
-        return self.config.bath
-
-    @property
-    def grids(self) -> TimeGrids:
-        return self.config.grids
-
-    def mode_coupling_ops(self) -> list:
-        return mode_couplings(self.modes, self.bath, self.system)
-
 
 def build_pipeline(cfg: RunConfig) -> Pipeline:
     modes = diagonalize_bath(cfg.bath)
@@ -73,6 +59,15 @@ def build_pipeline(cfg: RunConfig) -> Pipeline:
     cov = build_covariance(ctx, cfg.grids, dim_cap=cfg.dim_cap)
     factor = factorize(cov)
     return Pipeline(config=cfg, modes=modes, ctx=ctx, cov=cov, factor=factor)
+
+
+def _built_for(pipe: Pipeline, cfg: RunConfig) -> bool:
+    """True when ``pipe`` was built from the system, bath, grids and cap of
+    ``cfg``.  ``with_overrides`` keeps those objects, so a run with another
+    seed or trajectory count reuses the pipeline."""
+    built = pipe.config
+    return (built.system is cfg.system and built.bath is cfg.bath
+            and built.grids is cfg.grids and built.dim_cap == cfg.dim_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +143,13 @@ class _BatchResult:
     n_failed: int
 
 
-def _run_batch(pipe: Pipeline, indices: np.ndarray, real_time: bool) -> _BatchResult:
+def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
+               real_time: bool) -> _BatchResult:
     """Draw, quench and (with ``real_time``) evolve one batch of trajectories.
 
-    Without real time the series is the single t = 0 entry, rho(hbar*beta).
+    The seed and the normalization come from the run's ``cfg``.  Without real
+    time the series is the single t = 0 entry, rho(hbar*beta).
     """
-    cfg = pipe.config
     system, grids, factor = cfg.system, cfg.grids, pipe.factor
     m, n_t, n_tau = factor.n_sites, factor.n_t, factor.n_tau
     b = len(indices)
@@ -288,10 +284,18 @@ def _stats_from_doc(doc: dict) -> _Stats:
     return _Stats(int(doc["n"]), mean, np.array(doc["m2_re"]), np.array(doc["m2_im"]))
 
 
-def _write_checkpoint(path: str, cfg_echo: dict, next_batch: int, series: _Stats,
-                      zfac: _Stats, n_failed: int):
+def _layout(pipe: Pipeline) -> dict:
+    """What fixes each trajectory's noise stream besides the config: the batch
+    size and the noise factor, bit for bit."""
+    a = np.ascontiguousarray(pipe.factor.a)
+    return {"batch_size": BATCH_SIZE, "factor_sha256": hashlib.sha256(a.data).hexdigest()}
+
+
+def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
+                      series: _Stats, zfac: _Stats, n_failed: int):
     doc = {"schema": DOCUMENT_SCHEMA + "+checkpoint",
            "config": cfg_echo,
+           "layout": layout,
            "next_batch": next_batch,
            "n_failed": n_failed,
            "series": _stats_to_doc(series),
@@ -303,11 +307,14 @@ def _write_checkpoint(path: str, cfg_echo: dict, next_batch: int, series: _Stats
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict):
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("config") != cfg_echo:
         raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
+    if doc.get("layout") != layout:
+        raise ValidationError("checkpoint", "checkpoint was written with a different noise "
+                                            "factor or batch size")
     return (int(doc["next_batch"]), _stats_from_doc(doc["series"]),
             _stats_from_doc(doc["z_factor"]), int(doc["n_failed"]))
 
@@ -315,16 +322,16 @@ def _read_checkpoint(path: str, cfg_echo: dict):
 # ---------------------------------------------------------------------------
 # the ensemble run
 
-def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
-                 master_seed: int | None = None, workers: int = 1,
-                 checkpoint_path: str | None = None,
+def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
                  pipeline: Pipeline | None = None,
                  real_time: bool = True) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
-    Deterministic in (config, master_seed, n_traj): the per-trajectory seeds,
-    the batch layout, and the reduction tree are all functions of trajectory
-    indices alone, so the worker count cannot change any output bit.
+    Deterministic in the config: the per-trajectory seeds, the batch layout,
+    and the reduction tree are all functions of trajectory indices alone, so
+    the worker count cannot change any output bit.  A ``pipeline`` built from
+    the same system, bath, grids and cap is reused; any other is rebuilt.
+    A checkpoint resumes only with the batch size and noise factor that wrote it.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
     holds the statistics of the initial reduced density on the single time
@@ -333,13 +340,10 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
     if checkpoint_path and not real_time:
         raise ValidationError("checkpoint",
                               "only full (real-time) runs write or resume checkpoints")
-    if n_traj is not None or master_seed is not None:
-        cfg = cfg.with_overrides(
-            **({"n_traj": n_traj} if n_traj is not None else {}),
-            **({"master_seed": master_seed} if master_seed is not None else {}))
-    pipe = pipeline if pipeline is not None and pipeline.config is cfg \
+    pipe = pipeline if pipeline is not None and _built_for(pipeline, cfg) \
         else build_pipeline(cfg)
     cfg_echo = emit_config(cfg)
+    layout = _layout(pipe) if checkpoint_path else None
     ranges = _batch_ranges(cfg.n_traj)
     d = cfg.system.dim
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
@@ -349,7 +353,7 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
         start_batch, series_acc, zfac_acc, n_failed = _read_checkpoint(
-            checkpoint_path, cfg_echo)
+            checkpoint_path, cfg_echo, layout)
 
     interval_batches = 0
     if checkpoint_path and cfg.checkpoint_interval > 0:
@@ -357,7 +361,7 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
 
     def work(batch_idx: int) -> _BatchResult:
         lo, hi = ranges[batch_idx]
-        return _run_batch(pipe, np.arange(lo, hi), real_time)
+        return _run_batch(pipe, cfg, np.arange(lo, hi), real_time)
 
     todo = list(range(start_batch, len(ranges)))
     pos = 0
@@ -374,7 +378,7 @@ def run_ensemble(cfg: RunConfig, n_traj: int | None = None,
             n_failed += out.n_failed
             done_batches = b_idx + 1
             if interval_batches and done_batches % interval_batches == 0:
-                _write_checkpoint(checkpoint_path, cfg_echo, done_batches,
+                _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
                                   series_acc, zfac_acc, n_failed)
         pos += len(wave)
 

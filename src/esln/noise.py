@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, FactorizationFailure
-from .kernels import KernelContext, site_kernel, _mode_values
+from .kernels import KernelContext, site_kernel
+from .kernels import k_complex as _mode_values   # name hooked by bench/tracing.py
 
 DEFAULT_DIM_CAP = 6000
 FACTOR_REL_TOL = 1e-8
@@ -114,15 +115,19 @@ class NoiseCovariance:
         return self.sigma[self.field_slice(field_a), self.field_slice(field_b)]
 
 
-def _interleave(block: np.ndarray) -> np.ndarray:
-    """Reshape (M, M, nk, nl) site/time values into (M*nk, M*nl) row = site*nk + k."""
-    m, _, nk, nl = block.shape
-    return block.transpose(0, 2, 1, 3).reshape(m * nk, m * nl)
+def _interleave(l: np.ndarray) -> np.ndarray:
+    """Lay site matrices (nk, nl, M, M) out as (M*nk, M*nl), row = site*nk + k."""
+    nk, nl, m, _ = l.shape
+    return l.transpose(2, 0, 3, 1).reshape(m * nk, m * nl)
 
 
 def build_covariance(ctx: KernelContext, grids: TimeGrids,
                      dim_cap: int = DEFAULT_DIM_CAP) -> NoiseCovariance:
-    """Assemble the dense joint pseudo-covariance on the two-time grid."""
+    """Assemble the dense joint pseudo-covariance on the two-time grid.
+
+    Every block is a value of the one master kernel L(t - i tau): the two
+    real-time blocks share its evaluation at the real-time lags.
+    """
     m = ctx.n_modes
     n_t, n_tau = grids.n_t, grids.n_tau
     dim = m * (2 * n_t + n_tau)
@@ -132,8 +137,6 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
             "reduce the grids or raise noise.dim_cap")
     hbar = ctx.hbar
     hb = ctx.hbar_beta
-    t = grids.t
-    tau = grids.tau
     if abs(hb - grids.hbar_beta) > 1e-9 * max(hb, 1.0):
         raise ValueError("imaginary grid span does not equal hbar*beta of the kernel context")
 
@@ -142,43 +145,39 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
     if m == 0:
         sigma.setflags(write=False)
         return cov
+    eta_sl = cov.field_slice("eta")
+    nu_sl = cov.field_slice("nu")
+    mu_sl = cov.field_slice("mu")
 
     # Lags from integer index differences so equal lags are bitwise equal and
     # the eta blocks are exactly stationary (Toeplitz per site pair).
     k_idx = np.arange(n_t)
     lag_idx = k_idx[:, None] - k_idx[None, :]
-    dt_mat = lag_idx * grids.dt
-    l_r = site_kernel(ctx, _mode_values(ctx, "R", dt_mat, 0.0))      # (n_t, n_t, M, M)
-    l_r = np.moveaxis(l_r, (-2, -1), (0, 1))                         # (M, M, n_t, n_t)
-    assert np.array_equal(l_r[..., 1:, 1:], l_r[..., :-1, :-1]), \
-        "eta-eta block lost its Toeplitz structure"
-    eta_sl = cov.field_slice("eta")
-    nu_sl = cov.field_slice("nu")
-    mu_sl = cov.field_slice("mu")
-    sigma[eta_sl, eta_sl] = hbar * _interleave(l_r)
+    l_t = site_kernel(ctx, _mode_values(ctx, lag_idx * grids.dt, 0.0))   # (n_t, n_t, M, M)
+    assert np.array_equal(l_t[1:, 1:], l_t[:-1, :-1]), \
+        "real-time blocks lost their Toeplitz structure"
+    # <eta eta> = hbar L^R(t - t').
+    sigma[eta_sl, eta_sl] = _interleave(hbar * l_t.real)
 
-    # <eta nu>: causal step, Theta(0) = 1/2 (value immaterial since L^I(0) = 0).
+    # <eta nu> = 2i Theta(t - t') L^I(t - t'), Theta(0) = 1/2 (value immaterial
+    # since L^I(0) = 0).
     theta = (lag_idx > 0).astype(float) + 0.5 * (lag_idx == 0)
-    l_i = np.moveaxis(site_kernel(ctx, _mode_values(ctx, "I", dt_mat, 0.0)), (-2, -1), (0, 1))
-    blk = _interleave(2j * theta[None, None, :, :] * l_i)
+    blk = _interleave(2j * theta[:, :, None, None] * l_t.imag)
     sigma[eta_sl, nu_sl] = blk
     sigma[nu_sl, eta_sl] = blk.T
 
-    # <eta mu>: +hbar L(t - i(hbar*beta - tau)).
-    tt = t[:, None] + 0.0 * tau[None, :]
-    kv = _mode_values(ctx, "complex", tt, hb - tau[None, :])
-    l_c = np.moveaxis(site_kernel(ctx, kv), (-2, -1), (0, 1))        # (M, M, n_t, n_tau)
+    # <eta mu> = +hbar L(t - i(hbar*beta - tau)).
+    l_c = site_kernel(ctx, _mode_values(ctx, grids.t[:, None], hb - grids.tau[None, :]))
     blk = _interleave(hbar * l_c)
     sigma[eta_sl, mu_sl] = blk
     sigma[mu_sl, eta_sl] = blk.T
 
-    # <mu mu>: hbar [L^e(dtau) - L^o(|dtau|)] = hbar L(-i |dtau|), evaluated
+    # <mu mu> = hbar [L^e(dtau) - L^o(|dtau|)] = hbar L(-i |dtau|), evaluated
     # through the master kernel so large w*hbar*beta stays finite.
     l_idx = np.arange(n_tau)
     abs_dtau = np.abs(l_idx[:, None] - l_idx[None, :]) * grids.dtau
-    l_mm = np.moveaxis(site_kernel(ctx, _mode_values(ctx, "complex", 0.0, abs_dtau).real),
-                       (-2, -1), (0, 1))
-    sigma[mu_sl, mu_sl] = hbar * _interleave(l_mm)
+    l_mm = site_kernel(ctx, _mode_values(ctx, 0.0, abs_dtau).real)
+    sigma[mu_sl, mu_sl] = _interleave(hbar * l_mm)
 
     # <nu nu> and <nu mu> stay identically zero.
     assert np.array_equal(sigma, sigma.T), "covariance must be exactly symmetric"

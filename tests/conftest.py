@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from esln import BathSpec, KernelContext, SystemSpec, TimeGrids, diagonalize_bath
-from esln.kernels import coth
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,18 +46,24 @@ def small_grids():
     return TimeGrids.from_spans(t_f=1.0, n_t=9, hbar_beta=1.0, n_tau=6)
 
 
-def k_complex_printed_split(ctx, lam, t, tau):
+def coth(x):
+    """coth(x) for x > 0, stable for both tiny and huge arguments."""
+    x = np.asarray(x, dtype=float)
+    return (1.0 + np.exp(-2.0 * x)) / (-np.expm1(-2.0 * x))
+
+
+def k_complex_printed_split(ctx, t, tau):
     """A wrong split form of the complex-time kernel, for the tests that show it fails.
 
-    Returns K^R + i K^I with
+    Returns K^R + i K^I of every mode, shape (M,) + broadcast(t, tau), with
         K^R = [coth(X) cosh(w tau) - sinh(w tau)] cos(w t) / (2 w)
         K^I = -[cosh(w tau) + coth(X) sinh(w tau)] sin(w t) / (2 w)
     which differs from ``esln.kernels.k_complex`` in the sign of the coth*sinh
     term of K^I.
     """
-    w = ctx.modes.omegas[lam]
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    w = ctx.modes.omegas.reshape((-1,) + (1,) * np.broadcast(t, tau).ndim)
     cth = coth(0.5 * ctx.hbar_beta * w)
     k_r = (cth * np.cosh(w * tau) - np.sinh(w * tau)) * np.cos(w * t) / (2.0 * w)
     k_i = -(np.cosh(w * tau) + cth * np.sinh(w * tau)) * np.sin(w * t) / (2.0 * w)

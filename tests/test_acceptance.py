@@ -22,6 +22,8 @@ from esln import (NoiseBundle, TimeGrids, TruncatedBath, build_pipeline,
 from esln.cli import main
 from esln.kernels import KernelContext
 
+from conftest import coth
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -164,19 +166,21 @@ def test_criterion_6_kernel_identities():
     ctx = KernelContext.from_bath(cfg.bath, modes, cfg.system.hbar, cfg.system.beta)
     rng = np.random.default_rng(6)
     hb = ctx.hbar_beta
-    worst = 0.0
-    for _ in range(100):
-        t = rng.uniform(-5.0, 5.0)
-        tau = rng.uniform(0.0, hb)
-        for lam in range(2):
-            worst = max(worst, abs(k_complex(ctx, lam, t, hb)
-                                   - k_complex(ctx, lam, -t, 0.0)))
-        l_sum = l_matrix(ctx, "e", tau=tau) + l_matrix(ctx, "o", tau=tau)
-        worst = max(worst, np.abs(l_sum - l_matrix(ctx, "complex", t=0.0, tau=-tau)).max())
-        worst = max(worst, np.abs(l_matrix(ctx, "R", t=t)
-                                  - l_matrix(ctx, "R", t=-t)).max())
-        worst = max(worst, np.abs(l_matrix(ctx, "I", t=t)
-                                  + l_matrix(ctx, "I", t=-t)).max())
+    t = rng.uniform(-5.0, 5.0, 100)
+    tau = rng.uniform(0.0, hb, 100)
+    # KMS shift of every mode: K(t - i hbar*beta) = K(-t)
+    worst = np.abs(k_complex(ctx, t, hb) - k_complex(ctx, -t, 0.0)).max()
+    # L^e and L^o, read as (L(i tau) +- L(-i tau)) / 2, against their closed forms
+    s = ctx.site_weights()
+    w = ctx.modes.omegas[:, None]
+    up, down = l_matrix(ctx, tau=-tau), l_matrix(ctx, tau=tau)
+    for got, k_mode in ((0.5 * (up + down), np.cosh(w * tau) * coth(0.5 * hb * w) / (2 * w)),
+                        (0.5 * (up - down), np.sinh(w * tau) / (2 * w))):
+        worst = max(worst, np.abs(got - np.einsum("il,jl,lk->kij", s, s, k_mode)).max())
+    # L^R = Re L(t) is even and L^I = Im L(t) is odd
+    l_pos, l_neg = l_matrix(ctx, t=t), l_matrix(ctx, t=-t)
+    worst = max(worst, np.abs(l_pos.real - l_neg.real).max(),
+                np.abs(l_pos.imag + l_neg.imag).max())
     ok = bool(worst < 1e-10)
     _report("6 kernel identities", ok, f"worst deviation = {worst:.2e}")
     assert worst < 1e-10

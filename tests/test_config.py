@@ -41,6 +41,16 @@ def test_asymmetric_lambda_names_field():
     assert "bath.lambda" in str(err.value)
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0])
+def test_non_positive_mass_names_field(mass):
+    doc = small_doc()
+    doc["bath"]["masses"] = [mass]
+    with pytest.raises(ValidationError) as err:
+        parse_config(doc)
+    assert err.value.path == "bath.masses"
+    assert "must be positive" in str(err.value)
+
+
 def test_single_point_grid_rejected():
     doc = small_doc()
     doc["grids"]["n_t"] = 1

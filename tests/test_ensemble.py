@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from esln import ensemble
 from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
                   hermiticity_trace_report, l_matrix, mode_couplings, parse_config,
                   run_ensemble, TruncatedBath, write_csv, write_document)
@@ -65,7 +66,7 @@ def test_worker_count_never_changes_bits():
 def test_stderr_shrinks_with_more_trajectories():
     cfg = parse_config(small_doc(n_traj=256, master_seed=5))
     res_a = run_ensemble(cfg)
-    res_b = run_ensemble(cfg, n_traj=1024)
+    res_b = run_ensemble(cfg.with_overrides(n_traj=1024))
     ratio = res_b.stderr_rho[1:].mean() / res_a.stderr_rho[1:].mean()
     assert 0.35 <= ratio <= 0.65          # expect ~ 1/2 for 4x trajectories
 
@@ -94,8 +95,7 @@ def test_printed_cross_kernel_breaks_stationarity():
     pipe = build_pipeline(cfg)
     cov = pipe.cov
     grids = cfg.grids
-    l_c = l_matrix(pipe.ctx, "complex", t=grids.t[:, None] + 0.0 * grids.tau[None, :],
-                   tau=grids.tau[None, :] + 0.0 * grids.t[:, None])
+    l_c = l_matrix(pipe.ctx, t=grids.t[:, None], tau=grids.tau[None, :])
     blk = -pipe.ctx.hbar * l_c[..., 0, 0]          # one bath site
     sigma = cov.sigma.copy()
     sigma[cov.field_slice("eta"), cov.field_slice("mu")] = blk
@@ -193,6 +193,45 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     assert np.array_equal(resumed.mean_rho, ref.mean_rho)
     assert np.array_equal(resumed.se_re, ref.se_re)
     assert resumed.n_ok == ref.n_ok
+
+
+def test_checkpoint_refuses_other_layout(tmp_path):
+    # a checkpoint resumes only into the noise streams that wrote it: the same
+    # noise factor, bit for bit, and the same batch size
+    doc = small_doc(n_traj=600, master_seed=21)
+    doc["ensemble"]["checkpoint_interval"] = 256
+    cfg = parse_config(doc)
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg, checkpoint_path=str(ckpt))
+    written = json.loads(ckpt.read_text())
+    assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
+    for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), (None, None)):
+        data = json.loads(json.dumps(written))
+        if key is None:
+            del data["layout"]                  # written before the layout was recorded
+        else:
+            data["layout"][key] = value
+        ckpt.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            run_ensemble(cfg, checkpoint_path=str(ckpt))
+        assert err.value.path == "checkpoint"
+
+
+def test_pipeline_reused_across_seed_and_count_overrides(monkeypatch):
+    cfg = parse_config(small_doc(n_traj=64))
+    pipe = build_pipeline(cfg)
+    run_cfg = cfg.with_overrides(n_traj=32, master_seed=5)
+    ref = run_ensemble(run_cfg)
+    calls = []
+    monkeypatch.setattr(ensemble, "build_pipeline",
+                        lambda c: calls.append(c) or build_pipeline(c))
+    res = run_ensemble(run_cfg, pipeline=pipe)
+    assert calls == []
+    assert res.n_traj == 32
+    assert document_bytes(result_document(res)) == document_bytes(result_document(ref))
+    # a config parsed anew holds new system and bath objects, so it is rebuilt
+    run_ensemble(parse_config(small_doc(n_traj=32)), pipeline=pipe)
+    assert len(calls) == 1
 
 
 def test_document_and_csv_roundtrip(tmp_path):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from esln import (KernelContext, TimeGrids, build_covariance, diagonalize_bath,
-                  factorize, hs_identity_check, l_matrix, sample, takagi,
-                  verify_empirical)
+                  factorize, hs_identity_check, sample, takagi, verify_empirical)
 from esln.errors import CapExceeded, FactorizationFailure
-from esln.kernels import coth, k_complex
+from esln.kernels import k_complex
 from esln.noise import NoiseCovariance, NoiseFactor, derive_seed, draw_normal
 
-from conftest import k_complex_printed_split
+from conftest import coth, k_complex_printed_split
 
 
 def test_grid_endpoints():
@@ -79,16 +78,15 @@ def test_eta_eta_block_toeplitz(ctx_one_mode, small_grids):
 
 
 def test_mu_mu_block_matches_split_kernels(ctx_one_mode, small_grids):
+    # hbar [K^e(d) - K^o(|d|)] with K^e = cosh(w d) coth X / (2w), K^o = sinh(w d) / (2w);
+    # one unit-mass site, so L = K.
     cov = build_covariance(ctx_one_mode, small_grids)
     blk = cov.block("mu", "mu")
-    tau = small_grids.tau
-    for k in range(small_grids.n_tau):
-        for l in range(small_grids.n_tau):
-            d = tau[k] - tau[l]
-            expect = ctx_one_mode.hbar * (
-                l_matrix(ctx_one_mode, "e", tau=d)[0, 0]
-                - l_matrix(ctx_one_mode, "o", tau=abs(d))[0, 0])
-            assert blk[k, l] == pytest.approx(expect, rel=1e-10)
+    w = ctx_one_mode.modes.omegas[0]
+    cth = coth(0.5 * ctx_one_mode.hbar_beta * w)
+    d = small_grids.tau[:, None] - small_grids.tau[None, :]
+    expect = ctx_one_mode.hbar * (np.cosh(w * d) * cth - np.sinh(w * np.abs(d))) / (2 * w)
+    assert np.all(np.abs(blk - expect) <= 1e-10 * np.abs(expect))
 
 
 def test_cross_kernel_variants_differ(ctx_one_mode, small_grids):
@@ -98,9 +96,9 @@ def test_cross_kernel_variants_differ(ctx_one_mode, small_grids):
     hbar, hb = ctx_one_mode.hbar, ctx_one_mode.hbar_beta
     t, tau = small_grids.t[:, None], small_grids.tau[None, :]
     blk = cov.block("eta", "mu")
-    assert np.abs(blk - hbar * k_complex(ctx_one_mode, 0, t, hb - tau)).max() < 1e-14
-    master = -hbar * k_complex(ctx_one_mode, 0, t, tau)
-    split = -hbar * k_complex_printed_split(ctx_one_mode, 0, t, tau)
+    assert np.abs(blk - hbar * k_complex(ctx_one_mode, t, hb - tau)[0]).max() < 1e-14
+    master = -hbar * k_complex(ctx_one_mode, t, tau)[0]
+    split = -hbar * k_complex_printed_split(ctx_one_mode, t, tau)[0]
     assert np.abs(blk - master).max() > 1e-3
     assert np.abs(master - split).max() > 1e-3
 

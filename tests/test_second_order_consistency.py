@@ -56,7 +56,7 @@ def second_order_state(ctx, energies, f_eig, t_end, cross):
     rho_b = np.diag(np.exp(-BETA * energies)).astype(complex)
 
     def kk(u):                      # hbar * K(u) at real argument, per mode 0
-        return HBAR * k_complex(ctx, 0, u, 0.0)
+        return HBAR * k_complex(ctx, u, 0.0)[0]
 
     s = np.linspace(0.0, t_end, NS) if t_end > 0 else np.zeros(1)
     tau = np.linspace(0.0, hb, NS)
@@ -69,7 +69,7 @@ def second_order_state(ctx, energies, f_eig, t_end, cross):
     c_pp = kk(s_o - s_i)                             # <xi+ xi+>, ordered s > s'
     c_mm = np.conj(kk(s_o - s_i))                    # <xi- xi->, ordered s' < s
     c_pm = kk(s_i - s_o)                             # <xi+(s) xi-(s')>
-    c_mumu = HBAR * k_complex(ctx, 0, 0.0, np.abs(tau_o - tau_i)).real
+    c_mumu = HBAR * k_complex(ctx, 0.0, np.abs(tau_o - tau_i))[0].real
     c_x = cross(s_g, tau_g)
 
     out = rho_b.copy()
@@ -113,9 +113,9 @@ def second_order_state(ctx, energies, f_eig, t_end, cross):
 
 
 CROSS_VARIANTS = {
-    "equilibrium": lambda ctx: lambda s, ta: +HBAR * k_complex(ctx, 0, s, HBAR * BETA - ta),
-    "printed-master": lambda ctx: lambda s, ta: -HBAR * k_complex(ctx, 0, s, ta),
-    "printed-split": lambda ctx: lambda s, ta: -HBAR * k_complex_printed_split(ctx, 0, s, ta),
+    "equilibrium": lambda ctx: lambda s, ta: +HBAR * k_complex(ctx, s, HBAR * BETA - ta)[0],
+    "printed-master": lambda ctx: lambda s, ta: -HBAR * k_complex(ctx, s, ta)[0],
+    "printed-split": lambda ctx: lambda s, ta: -HBAR * k_complex_printed_split(ctx, s, ta)[0],
 }
 
 
