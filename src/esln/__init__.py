@@ -17,23 +17,20 @@ from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeli
 from .kernels import KernelContext, k_complex, l_matrix
 from .model import (BathSpec, Drive, NormalModes, SystemSpec, diagonalize_bath,
                     hamiltonian_at, mode_couplings)
-from .noise import (NoiseBundle, NoiseCovariance, NoiseFactor, TimeGrids,
-                    build_covariance, factorize, hs_identity_check, sample, takagi,
-                    verify_empirical)
+from .noise import (NoiseCovariance, NoiseFactor, TimeGrids, build_covariance,
+                    factorize, hs_identity_check, takagi, verify_empirical)
 from .oracle import TruncatedBath, build_total_hamiltonian, exact_reduced_dynamics
-from .propagate import (TrajectoryOutput, TrajectoryState, commutator_step_generator,
-                        equilibrate, evolve, run_trajectory)
+from .propagate import equilibrate_batch, evolve_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec", "Drive", "EnsembleResult", "HermiticityReport", "KernelContext",
-    "NoiseBundle", "NoiseCovariance", "NoiseFactor", "NormalModes", "Pipeline",
-    "RunConfig", "SystemSpec", "TimeGrids", "TrajectoryOutput", "TrajectoryState",
-    "TruncatedBath", "build_covariance", "build_pipeline", "build_total_hamiltonian",
-    "commutator_step_generator", "compare_series", "diagonalize_bath", "emit_config",
-    "equilibrate", "evolve", "exact_reduced_dynamics", "factorize", "hamiltonian_at",
-    "hermiticity_trace_report", "hs_identity_check", "k_complex", "l_matrix",
-    "load_config", "mode_couplings", "parse_config", "run_ensemble", "run_trajectory",
-    "sample", "takagi", "verify_empirical", "write_csv", "write_document",
+    "NoiseCovariance", "NoiseFactor", "NormalModes", "Pipeline", "RunConfig",
+    "SystemSpec", "TimeGrids", "TruncatedBath", "build_covariance", "build_pipeline",
+    "build_total_hamiltonian", "compare_series", "diagonalize_bath", "emit_config",
+    "equilibrate_batch", "evolve_batch", "exact_reduced_dynamics", "factorize",
+    "hamiltonian_at", "hermiticity_trace_report", "hs_identity_check", "k_complex",
+    "l_matrix", "load_config", "mode_couplings", "parse_config", "run_ensemble",
+    "takagi", "verify_empirical", "write_csv", "write_document",
 ]

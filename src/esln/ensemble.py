@@ -31,7 +31,7 @@ from .errors import TooManyFailures, ValidationError
 from .kernels import KernelContext
 from .model import NormalModes, diagonalize_bath
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
-                    draw_normal, factorize)
+                    draw_normal, factorize, unpack)
 from .propagate import equilibrate_batch, evolve_batch
 
 BATCH_SIZE = 256
@@ -151,14 +151,10 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
     time the series is the single t = 0 entry, rho(hbar*beta).
     """
     system, grids, factor = cfg.system, cfg.grids, pipe.factor
-    m, n_t, n_tau = factor.n_sites, factor.n_t, factor.n_tau
-    b = len(indices)
-    w = np.empty((factor.rank, b))
+    w = np.empty((factor.rank, len(indices)))
     for j, idx in enumerate(indices):
         w[:, j] = draw_normal(factor, derive_seed(cfg.master_seed, int(idx)))
-    z = factor.a @ w                                   # (dim, b)
-    ne = m * n_t
-    mu = z[2 * ne:].T.reshape(b, m, n_tau) if m else np.zeros((b, 0, n_tau), complex)
+    eta, nu, mu = unpack(factor, factor.a @ w)
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
     traces = np.trace(rho_end, axis1=1, axis2=2)
@@ -170,8 +166,6 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
     else:
         rho_start = rho_end
     if real_time:
-        eta = z[:ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
-        nu = z[ne:2 * ne].T.reshape(b, m, n_t) if m else np.zeros((b, 0, n_t), complex)
         series, div_real = evolve_batch(system, eta, nu, grids, rho_start)
         failed |= div_real
     else:
@@ -329,17 +323,25 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
 
     Deterministic in the config: the per-trajectory seeds, the batch layout,
     and the reduction tree are all functions of trajectory indices alone, so
-    the worker count cannot change any output bit.  A ``pipeline`` built from
-    the same system, bath, grids and cap is reused; any other is rebuilt.
-    A checkpoint resumes only with the batch size and noise factor that wrote it.
+    the worker count (at least 1) cannot change any output bit.  A
+    ``pipeline`` built from the same system, bath, grids and cap is reused;
+    any other is rebuilt.  A checkpoint is written every
+    ``ensemble.checkpoint_interval`` trajectories, which must then be
+    positive, and resumes only with the batch size and noise factor that
+    wrote it.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
     holds the statistics of the initial reduced density on the single time
     t = 0.  Checkpoints belong to full runs, so that phase refuses one.
     """
+    if workers < 1:
+        raise ValidationError("workers", "must be >= 1")
     if checkpoint_path and not real_time:
         raise ValidationError("checkpoint",
                               "only full (real-time) runs write or resume checkpoints")
+    if checkpoint_path and cfg.checkpoint_interval <= 0:
+        raise ValidationError("ensemble.checkpoint_interval",
+                              "must be > 0 for a run with a checkpoint file")
     pipe = pipeline if pipeline is not None and _built_for(pipeline, cfg) \
         else build_pipeline(cfg)
     cfg_echo = emit_config(cfg)
@@ -355,9 +357,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         start_batch, series_acc, zfac_acc, n_failed = _read_checkpoint(
             checkpoint_path, cfg_echo, layout)
 
-    interval_batches = 0
-    if checkpoint_path and cfg.checkpoint_interval > 0:
-        interval_batches = max(1, cfg.checkpoint_interval // BATCH_SIZE)
+    interval_batches = max(1, cfg.checkpoint_interval // BATCH_SIZE) if checkpoint_path else 0
 
     def work(batch_idx: int) -> _BatchResult:
         lo, hi = ranges[batch_idx]
@@ -366,7 +366,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     todo = list(range(start_batch, len(ranges)))
     pos = 0
     while pos < len(todo):
-        wave = todo[pos:pos + max(1, workers)]
+        wave = todo[pos:pos + workers]
         if workers > 1 and len(wave) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outs = list(pool.map(work, wave))

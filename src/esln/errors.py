@@ -45,21 +45,6 @@ class FactorizationFailure(NumericalError):
     """No factor a with a @ a.T = sigma met the residual bound."""
 
 
-class Diverged(NumericalError):
-    """A trajectory left the representable range during integration.
-
-    Carries the phase tag, the grid index reached, and (when raised from the
-    single-trajectory API) the last trajectory state.
-    """
-
-    def __init__(self, phase: str, step: int, message: str = "", state=None):
-        self.phase = phase
-        self.step = step
-        self.state = state
-        msg = message or f"trajectory diverged during {phase} propagation at step {step}"
-        super().__init__(msg)
-
-
 class TooManyFailures(NumericalError):
     """More than the tolerated fraction of trajectories diverged."""
 

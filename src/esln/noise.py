@@ -246,16 +246,6 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
     return NoiseFactor(a=a, n_sites=cov.n_sites, n_t=cov.n_t, n_tau=cov.n_tau)
 
 
-@dataclass(frozen=True)
-class NoiseBundle:
-    """One realization of all fields; eta/nu are (M, n_t), mu_bar is (M, n_tau)."""
-
-    eta: np.ndarray
-    nu: np.ndarray
-    mu_bar: np.ndarray
-    seed: int
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit stream key for trajectory ``index``."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
@@ -271,21 +261,13 @@ def draw_normal(factor: NoiseFactor, seed: int) -> np.ndarray:
     return _generator(seed).standard_normal(factor.rank)
 
 
-def unpack(factor: NoiseFactor, z: np.ndarray, seed: int) -> NoiseBundle:
+def unpack(factor: NoiseFactor, z: np.ndarray):
+    """Split draws z (dim, B) into eta, nu (B, M, n_t) and mu (B, M, n_tau)."""
     m, n_t, n_tau = factor.n_sites, factor.n_t, factor.n_tau
+    b = z.shape[1]
     ne = m * n_t
-    eta = z[:ne].reshape(m, n_t)
-    nu = z[ne:2 * ne].reshape(m, n_t)
-    mu = z[2 * ne:].reshape(m, n_tau)
-    for arr in (eta, nu, mu):
-        arr.setflags(write=False)
-    return NoiseBundle(eta=eta, nu=nu, mu_bar=mu, seed=seed)
-
-
-def sample(factor: NoiseFactor, seed: int) -> NoiseBundle:
-    """Draw one bundle; identical seed gives a bit-identical bundle."""
-    z = factor.a @ draw_normal(factor, seed)
-    return unpack(factor, z, seed)
+    return (z[:ne].T.reshape(b, m, n_t), z[ne:2 * ne].T.reshape(b, m, n_t),
+            z[2 * ne:].T.reshape(b, m, n_tau))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Per-trajectory propagation: imaginary-time quench, then the real-time
-stochastic Liouville-von Neumann step.
+"""Batched propagation: imaginary-time quench, then the real-time stochastic
+Liouville-von Neumann step.
 
 Imaginary time:  -hbar d rho/d tau = (H0 - sum_i mu_i(tau) f_i) rho,
 starting from the identity; the trace at tau = hbar*beta carries the
@@ -9,47 +9,20 @@ normalization.  Real time:
                                             + (hbar/2) nu_i {f_i, rho} )
 
 equivalently rho' = (H+ rho - rho H-) / (i hbar) with
-H+- = H(t) - sum_i (eta_i +- hbar nu_i / 2) f_i.  Both phases use fixed-step
-classical RK4, one step per grid interval by default, with the noises linearly
-interpolated at interior stage times.  Everything is batched over trajectories;
-the public single-trajectory operations wrap batches of size one.
+H+- = H(t) - sum_i (eta_i +- hbar nu_i / 2) f_i.  Both phases run through one
+fixed-step classical RK4 driver, one step per grid interval by default, with
+the noises linearly interpolated at interior stage times.  Every array is
+batched over trajectories; one trajectory is a batch of size one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import Diverged
 from .model import SystemSpec, hamiltonian_at
-from .noise import NoiseBundle, TimeGrids
+from .noise import TimeGrids
 
 DIVERGENCE_LIMIT = 1e300
-
-
-@dataclass
-class TrajectoryState:
-    """Mutable cursor for one trajectory: current matrix, phase, grid index."""
-
-    rho: np.ndarray
-    phase: str          # "imaginary" | "real"
-    index: int
-
-
-@dataclass(frozen=True)
-class TrajectoryOutput:
-    """Real-time series rho(t_k), the normalized initial matrix, and the
-    normalization absorbed at the end of imaginary time."""
-
-    rho_series: np.ndarray      # (n_t, d, d)
-    rho0: np.ndarray            # (d, d), trace one
-    z_factor: complex           # Tr rho_bar(hbar*beta) / d
-
-    def __post_init__(self):
-        tr = np.trace(self.rho0)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"rho0 trace {tr} is not 1 within 1e-12")
 
 
 def interpolate_half_grid(samples: np.ndarray, substeps: int) -> np.ndarray:
@@ -67,38 +40,36 @@ def interpolate_half_grid(samples: np.ndarray, substeps: int) -> np.ndarray:
     return samples[..., idx] * (1.0 - frac) + samples[..., idx + 1] * frac
 
 
-def commutator_step_generator(system: SystemSpec, t: float, eta: np.ndarray,
-                              nu: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the real-time equation for a single matrix.
-
-    (1 / i hbar) ( [H(t), rho] - sum_i eta_i [f_i, rho]
-                   - (hbar/2) sum_i nu_i {f_i, rho} )
-    """
-    h = hamiltonian_at(system, t)
-    out = h @ rho - rho @ h
-    for i, f in enumerate(system.couplings):
-        out = out - eta[i] * (f @ rho - rho @ f)
-        out = out - 0.5 * system.hbar * nu[i] * (f @ rho + rho @ f)
-    return out / (1j * system.hbar)
-
-
 def _mix(h_static, f_stack, coeffs):
     """h_static - sum_i coeffs[b, i] f_i  ->  (B, d, d)."""
-    if f_stack.shape[0] == 0:
-        b = coeffs.shape[0]
-        return np.broadcast_to(h_static, (b,) + h_static.shape)
     return h_static[None, :, :] - np.einsum("bi,ijk->bjk", coeffs, f_stack)
 
 
-def _check_divergence(rho, alive):
-    with np.errstate(invalid="ignore"):
-        mags = np.abs(rho).max(axis=(1, 2))
-        bad = ~np.isfinite(mags) | (mags > DIVERGENCE_LIMIT)
-    newly = bad & alive
-    if np.any(newly):
-        alive = alive & ~bad
-        rho = np.where(alive[:, None, None], rho, 0.0)
-    return rho, alive, newly
+def _rk4(rhs, rho, n_steps, h, substeps, series=None):
+    """Classical RK4 on a batch of matrices, rhs(stage, rho) at stage j = time j*h/2.
+
+    A trajectory whose largest entry turns non-finite or exceeds
+    DIVERGENCE_LIMIT is zeroed and marked dead.  With ``series``, the state
+    after every ``substeps`` steps is stored at the next grid node.
+    Returns the final (B, d, d) state and the (B,) alive mask.
+    """
+    alive = np.ones(rho.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_steps):
+            st = 2 * s
+            k1 = rhs(st, rho)
+            k2 = rhs(st + 1, rho + 0.5 * h * k1)
+            k3 = rhs(st + 1, rho + 0.5 * h * k2)
+            k4 = rhs(st + 2, rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            mags = np.abs(rho).max(axis=(1, 2))
+            bad = ~np.isfinite(mags) | (mags > DIVERGENCE_LIMIT)
+            if np.any(bad & alive):
+                alive = alive & ~bad
+                rho = np.where(alive[:, None, None], rho, 0.0)
+            if series is not None and (s + 1) % substeps == 0:
+                series[:, (s + 1) // substeps] = rho
+    return rho, alive
 
 
 def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids,
@@ -114,153 +85,49 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids,
     rho_end : (B, d, d) unnormalized rho_bar(hbar*beta) (zeroed where diverged).
     diverged : (B,) bool mask.
     """
-    b = mu_bar.shape[0]
-    d = system.dim
-    f_stack = system.coupling_stack()
-    h0 = system.h0
-    hbar = system.hbar
-    n_steps = (grids.n_tau - 1) * substeps
-    h = grids.dtau / substeps
+    f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
     fine = interpolate_half_grid(mu_bar, substeps)      # (B, M, 2*n_steps+1)
-    rho = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
-    alive = np.ones(b, dtype=bool)
 
-    def rhs(mu_val, r):
-        return -_mix(h0, f_stack, mu_val) @ r / hbar
+    def rhs(stage, r):
+        return -_mix(h0, f_stack, fine[:, :, stage]) @ r / hbar
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_steps):
-            m0 = fine[:, :, 2 * s]
-            mh = fine[:, :, 2 * s + 1]
-            m1 = fine[:, :, 2 * s + 2]
-            k1 = rhs(m0, rho)
-            k2 = rhs(mh, rho + 0.5 * h * k1)
-            k3 = rhs(mh, rho + 0.5 * h * k2)
-            k4 = rhs(m1, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho, alive, _ = _check_divergence(rho, alive)
+    rho = np.broadcast_to(np.eye(system.dim, dtype=complex),
+                          (mu_bar.shape[0], system.dim, system.dim)).copy()
+    rho, alive = _rk4(rhs, rho, (grids.n_tau - 1) * substeps, grids.dtau / substeps,
+                      substeps)
     return rho, ~alive
 
 
 def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
-                 grids: TimeGrids, rho0: np.ndarray, substeps: int = 1,
-                 method: str = "direct"):
+                 grids: TimeGrids, rho0: np.ndarray, substeps: int = 1):
     """Integrate the real-time equation for a batch from rho0.
 
     Parameters
     ----------
     eta, nu : (B, M, n_t) complex noise samples on the real-time grid.
     rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
-    method : "direct" evolves rho itself; "u-pm" accumulates the two one-sided
-        propagators with the same step rule and forms U+ rho0 U- (cross-check).
 
     Returns
     -------
     series : (B, n_t, d, d) with series[:, 0] = rho0 (zeroed where diverged).
     diverged : (B,) bool mask.
     """
-    if method not in ("direct", "u-pm"):
-        raise ValueError(f"unknown integrator method {method!r}")
-    b, d = rho0.shape[0], system.dim
-    f_stack = system.coupling_stack()
-    hbar = system.hbar
+    f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
     h = grids.dt / substeps
     n_steps = (grids.n_t - 1) * substeps
     co_p = interpolate_half_grid(eta + 0.5 * hbar * nu, substeps)
     co_m = interpolate_half_grid(eta - 0.5 * hbar * nu, substeps)
-    if system.drive:
-        h_fine = np.stack([hamiltonian_at(system, s * h / 2.0) for s in range(2 * n_steps + 1)])
-    else:
-        h_fine = None
-    series = np.zeros((b, grids.n_t, d, d), dtype=complex)
-    series[:, 0] = rho0
-    alive = np.ones(b, dtype=bool)
+    h_fine = np.stack([hamiltonian_at(system, s * h / 2.0)
+                       for s in range(2 * n_steps + 1)]) if system.drive else None
 
-    def h_at(stage):
-        return h_fine[stage] if h_fine is not None else system.h0
-
-    def rhs_direct(stage, r):
-        hs = h_at(stage)
+    def rhs(stage, r):
+        hs = h0 if h_fine is None else h_fine[stage]
         hp = _mix(hs, f_stack, co_p[:, :, stage])
         hm = _mix(hs, f_stack, co_m[:, :, stage])
         return (hp @ r - r @ hm) / (1j * hbar)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method == "direct":
-            rho = rho0.astype(complex).copy()
-            for s in range(n_steps):
-                st = 2 * s
-                k1 = rhs_direct(st, rho)
-                k2 = rhs_direct(st + 1, rho + 0.5 * h * k1)
-                k3 = rhs_direct(st + 1, rho + 0.5 * h * k2)
-                k4 = rhs_direct(st + 2, rho + h * k3)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho, alive, _ = _check_divergence(rho, alive)
-                if (s + 1) % substeps == 0:
-                    series[:, (s + 1) // substeps] = rho
-        else:
-            u_p = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d)).copy()
-            u_m = u_p.copy()
-
-            def rhs_up(stage, u):
-                return -1j / hbar * (_mix(h_at(stage), f_stack, co_p[:, :, stage]) @ u)
-
-            def rhs_um(stage, u):
-                return 1j / hbar * (u @ _mix(h_at(stage), f_stack, co_m[:, :, stage]))
-
-            for s in range(n_steps):
-                st = 2 * s
-                k1 = rhs_up(st, u_p)
-                k2 = rhs_up(st + 1, u_p + 0.5 * h * k1)
-                k3 = rhs_up(st + 1, u_p + 0.5 * h * k2)
-                k4 = rhs_up(st + 2, u_p + h * k3)
-                u_p = u_p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k1 = rhs_um(st, u_m)
-                k2 = rhs_um(st + 1, u_m + 0.5 * h * k1)
-                k3 = rhs_um(st + 1, u_m + 0.5 * h * k2)
-                k4 = rhs_um(st + 2, u_m + h * k3)
-                u_m = u_m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                u_p, alive, _ = _check_divergence(u_p, alive)
-                u_m, alive, _ = _check_divergence(u_m, alive)
-                if (s + 1) % substeps == 0:
-                    series[:, (s + 1) // substeps] = u_p @ rho0 @ u_m
+    series = np.zeros((rho0.shape[0], grids.n_t, system.dim, system.dim), dtype=complex)
+    series[:, 0] = rho0
+    _, alive = _rk4(rhs, rho0.astype(complex), n_steps, h, substeps, series)
     series = np.where(alive[:, None, None, None], series, 0.0)
     return series, ~alive
-
-
-def equilibrate(system: SystemSpec, bundle: NoiseBundle, grids: TimeGrids,
-                substeps: int = 1):
-    """Single-trajectory imaginary-time quench.
-
-    Returns (rho0, z_factor) with rho0 = rho_bar(hbar*beta) / Tr rho_bar and
-    z_factor = Tr rho_bar(hbar*beta) / d.  Raises Diverged on overflow.
-    """
-    rho_end, diverged = equilibrate_batch(system, bundle.mu_bar[None], grids, substeps)
-    state = TrajectoryState(rho=rho_end[0], phase="imaginary", index=grids.n_tau - 1)
-    if diverged[0]:
-        raise Diverged("imaginary", grids.n_tau - 1, state=state)
-    tr = np.trace(rho_end[0])
-    if abs(tr) < 1e-300:
-        raise Diverged("imaginary", grids.n_tau - 1,
-                       "trace vanished at tau = hbar*beta", state=state)
-    return rho_end[0] / tr, complex(tr / system.dim)
-
-
-def evolve(system: SystemSpec, bundle: NoiseBundle, grids: TimeGrids,
-           rho0: np.ndarray, z_factor: complex = 1.0, substeps: int = 1,
-           method: str = "direct") -> TrajectoryOutput:
-    """Single-trajectory real-time evolution from a normalized rho0."""
-    series, diverged = evolve_batch(system, bundle.eta[None], bundle.nu[None],
-                                    grids, rho0[None], substeps, method)
-    if diverged[0]:
-        raise Diverged("real", grids.n_t - 1,
-                       state=TrajectoryState(rho=series[0, -1], phase="real",
-                                             index=grids.n_t - 1))
-    return TrajectoryOutput(rho_series=series[0], rho0=np.array(rho0), z_factor=z_factor)
-
-
-def run_trajectory(system: SystemSpec, bundle: NoiseBundle, grids: TimeGrids,
-                   substeps: int = 1, method: str = "direct") -> TrajectoryOutput:
-    """Full two-time pipeline for one noise realization (per-trajectory normalized)."""
-    rho0, z = equilibrate(system, bundle, grids, substeps)
-    return evolve(system, bundle, grids, rho0, z, substeps, method)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from esln import (NoiseBundle, TimeGrids, TruncatedBath, build_pipeline,
-                  diagonalize_bath, equilibrate, evolve, exact_reduced_dynamics,
+from esln import (TimeGrids, TruncatedBath, build_pipeline, diagonalize_bath,
+                  equilibrate_batch, evolve_batch, exact_reduced_dynamics,
                   hermiticity_trace_report, hs_identity_check, k_complex, l_matrix,
                   mode_couplings, parse_config, run_ensemble, verify_empirical)
 from esln.cli import main
@@ -117,17 +117,17 @@ def test_criterion_3_gibbs_recovery():
     doc["system"]["couplings"] = [[[0.0, 0.0], [0.0, 0.0]],
                                   [[0.0, 0.0], [0.0, 0.0]]]
     cfg = parse_config(doc)
-    bundle = NoiseBundle(eta=np.zeros((2, cfg.grids.n_t), complex),
-                         nu=np.zeros((2, cfg.grids.n_t), complex),
-                         mu_bar=np.zeros((2, cfg.grids.n_tau), complex), seed=0)
-    rho0, _ = equilibrate(cfg.system, bundle, cfg.grids)
+    zeros = np.zeros((1, 2, cfg.grids.n_t), complex)
+    rho_end, _ = equilibrate_batch(cfg.system, np.zeros((1, 2, cfg.grids.n_tau), complex),
+                                   cfg.grids)
+    rho0 = rho_end / np.trace(rho_end[0])
     gibbs = scipy.linalg.expm(-cfg.system.beta * cfg.system.h0)
     gibbs = gibbs / np.trace(gibbs)
-    gibbs_err = np.abs(rho0 - gibbs).max()
+    gibbs_err = np.abs(rho0[0] - gibbs).max()
 
-    out = evolve(cfg.system, bundle, cfg.grids, rho0)
+    series, _ = evolve_batch(cfg.system, zeros, zeros, cfg.grids, rho0)
     u = scipy.linalg.expm(-1j * cfg.system.h0 * cfg.grids.t_f / cfg.system.hbar)
-    unitary_err = np.abs(out.rho_series[-1] - u @ rho0 @ u.conj().T).max()
+    unitary_err = np.abs(series[0, -1] - u @ rho0[0] @ u.conj().T).max()
     ok = bool(gibbs_err < 1e-8 and unitary_err < 1e-8)
     _report("3 gibbs recovery", ok,
             f"gibbs err = {gibbs_err:.2e}, unitary err = {unitary_err:.2e}")
@@ -196,13 +196,15 @@ def test_criterion_7_integrator_order():
     eta = 0.5 * (np.sin(1.3 * t) + 0.4j * np.cos(0.7 * t)) * np.ones((2, 1))
     nu = 0.5 * (0.5 * np.cos(1.9 * t) - 0.3j * np.sin(1.2 * t)) * np.ones((2, 1))
     mu = 0.5 * (np.cos(1.1 * tau) + 0.3j * tau) * np.ones((2, 1))
-    bundle = NoiseBundle(eta=eta, nu=nu, mu_bar=mu, seed=0)
-    rho0, _ = equilibrate(cfg.system, bundle, grids, substeps=4)
-    ref = evolve(cfg.system, bundle, grids, rho0, substeps=4).rho_series[-1]
-    e1 = np.abs(evolve(cfg.system, bundle, grids, rho0, substeps=1).rho_series[-1]
-                - ref).max()
-    e2 = np.abs(evolve(cfg.system, bundle, grids, rho0, substeps=2).rho_series[-1]
-                - ref).max()
+    rho_end, _ = equilibrate_batch(cfg.system, mu[None], grids, substeps=4)
+    rho0 = rho_end / np.trace(rho_end[0])
+
+    def final(substeps):
+        return evolve_batch(cfg.system, eta[None], nu[None], grids, rho0, substeps)[0][0, -1]
+
+    ref = final(4)
+    e1 = np.abs(final(1) - ref).max()
+    e2 = np.abs(final(2) - ref).max()
     factor = e1 / e2
     ok = bool(12.0 <= factor <= 20.0)
     _report("7 integrator order", ok, f"halving factor = {factor:.2f}")

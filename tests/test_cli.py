@@ -117,6 +117,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     good = write_cfg(tmp_path, tiny_doc(), name="good.json")
     assert main(["run", "--config", good, "--seed", "-3"]) == 2
     assert main(["run", "--config", good, "--n-traj", "1"]) == 2
+    assert main(["run", "--config", good, "--workers", "-1"]) == 2
+    assert main(["equilibrate", "--config", good, "--workers", "0"]) == 2
+    # checkpoint_interval defaults to 0, which would never write the checkpoint
+    ckpt = tmp_path / "state.ckpt"
+    capsys.readouterr()
+    assert main(["run", "--config", good, "--checkpoint", str(ckpt)]) == 2
+    assert "ensemble.checkpoint_interval" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -185,14 +185,69 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     assert np.array_equal(first.mean_rho, ref.mean_rho)
     assert ckpt.exists()
     data = json.loads(ckpt.read_text())
-    assert data["next_batch"] >= 1          # mid-run state was persisted
+    assert data["next_batch"] == 3          # written after the last of 3 batches too
 
-    # a rerun picks the checkpoint up, redoes only the remaining batches, and
-    # lands on the same bits as the uninterrupted run
+    # a rerun picks up the finished run's checkpoint, runs no batch, and lands
+    # on the same bits as the uninterrupted run (a mid-run resume is
+    # test_checkpoint_resumes_mid_run)
     resumed = run_ensemble(cfg, checkpoint_path=str(ckpt))
     assert np.array_equal(resumed.mean_rho, ref.mean_rho)
     assert np.array_equal(resumed.se_re, ref.se_re)
     assert resumed.n_ok == ref.n_ok
+
+
+class Killed(Exception):
+    """Stands in for a run stopped from outside."""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
+    # a run killed in its third of four batches resumes from the checkpoint
+    # after batch 2, runs exactly batches 2 and 3, and writes the same bytes
+    doc = small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21)
+    doc["ensemble"]["checkpoint_interval"] = ensemble.BATCH_SIZE
+    cfg = parse_config(doc)
+    ref = document_bytes(result_document(run_ensemble(cfg, workers=workers)))
+    real_batch = ensemble._run_batch
+    ran = []
+
+    def killed_at_batch_2(pipe, run_cfg, indices, real_time):
+        if indices[0] == 2 * ensemble.BATCH_SIZE:
+            raise Killed
+        return real_batch(pipe, run_cfg, indices, real_time)
+
+    def counted(pipe, run_cfg, indices, real_time):
+        ran.append(int(indices[0]) // ensemble.BATCH_SIZE)
+        return real_batch(pipe, run_cfg, indices, real_time)
+
+    ckpt = tmp_path / "state.json"
+    monkeypatch.setattr(ensemble, "_run_batch", killed_at_batch_2)
+    with pytest.raises(Killed):
+        run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
+    assert json.loads(ckpt.read_text())["next_batch"] == 2
+    monkeypatch.setattr(ensemble, "_run_batch", counted)
+    resumed = run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
+    assert sorted(ran) == [2, 3]
+    assert document_bytes(result_document(resumed)) == ref
+
+
+def test_checkpoint_needs_positive_interval(tmp_path):
+    # with the default interval 0 no checkpoint would ever be written
+    cfg = parse_config(small_doc(n_traj=64))
+    assert cfg.checkpoint_interval == 0
+    ckpt = tmp_path / "state.json"
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(cfg, checkpoint_path=str(ckpt))
+    assert err.value.path == "ensemble.checkpoint_interval"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_must_be_positive(workers):
+    cfg = parse_config(small_doc(n_traj=64))
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(cfg, workers=workers)
+    assert err.value.path == "workers"
 
 
 def test_checkpoint_refuses_other_layout(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from esln import (KernelContext, TimeGrids, build_covariance, diagonalize_bath,
-                  factorize, hs_identity_check, sample, takagi, verify_empirical)
+                  factorize, hs_identity_check, takagi, verify_empirical)
 from esln.errors import CapExceeded, FactorizationFailure
 from esln.kernels import k_complex
-from esln.noise import NoiseCovariance, NoiseFactor, derive_seed, draw_normal
+from esln.noise import NoiseCovariance, NoiseFactor, derive_seed, draw_normal, unpack
 
 from conftest import coth, k_complex_printed_split
 
@@ -185,22 +185,27 @@ def test_factorize_raises_when_residual_bound_missed():
 # ---------------------------------------------------------------------------
 # sampling
 
+def draw_fields(factor, seeds):
+    """eta, nu (B, M, n_t) and mu (B, M, n_tau) for one trajectory per seed."""
+    w = np.stack([draw_normal(factor, seed) for seed in seeds], axis=1)
+    return unpack(factor, factor.a @ w)
+
+
 def test_sample_zero_factor_gives_zero_noise():
     factor = NoiseFactor(a=np.zeros((6, 0), complex), n_sites=1, n_t=2, n_tau=2)
-    bundle = sample(factor, seed=123)
-    assert np.all(bundle.eta == 0) and np.all(bundle.nu == 0) and np.all(bundle.mu_bar == 0)
+    eta, nu, mu = draw_fields(factor, [123])
+    assert np.all(eta == 0) and np.all(nu == 0) and np.all(mu == 0)
 
 
 def test_sample_deterministic(ctx_one_mode, small_grids):
     cov = build_covariance(ctx_one_mode, small_grids)
     factor = factorize(cov)
-    b1 = sample(factor, seed=2024)
-    b2 = sample(factor, seed=2024)
-    assert b1.eta.tobytes() == b2.eta.tobytes()
-    assert b1.nu.tobytes() == b2.nu.tobytes()
-    assert b1.mu_bar.tobytes() == b2.mu_bar.tobytes()
-    b3 = sample(factor, seed=2025)
-    assert b1.eta.tobytes() != b3.eta.tobytes()
+    b1 = draw_fields(factor, [2024])
+    b2 = draw_fields(factor, [2024])
+    for f1, f2 in zip(b1, b2):
+        assert f1.tobytes() == f2.tobytes()
+    b3 = draw_fields(factor, [2025])
+    assert b1[0].tobytes() != b3[0].tobytes()
 
 
 def test_derive_seed_deterministic():
@@ -214,10 +219,10 @@ def test_bundle_shapes(ctx_two_mode):
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
-    bundle = sample(factor, seed=5)
-    assert bundle.eta.shape == (2, 6)
-    assert bundle.nu.shape == (2, 6)
-    assert bundle.mu_bar.shape == (2, 4)
+    eta, nu, mu = draw_fields(factor, [5, 6, 7])
+    assert eta.shape == (3, 2, 6)
+    assert nu.shape == (3, 2, 6)
+    assert mu.shape == (3, 2, 4)
 
 
 def test_empirical_covariance_all_blocks(ctx_one_mode):
@@ -250,11 +255,15 @@ def test_hs_identity_small(ctx_one_mode):
         assert chk.z < 5.0, (chk.mc, chk.exact, chk.se)
 
 
-def test_draw_normal_matches_sample_chain(ctx_one_mode, small_grids):
-    cov = build_covariance(ctx_one_mode, small_grids)
+def test_draw_normal_matches_sample_chain(ctx_two_mode):
+    # unpack reads every field of every column at the covariance's own index
+    grids = TimeGrids.from_spans(t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta,
+                                 n_tau=4)
+    cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
-    seed = derive_seed(42, 17)
-    w = draw_normal(factor, seed)
-    z = factor.a @ w
-    bundle = sample(factor, seed)
-    assert np.array_equal(bundle.eta.ravel(), z[:small_grids.n_t])
+    seeds = [derive_seed(42, 17), derive_seed(42, 18)]
+    z = factor.a @ np.stack([draw_normal(factor, seed) for seed in seeds], axis=1)
+    fields = dict(zip(("eta", "nu", "mu"), draw_fields(factor, seeds)))
+    for name, arr in fields.items():
+        for b, i, k in np.ndindex(arr.shape):
+            assert arr[b, i, k] == z[cov.index(name, i, k), b]
