@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, EslnError, NumericalError, ValidationError
 from .kernels import KernelContext, l_matrix
 from .model import diagonalize_bath, mode_couplings
-from .noise import hs_identity_check, verify_empirical
+from .noise import BLOCKS, hs_identity_check, verify_empirical
 from .oracle import TruncatedBath, exact_reduced_dynamics
 
 EXIT_OK = 0
@@ -51,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-traj", type=int, default=None, help="override ensemble.n_traj")
     run.add_argument("--workers", type=int, default=1,
                      help="worker threads (never affects results)")
-    run.add_argument("--output", default=None, help="output document path")
-    run.add_argument("--csv", default=None, help="output CSV path")
+    run.add_argument("--output", default=None, help="output document path (see --csv)")
+    run.add_argument("--csv", default=None,
+                     help="output CSV path; either flag replaces the config's output")
     run.add_argument("--checkpoint", default=None,
                      help="checkpoint file (resumed when present)")
 
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vn.add_argument("--hs-vectors", type=int, default=0,
                     help="also check this many random characteristic-function vectors")
     vn.add_argument("--csv", default=None,
-                    help="dump empirical vs target blocks to CSV")
+                    help="dump every mode's empirical vs target blocks to CSV")
 
     ker = sub.add_parser("kernels", help="dump kernel tables to CSV")
     add_config(ker)
@@ -98,11 +100,22 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _outputs(args, cfg: RunConfig):
+    """(document, csv) paths: ``--output``/``--csv`` when either is given (they
+    replace the config's whole output section), else the config's own, read
+    relative to the config file."""
+    flags = (getattr(args, "output", None), args.csv)
+    if any(flags):
+        return flags
+    base = os.path.dirname(args.config)
+    return tuple(path and os.path.join(base, path)
+                 for path in (cfg.output_document, cfg.output_csv))
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     result = ens.run_ensemble(cfg, workers=args.workers, checkpoint_path=args.checkpoint)
-    out_doc = args.output or cfg.output_document
-    out_csv = args.csv or cfg.output_csv
+    out_doc, out_csv = _outputs(args, cfg)
     if out_doc:
         ens.write_document(result, out_doc)
         print(f"wrote {out_doc}")
@@ -155,20 +168,18 @@ def _cmd_verify_noise(args) -> int:
             print(f"  characteristic function vector {i}: |z| = {chk.z:.3f}   {mark}")
             ok = ok and chk.z < 5.0
     if args.csv:
-        pairs = [("eta", "eta"), ("eta", "nu"), ("eta", "mu"),
-                 ("nu", "nu"), ("nu", "mu"), ("mu", "mu")]
+        # Each mode's own blocks (modes are independent); row and col index
+        # mode * n + k within the block.
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("block,row,col,target_re,target_im,empirical_re,empirical_im,z\n")
-            for fa, fb in pairs:
+            for fa, fb in BLOCKS:
                 sa, sb = cov.field_slice(fa), cov.field_slice(fb)
-                tgt = cov.sigma[sa, sb]
-                emp = report.empirical[sa, sb]
-                zs = report.z[sa, sb]
-                for r in range(tgt.shape[0]):
-                    for c in range(tgt.shape[1]):
-                        fh.write(f"{fa}-{fb},{r},{c},{tgt[r, c].real!r},"
-                                 f"{tgt[r, c].imag!r},{emp[r, c].real!r},"
-                                 f"{emp[r, c].imag!r},{zs[r, c]!r}\n")
+                tgt, emp, zs = (x[:, sa, sb] for x in (cov.sigma, report.empirical, report.z))
+                _, n_a, n_b = tgt.shape
+                for (lam, r, c), t, e, z in zip(np.ndindex(tgt.shape), tgt.ravel().tolist(),
+                                                emp.ravel().tolist(), zs.ravel().tolist()):
+                    fh.write(f"{fa}-{fb},{lam * n_a + r},{lam * n_b + c},{t.real!r},"
+                             f"{t.imag!r},{e.real!r},{e.imag!r},{z!r}\n")
         print(f"wrote {args.csv}")
     if not ok:
         print("verify-noise FAILED")
@@ -216,7 +227,7 @@ def _cmd_oracle(args) -> int:
     trunc = TruncatedBath(n_levels=n_levels, cap=cfg.oracle_cap)
     series = exact_reduced_dynamics(cfg.system, modes, g_ops, trunc, cfg.grids)
     zeros = np.zeros_like(series, dtype=float)
-    path = args.csv or cfg.output_csv
+    _, path = _outputs(args, cfg)
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in ens.csv_lines(cfg.grids.t, series, zeros, zeros):

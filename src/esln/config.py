@@ -169,9 +169,9 @@ def parse_config(document) -> RunConfig:
     dim_cap = _integer(_take(noise_node, "dim_cap", "noise", required=False,
                              default=DEFAULT_DIM_CAP), "noise.dim_cap", minimum=1)
     _no_extras(noise_node, "noise")
-    if m * (2 * n_t + n_tau) > dim_cap:
+    if 2 * n_t + n_tau > dim_cap:
         raise ValidationError(
-            "grids", f"covariance dimension {m * (2 * n_t + n_tau)} exceeds "
+            "grids", f"per-mode covariance dimension {2 * n_t + n_tau} exceeds "
                      f"noise.dim_cap = {dim_cap}")
 
     oracle_node = dict(_expect_map(

@@ -22,16 +22,16 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import RunConfig, emit_config
 from .errors import TooManyFailures, ValidationError
 from .kernels import KernelContext
-from .model import NormalModes, diagonalize_bath
+from .model import NormalModes, SystemSpec, diagonalize_bath, mode_couplings
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
-                    draw_normal, factorize, unpack)
+                    draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
 
 BATCH_SIZE = 256
@@ -49,6 +49,7 @@ class Pipeline:
     config: RunConfig
     modes: NormalModes
     ctx: KernelContext
+    system: SystemSpec      # the config's system with one coupling g_lam per mode
     cov: NoiseCovariance
     factor: NoiseFactor
 
@@ -56,9 +57,10 @@ class Pipeline:
 def build_pipeline(cfg: RunConfig) -> Pipeline:
     modes = diagonalize_bath(cfg.bath)
     ctx = KernelContext.from_bath(cfg.bath, modes, cfg.system.hbar, cfg.system.beta)
+    system = replace(cfg.system, couplings=tuple(mode_couplings(modes, cfg.bath, cfg.system)))
     cov = build_covariance(ctx, cfg.grids, dim_cap=cfg.dim_cap)
     factor = factorize(cov)
-    return Pipeline(config=cfg, modes=modes, ctx=ctx, cov=cov, factor=factor)
+    return Pipeline(config=cfg, modes=modes, ctx=ctx, system=system, cov=cov, factor=factor)
 
 
 def _built_for(pipe: Pipeline, cfg: RunConfig) -> bool:
@@ -150,11 +152,11 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
     The seed and the normalization come from the run's ``cfg``.  Without real
     time the series is the single t = 0 entry, rho(hbar*beta).
     """
-    system, grids, factor = cfg.system, cfg.grids, pipe.factor
+    system, grids, factor = pipe.system, cfg.grids, pipe.factor
     w = np.empty((factor.rank, len(indices)))
     for j, idx in enumerate(indices):
         w[:, j] = draw_normal(factor, derive_seed(cfg.master_seed, int(idx)))
-    eta, nu, mu = unpack(factor, factor.a @ w)
+    eta, nu, mu = synthesize(factor, w)
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
     traces = np.trace(rho_end, axis1=1, axis2=2)
@@ -280,9 +282,9 @@ def _stats_from_doc(doc: dict) -> _Stats:
 
 def _layout(pipe: Pipeline) -> dict:
     """What fixes each trajectory's noise stream besides the config: the batch
-    size and the noise factor, bit for bit."""
-    a = np.ascontiguousarray(pipe.factor.a)
-    return {"batch_size": BATCH_SIZE, "factor_sha256": hashlib.sha256(a.data).hexdigest()}
+    size and the mode factors, bit for bit."""
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in pipe.factor.a)).hexdigest()
+    return {"batch_size": BATCH_SIZE, "factor_sha256": digest}
 
 
 def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,

@@ -232,12 +232,9 @@ def mode_couplings(modes: NormalModes, bath: BathSpec, system: SystemSpec) -> li
         raise DimensionMismatch(
             f"inconsistent sizes: {modes.n_modes} modes, {m} bath sites, "
             f"{system.n_sites} couplings")
-    f = system.coupling_stack()
-    weights = modes.evecs / np.sqrt(bath.masses)[:, None] if m else modes.evecs
+    weights = modes.evecs / np.sqrt(bath.masses)[:, None]
     # g[lam] = sum_i weights[i, lam] * f[i]
-    g = np.einsum("il,ijk->ljk", weights, f) if m else np.zeros((0, system.dim, system.dim),
-                                                                dtype=complex)
-    return [g[k] for k in range(m)]
+    return list(np.einsum("il,ijk->ljk", weights, system.coupling_stack()))
 
 
 def site_couplings_from_modes(modes: NormalModes, bath: BathSpec, g_ops: list) -> list:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esln import BathSpec, KernelContext, SystemSpec, TimeGrids, diagonalize_bath
+from esln import BathSpec, KernelContext, SystemSpec, TimeGrids, diagonalize_bath, l_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -73,3 +73,58 @@ def k_complex_printed_split(ctx, t, tau):
 def spin_system(coupling=0.4, hbar=1.0, beta=1.0, drive=()):
     return SystemSpec(dim=2, h0=0.5 * SX, couplings=(coupling * SZ,),
                       hbar=hbar, beta=beta, drive=drive)
+
+
+def _interleave(l):
+    """Lay site matrices (nk, nl, M, M) out as (M*nk, M*nl), row = site*nk + k."""
+    nk, nl, m, _ = l.shape
+    return l.transpose(2, 0, 3, 1).reshape(m * nk, m * nl)
+
+
+def _site_order(n_sites, cov):
+    """Indices into the (site, per-mode index) flattening that give the dense
+    layout: fields stacked (eta, nu, mu), site-major within each field."""
+    idx = np.arange(n_sites * cov.dim).reshape(n_sites, cov.dim)
+    return np.concatenate([idx[:, cov.field_slice(f)].ravel() for f in ("eta", "nu", "mu")])
+
+
+def dense_site_covariance(ctx, grids):
+    """Reference: the dense (M*D, M*D) site-basis pseudo-covariance built from
+    the site kernels L_ij, fields stacked (eta, nu, mu) and site-major within
+    each field (row = field offset + site * n + k)."""
+    m, n_t, n_tau = ctx.n_modes, grids.n_t, grids.n_tau
+    hbar, hb = ctx.hbar, ctx.hbar_beta
+    eta, nu, mu = slice(0, m * n_t), slice(m * n_t, 2 * m * n_t), slice(2 * m * n_t, None)
+    sigma = np.zeros((m * (2 * n_t + n_tau),) * 2, dtype=complex)
+    lag_idx = np.arange(n_t)[:, None] - np.arange(n_t)[None, :]
+    l_t = l_matrix(ctx, t=lag_idx * grids.dt)
+    sigma[eta, eta] = _interleave(hbar * l_t.real)
+    theta = (lag_idx > 0) + 0.5 * (lag_idx == 0)
+    sigma[eta, nu] = _interleave(2j * theta[:, :, None, None] * l_t.imag)
+    sigma[eta, mu] = _interleave(hbar * l_matrix(ctx, t=grids.t[:, None],
+                                                 tau=hb - grids.tau[None, :]))
+    abs_dtau = np.abs(np.arange(n_tau)[:, None] - np.arange(n_tau)[None, :]) * grids.dtau
+    sigma[mu, mu] = _interleave(hbar * l_matrix(ctx, tau=abs_dtau).real)
+    sigma[nu, eta] = sigma[eta, nu].T
+    sigma[mu, eta] = sigma[eta, mu].T
+    return sigma
+
+
+def site_covariance(cov, s):
+    """(S (x) I) blockdiag(sigma_lam) (S (x) I)^T in the layout of
+    ``dense_site_covariance``; ``s`` is ``KernelContext.site_weights()``."""
+    n = s.shape[0] * cov.dim
+    full = np.einsum("il,jl,lab->iajb", s, s, cov.sigma).reshape(n, n)
+    order = _site_order(s.shape[0], cov)
+    return full[np.ix_(order, order)]
+
+
+def site_factor(factor, cov, s):
+    """(S (x) I) blockdiag(a_lam) in the layout of ``dense_site_covariance``."""
+    blocks = np.zeros((len(factor.a), factor.dim, factor.rank), dtype=complex)
+    start = 0
+    for lam, a in enumerate(factor.a):
+        blocks[lam, :, start:start + a.shape[1]] = a
+        start += a.shape[1]
+    full = np.einsum("il,lar->iar", s, blocks).reshape(-1, factor.rank)
+    return full[_site_order(s.shape[0], cov)]

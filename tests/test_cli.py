@@ -68,6 +68,8 @@ def test_verify_noise_subcommand(tmp_path, capsys):
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "block,row,col,target_re,target_im,empirical_re,empirical_im,z"
     assert any(line.startswith("eta-mu,") for line in lines[1:])
+    for line in lines[1:]:
+        [float(v) for v in line.split(",")[3:]]          # plain numbers, no np.float64(...)
 
 
 def test_kernels_dump(tmp_path):
@@ -132,6 +134,23 @@ def test_numerical_error_exit_code(tmp_path):
     doc["system"]["couplings"] = [[[1e10, 0.0], [0.0, 1e10]]]
     cfg = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg]) == 3
+
+
+def test_output_paths(tmp_path, monkeypatch):
+    # the config's output paths resolve against the config file's directory;
+    # --output or --csv replaces the config's whole output section
+    (tmp_path / "conf").mkdir()
+    cfg = write_cfg(tmp_path / "conf", tiny_doc(output={"document": "r.json", "csv": "r.csv"}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", cfg]) == 0
+    assert sorted(p.name for p in (tmp_path / "conf").iterdir()) == ["cfg.json", "r.csv", "r.json"]
+    assert main(["run", "--config", cfg, "--output", "only.json"]) == 0
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["only.json"]
+    assert main(["oracle", "--config", cfg, "--csv", "o.csv", "--n-levels", "12"]) == 0
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["o.csv", "only.json"]
+    assert len(list((tmp_path / "conf").iterdir())) == 3
 
 
 def test_run_does_not_mutate_config(tmp_path):

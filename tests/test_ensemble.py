@@ -7,7 +7,7 @@ import scipy.linalg
 
 from esln import ensemble
 from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
-                  hermiticity_trace_report, l_matrix, mode_couplings, parse_config,
+                  hermiticity_trace_report, k_complex, mode_couplings, parse_config,
                   run_ensemble, TruncatedBath, write_csv, write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats,
                            compare_series, document_bytes, read_csv, result_document)
@@ -95,13 +95,11 @@ def test_printed_cross_kernel_breaks_stationarity():
     pipe = build_pipeline(cfg)
     cov = pipe.cov
     grids = cfg.grids
-    l_c = l_matrix(pipe.ctx, t=grids.t[:, None], tau=grids.tau[None, :])
-    blk = -pipe.ctx.hbar * l_c[..., 0, 0]          # one bath site
+    blk = -pipe.ctx.hbar * k_complex(pipe.ctx, grids.t[:, None], grids.tau[None, :])
     sigma = cov.sigma.copy()
-    sigma[cov.field_slice("eta"), cov.field_slice("mu")] = blk
-    sigma[cov.field_slice("mu"), cov.field_slice("eta")] = blk.T
-    flipped = NoiseCovariance(sigma=sigma, n_sites=cov.n_sites, n_t=cov.n_t,
-                              n_tau=cov.n_tau)
+    sigma[:, cov.field_slice("eta"), cov.field_slice("mu")] = blk
+    sigma[:, cov.field_slice("mu"), cov.field_slice("eta")] = blk.mT
+    flipped = NoiseCovariance(sigma=sigma, n_t=cov.n_t, n_tau=cov.n_tau)
     res = run_ensemble(cfg, pipeline=dataclasses.replace(
         pipe, cov=flipped, factor=factorize(flipped)))
     modes = diagonalize_bath(cfg.bath)
@@ -109,6 +107,42 @@ def test_printed_cross_kernel_breaks_stationarity():
     exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(14), cfg.grids)
     z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
     assert z.max() > 8.0, z.max()
+
+
+def test_unequal_masses_match_oracle():
+    # with masses (1, 2.5) the site weights are not orthogonal, so the mode
+    # factors give another <z z^dagger> than a dense site factor would; the
+    # estimator must stay exact all the same
+    doc = small_doc(n_traj=2048, master_seed=23)
+    doc["system"]["couplings"] = [[[0.3, 0.0], [0.0, -0.3]], [[0.2, 0.0], [0.0, -0.2]]]
+    doc["bath"] = {"masses": [1.0, 2.5], "lambda": [[2.0, -0.5], [-0.5, 3.0]]}
+    doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 21}
+    cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
+    res = run_ensemble(cfg, pipeline=pipe)
+    g = mode_couplings(pipe.modes, cfg.bath, cfg.system)
+    exact = exact_reduced_dynamics(cfg.system, pipe.modes, g, TruncatedBath(12), cfg.grids)
+    z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
+    assert z.max() < 5.0, z.max()
+
+
+def test_sixteen_mode_bath_stays_stationary():
+    # as one dense site covariance, 16 * (2 * 201 + 51) = 7248 would exceed
+    # noise.dim_cap = 6000; undriven, the partition-free average must keep
+    # its t = 0 value at every t (exact for any bath, so no oracle is needed)
+    m = 16
+    lam = np.diag(2.0 + 0.1 * np.arange(m))
+    for i in range(m - 1):
+        lam[i, i + 1] = lam[i + 1, i] = -0.5
+    doc = small_doc(n_traj=512, master_seed=16)
+    doc["system"]["couplings"] = [[[0.05, 0.0], [0.0, -0.05]]] * m
+    doc["bath"] = {"masses": [1.0] * m, "lambda": lam.tolist()}
+    doc["grids"] = {"t_f": 2.0, "n_t": 201, "n_tau": 51}
+    res = run_ensemble(parse_config(doc))
+    assert res.n_failed == 0
+    scale = np.sqrt(res.stderr_rho ** 2 + res.stderr_rho[:1] ** 2)
+    z = np.abs(res.mean_rho - res.mean_rho[0]) / np.maximum(scale, 1e-30)
+    assert z.max() < 5.0, z.max()
 
 
 def test_driven_dynamics_matches_oracle():
