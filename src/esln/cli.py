@@ -9,8 +9,8 @@ kernels      dump kernel tables to CSV for plotting
 oracle       exact reduced dynamics of the truncated total system, as CSV
 compare      diff two result CSVs (ensemble vs oracle) in stderr units
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 comparison failure.
+Exit codes: 0 success, 1 standard output closed early, 2 configuration
+error, 3 numerical failure, 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .noise import BLOCKS, hs_identity_check, verify_empirical
 from .oracle import TruncatedBath, exact_reduced_dynamics
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARISON = 4
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact reduced dynamics (truncated bath)")
     add_config(orc)
-    orc.add_argument("--csv", default=None, help="CSV path (default from config)")
+    orc.add_argument("--csv", default=None, help="CSV path (default stdout)")
     orc.add_argument("--n-levels", type=int, default=None, help="override oracle.n_levels")
 
     cmp_ = sub.add_parser("compare", help="diff two result CSVs in stderr units")
@@ -104,7 +105,7 @@ def _outputs(args, cfg: RunConfig):
     """(document, csv) paths: ``--output``/``--csv`` when either is given (they
     replace the config's whole output section), else the config's own, read
     relative to the config file."""
-    flags = (getattr(args, "output", None), args.csv)
+    flags = (args.output, args.csv)
     if any(flags):
         return flags
     base = os.path.dirname(args.config)
@@ -227,14 +228,14 @@ def _cmd_oracle(args) -> int:
     trunc = TruncatedBath(n_levels=n_levels, cap=cfg.oracle_cap)
     series = exact_reduced_dynamics(cfg.system, modes, g_ops, trunc, cfg.grids)
     zeros = np.zeros_like(series, dtype=float)
-    _, path = _outputs(args, cfg)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in ens.csv_lines(cfg.grids.t, series, zeros, zeros):
+    lines = ens.csv_lines(cfg.grids.t, series, zeros, zeros)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
                 fh.write(line + "\n")
-        print(f"wrote {path}")
+        print(f"wrote {args.csv}")
     else:
-        for line in ens.csv_lines(cfg.grids.t, series, zeros, zeros):
+        for line in lines:
             print(line)
     return EXIT_OK
 
@@ -263,7 +264,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()          # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader went away (``esln run ... | head``): no configuration
+        # error.  Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

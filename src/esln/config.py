@@ -17,9 +17,6 @@ from .model import BathSpec, Drive, SystemSpec, check_hermitian
 from .noise import DEFAULT_DIM_CAP, TimeGrids
 from .oracle import DEFAULT_CAP as ORACLE_DEFAULT_CAP
 
-NORMALIZE_MODES = ("ensemble", "per-trajectory")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full run needs, validated."""
@@ -29,7 +26,6 @@ class RunConfig:
     grids: TimeGrids
     n_traj: int
     master_seed: int
-    normalize: str
     checkpoint_interval: int
     dim_cap: int
     oracle_n_levels: int
@@ -150,15 +146,12 @@ def parse_config(document) -> RunConfig:
     n_t = _integer(_take(grids_node, "n_t", "grids"), "grids.n_t", minimum=2)
     n_tau = _integer(_take(grids_node, "n_tau", "grids"), "grids.n_tau", minimum=2)
     _no_extras(grids_node, "grids")
-    grids = TimeGrids.from_spans(t_f, n_t, hbar * beta, n_tau)
+    grids = TimeGrids(t_f=t_f, n_t=n_t, hbar_beta=hbar * beta, n_tau=n_tau)
 
     ens_node = dict(_expect_map(_take(doc, "ensemble", "config"), "ensemble"))
     n_traj = _integer(_take(ens_node, "n_traj", "ensemble"), "ensemble.n_traj", minimum=2)
     master_seed = _integer(_take(ens_node, "master_seed", "ensemble"),
                            "ensemble.master_seed", minimum=0)
-    normalize = _take(ens_node, "normalize", "ensemble", required=False, default="ensemble")
-    if normalize not in NORMALIZE_MODES:
-        raise ValidationError("ensemble.normalize", f"must be one of {NORMALIZE_MODES}")
     checkpoint_interval = _integer(
         _take(ens_node, "checkpoint_interval", "ensemble", required=False, default=0),
         "ensemble.checkpoint_interval", minimum=0)
@@ -214,9 +207,8 @@ def parse_config(document) -> RunConfig:
         raise ValidationError("system", str(exc)) from exc
 
     return RunConfig(system=system, bath=bath, grids=grids, n_traj=n_traj,
-                     master_seed=master_seed, normalize=normalize,
-                     checkpoint_interval=checkpoint_interval, dim_cap=dim_cap,
-                     oracle_n_levels=n_levels, oracle_cap=oracle_cap,
+                     master_seed=master_seed, checkpoint_interval=checkpoint_interval,
+                     dim_cap=dim_cap, oracle_n_levels=n_levels, oracle_cap=oracle_cap,
                      output_document=output_document, output_csv=output_csv)
 
 
@@ -253,7 +245,6 @@ def emit_config(cfg: RunConfig) -> dict:
         "ensemble": {
             "n_traj": cfg.n_traj,
             "master_seed": cfg.master_seed,
-            "normalize": cfg.normalize,
             "checkpoint_interval": cfg.checkpoint_interval,
         },
         "noise": {"dim_cap": cfg.dim_cap},

@@ -1,19 +1,14 @@
 """Trajectory orchestration, noise averaging, and statistical error.
 
-Trajectories are processed in fixed-size batches.  Within a batch the running
-(mean, M2) statistics are combined over a pairwise tree; batch partials are
-then folded in batch order.  The tree depends only on trajectory indices, so
-results are bit-identical for any worker count, and a checkpoint taken between
-batches resumes to the same bits.
+One estimator: trajectories stay unnormalized through real time, and every
+output is scaled once by 1 / Tr <rho_bar(hbar*beta)>, the noise-averaged
+partition function.  By linearity of the noise average this is exact.
 
-Two normalization estimators:
-
-* ``ensemble`` (default): trajectories stay unnormalized through real time and
-  every output is scaled once by 1 / Tr <rho_bar(hbar*beta)>.  This matches the
-  linearity of the noise average exactly.
-* ``per-trajectory``: each trajectory is normalized at tau = hbar*beta before
-  real-time evolution.  Popular variance-reduction heuristic; a different
-  (biased) estimator, so it is opt-in.
+Trajectories are processed in fixed-size batches.  Each batch's (mean, M2)
+statistics are taken in two passes; batch partials are then folded in batch
+order with Chan's merge.  Both depend only on trajectory indices, so results
+are bit-identical for any worker count, and a checkpoint taken between batches
+resumes to the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .propagate import equilibrate_batch, evolve_batch
 
 BATCH_SIZE = 256
 FAILURE_FRACTION = 0.01
-DOCUMENT_SCHEMA = "esln-result/1"
+DOCUMENT_SCHEMA = "esln-result/2"
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +88,6 @@ class _Stats:
             return self
         return _chan(self, other)
 
-    def rows(self, sl: slice) -> "_Stats":
-        """The stacked partials ``sl`` selects (``n`` an array along axis 0)."""
-        return _Stats(self.n[sl], self.mean[sl], self.m2_re[sl], self.m2_im[sl])
-
     def se(self):
         """Standard error of the mean, (re, im) parts."""
         if self.n < 2:
@@ -107,8 +98,7 @@ class _Stats:
 
 
 def _chan(a: _Stats, b: _Stats) -> _Stats:
-    """Chan's merge of two nonempty partials; ``n`` may be an array that
-    broadcasts against the means, merging many pairs at once."""
+    """Chan's merge of two nonempty partials."""
     n = a.n + b.n
     delta = b.mean - a.mean
     corr = a.n * b.n / n
@@ -118,21 +108,17 @@ def _chan(a: _Stats, b: _Stats) -> _Stats:
 
 
 def _pairwise_stats(values: np.ndarray) -> _Stats:
-    """Pairwise-tree (mean, M2) of values along axis 0 (complex array)."""
+    """(mean, M2) of complex values along axis 0, in two passes.
+
+    The mean is taken relative to the first row, so identical rows give a mean
+    equal to that row and an M2 of exactly 0.
+    """
     k = values.shape[0]
     if k == 0:
         return _Stats.empty(values.shape[1:])
-    st = _Stats(np.ones((k,) + (1,) * (values.ndim - 1)), values.astype(complex),
-                np.zeros(values.shape), np.zeros(values.shape))
-    while k > 1:
-        even = k - k % 2
-        merged = _chan(st.rows(slice(0, even, 2)), st.rows(slice(1, even, 2)))
-        if k % 2:                       # the odd partial waits for the next level
-            merged = _Stats(*(np.concatenate([getattr(merged, f), getattr(st, f)[-1:]])
-                              for f in ("n", "mean", "m2_re", "m2_im")))
-        st = merged
-        k = st.mean.shape[0]
-    return _Stats(int(st.n.flat[0]), st.mean[0], st.m2_re[0], st.m2_im[0])
+    mean = values[0] + (values - values[0]).mean(axis=0)
+    dev = values - mean
+    return _Stats(k, mean, (dev.real ** 2).sum(axis=0), (dev.imag ** 2).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +135,8 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
                real_time: bool) -> _BatchResult:
     """Draw, quench and (with ``real_time``) evolve one batch of trajectories.
 
-    The seed and the normalization come from the run's ``cfg``.  Without real
-    time the series is the single t = 0 entry, rho(hbar*beta).
+    The seed comes from the run's ``cfg``.  Without real time the series is
+    the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
     system, grids, factor = pipe.system, cfg.grids, pipe.factor
     w = np.empty((factor.rank, len(indices)))
@@ -162,16 +148,11 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
     traces = np.trace(rho_end, axis1=1, axis2=2)
     degenerate = np.abs(traces) < 1e-300
     failed = div_imag | degenerate
-    if cfg.normalize == "per-trajectory":
-        safe = np.where(failed, 1.0, traces)
-        rho_start = rho_end / safe[:, None, None]
-    else:
-        rho_start = rho_end
     if real_time:
-        series, div_real = evolve_batch(system, eta, nu, grids, rho_start)
+        series, div_real = evolve_batch(system, eta, nu, grids, rho_end)
         failed |= div_real
     else:
-        series = rho_start[:, None]
+        series = rho_end[:, None]
     ok = ~failed
     zfac = traces[ok] / system.dim
     return _BatchResult(series=_pairwise_stats(series[ok]),
@@ -200,7 +181,6 @@ class EnsembleResult:
     n_ok: int
     n_failed: int
     master_seed: int
-    normalize: str
     z_factor_mean: complex
     z_factor_se: float
     config_echo: dict = field(default_factory=dict)
@@ -324,13 +304,13 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     """Run the full two-time Monte Carlo and average it.
 
     Deterministic in the config: the per-trajectory seeds, the batch layout,
-    and the reduction tree are all functions of trajectory indices alone, so
-    the worker count (at least 1) cannot change any output bit.  A
-    ``pipeline`` built from the same system, bath, grids and cap is reused;
-    any other is rebuilt.  A checkpoint is written every
-    ``ensemble.checkpoint_interval`` trajectories, which must then be
-    positive, and resumes only with the batch size and noise factor that
-    wrote it.
+    and the reduction are all functions of trajectory indices alone, and
+    batches are merged in batch order, so the worker count (at least 1)
+    cannot change any output bit.  A ``pipeline`` built from the same system,
+    bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
+    written every ``ensemble.checkpoint_interval`` trajectories, which must
+    then be positive, and resumes only with the batch size and noise factor
+    that wrote it.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
     holds the statistics of the initial reduced density on the single time
@@ -361,28 +341,19 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
 
     interval_batches = max(1, cfg.checkpoint_interval // BATCH_SIZE) if checkpoint_path else 0
 
-    def work(batch_idx: int) -> _BatchResult:
-        lo, hi = ranges[batch_idx]
-        return _run_batch(pipe, cfg, np.arange(lo, hi), real_time)
+    def work(batch: tuple) -> _BatchResult:
+        return _run_batch(pipe, cfg, np.arange(*batch), real_time)
 
-    todo = list(range(start_batch, len(ranges)))
-    pos = 0
-    while pos < len(todo):
-        wave = todo[pos:pos + workers]
-        if workers > 1 and len(wave) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(work, wave))
-        else:
-            outs = [work(b) for b in wave]
-        for b_idx, out in zip(wave, outs):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # map yields in batch order, whatever order the batches finish in
+        outs = pool.map(work, ranges[start_batch:])
+        for done_batches, out in enumerate(outs, start=start_batch + 1):
             series_acc = series_acc.merge(out.series)
             zfac_acc = zfac_acc.merge(out.zfac)
             n_failed += out.n_failed
-            done_batches = b_idx + 1
             if interval_batches and done_batches % interval_batches == 0:
                 _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
                                   series_acc, zfac_acc, n_failed)
-        pos += len(wave)
 
     n_ok = series_acc.n
     if n_failed > FAILURE_FRACTION * cfg.n_traj:
@@ -392,21 +363,15 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     if n_ok < 2:
         raise TooManyFailures("fewer than two trajectories completed")
 
-    mean = series_acc.mean
-    se_re, se_im = series_acc.se()
-    if cfg.normalize == "ensemble":
-        z_hat = np.trace(mean[0])
-        scale = 1.0 / z_hat
-        mean = mean * scale
-        se_re = se_re * abs(scale)
-        se_im = se_im * abs(scale)
+    scale = 1.0 / np.trace(series_acc.mean[0])
+    mean = series_acc.mean * scale
+    se_re, se_im = (se * abs(scale) for se in series_acc.se())
     zf_se_re, zf_se_im = zfac_acc.se()
     return EnsembleResult(
         times=times, mean_rho=mean, se_re=se_re, se_im=se_im,
         mean_rho0=mean[0].copy(), n_traj=cfg.n_traj, n_ok=n_ok, n_failed=n_failed,
-        master_seed=cfg.master_seed, normalize=cfg.normalize,
-        z_factor_mean=complex(zfac_acc.mean), z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
-        config_echo=cfg_echo)
+        master_seed=cfg.master_seed, z_factor_mean=complex(zfac_acc.mean),
+        z_factor_se=float(np.hypot(zf_se_re, zf_se_im)), config_echo=cfg_echo)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +383,6 @@ def result_document(result: EnsembleResult) -> dict:
         "schema": DOCUMENT_SCHEMA,
         "config": result.config_echo,
         "master_seed": result.master_seed,
-        "normalize": result.normalize,
         "n_traj": result.n_traj,
         "n_ok": result.n_ok,
         "n_failed": result.n_failed,

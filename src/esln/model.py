@@ -9,7 +9,7 @@ the normal-mode frequencies and eigenvectors used by every other module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,16 +235,3 @@ def mode_couplings(modes: NormalModes, bath: BathSpec, system: SystemSpec) -> li
     weights = modes.evecs / np.sqrt(bath.masses)[:, None]
     # g[lam] = sum_i weights[i, lam] * f[i]
     return list(np.einsum("il,ijk->ljk", weights, system.coupling_stack()))
-
-
-def site_couplings_from_modes(modes: NormalModes, bath: BathSpec, g_ops: list) -> list:
-    """Inverse transform f_i = sqrt(m_i) sum_lam e_{i,lam} g_lam (round-trip check)."""
-    m = bath.n_sites
-    if len(g_ops) != m:
-        raise DimensionMismatch("mode operator count does not match bath size")
-    if m == 0:
-        return []
-    g = np.stack(g_ops)
-    weights = modes.evecs * np.sqrt(bath.masses)[:, None]
-    f = np.einsum("il,ljk->ijk", weights, g)
-    return [f[i] for i in range(m)]

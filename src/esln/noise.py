@@ -65,10 +65,6 @@ class TimeGrids:
         if self.t_f <= 0 or self.hbar_beta <= 0:
             raise ValueError("grid spans must be positive")
 
-    @classmethod
-    def from_spans(cls, t_f: float, n_t: int, hbar_beta: float, n_tau: int) -> "TimeGrids":
-        return cls(t_f=t_f, n_t=n_t, hbar_beta=hbar_beta, n_tau=n_tau)
-
     @property
     def dt(self) -> float:
         return self.t_f / (self.n_t - 1)

@@ -95,20 +95,6 @@ def thermal_state(h_tot: np.ndarray, beta: float) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def mode_occupations(rho_tot: np.ndarray, system: SystemSpec, modes: NormalModes,
-                     trunc: TruncatedBath) -> np.ndarray:
-    """Thermal expectation of each mode's number operator."""
-    n = trunc.n_levels
-    m = modes.n_modes
-    create = _ladder(n)
-    number = create @ create.T
-    occ = np.zeros(m)
-    for lam in range(m):
-        op = np.kron(np.eye(system.dim), _mode_operator(number, lam, m, n))
-        occ[lam] = np.trace(rho_tot @ op).real
-    return occ
-
-
 def exact_reduced_dynamics(system: SystemSpec, modes: NormalModes, g_ops: list,
                            trunc: TruncatedBath, grids: TimeGrids,
                            drive_substeps: int = 4) -> np.ndarray:

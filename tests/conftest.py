@@ -43,7 +43,7 @@ def ctx_two_mode(two_mode_bath):
 
 @pytest.fixture
 def small_grids():
-    return TimeGrids.from_spans(t_f=1.0, n_t=9, hbar_beta=1.0, n_tau=6)
+    return TimeGrids(t_f=1.0, n_t=9, hbar_beta=1.0, n_tau=6)
 
 
 def coth(x):

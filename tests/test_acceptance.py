@@ -188,7 +188,7 @@ def test_criterion_6_kernel_identities():
 
 def test_criterion_7_integrator_order():
     cfg = parse_config(ACCEPTANCE_DOC)
-    grids = TimeGrids.from_spans(t_f=2.0, n_t=11,
+    grids = TimeGrids(t_f=2.0, n_t=11,
                                  hbar_beta=cfg.system.hbar * cfg.system.beta,
                                  n_tau=11)
     t = grids.t[None, :]

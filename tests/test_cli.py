@@ -1,11 +1,19 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esln
 from esln.cli import main
 
 from conftest import small_doc
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -35,7 +43,7 @@ def test_run_outputs_are_byte_identical_across_workers(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert csv1.read_bytes() == csv2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["schema"] == "esln-result/1"
+    assert doc["schema"] == "esln-result/2"
     assert doc["n_ok"] == 128
 
 
@@ -174,3 +182,36 @@ def test_checkpoint_flag(tmp_path):
     assert main(["run", "--config", cfg, "--output", str(out2),
                  "--checkpoint", str(ckpt)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_oracle_without_csv_prints_and_keeps_the_run_csv(tmp_path, capsys):
+    # the config's output.csv is the ensemble's file; the oracle writes only
+    # to --csv, else to stdout
+    cfg = str(tmp_path / "quick_demo.json")
+    shutil.copy(CONFIGS / "quick_demo.json", cfg)
+    assert main(["run", "--config", cfg, "--n-traj", "64"]) == 0
+    before = (tmp_path / "demo_result.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["oracle", "--config", cfg]) == 0
+    assert (tmp_path / "demo_result.csv").read_bytes() == before
+    assert capsys.readouterr().out.startswith("t,row,col,")
+
+
+def test_closed_stdout_exits_1(tmp_path):
+    # `esln run ... | head` closes stdout early: exit 1, no configuration error
+    doc = json.loads((CONFIGS / "quick_demo.json").read_text())
+    del doc["output"]
+    cfg = write_cfg(tmp_path, doc)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(esln.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "esln.cli", "run", "--config", cfg,
+                               "--n-traj", "64"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == b""

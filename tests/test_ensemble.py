@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ def test_worker_count_never_changes_bits():
     assert np.array_equal(res1.se_re, res3.se_re)
     assert np.array_equal(res1.se_im, res3.se_im)
     assert document_bytes(result_document(res1)) == document_bytes(result_document(res3))
+
+
+def test_batches_merge_in_batch_order(monkeypatch):
+    # at workers = 3 batch 0 finishes after the others, and the short last
+    # batch runs before it ends; the merge must still take batch 0 first
+    cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE + 17))
+    ref = document_bytes(result_document(run_ensemble(cfg, workers=1)))
+    real_batch = ensemble._run_batch
+
+    def slow_first(pipe, run_cfg, indices, real_time):
+        if indices[0] == 0:
+            time.sleep(0.2)
+        return real_batch(pipe, run_cfg, indices, real_time)
+
+    monkeypatch.setattr(ensemble, "_run_batch", slow_first)
+    assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
 
 
 def test_stderr_shrinks_with_more_trajectories():
@@ -162,20 +179,6 @@ def test_driven_dynamics_matches_oracle():
     assert np.abs(exact[-1] - exact[0]).max() > 0.01   # the drive really acts
     z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
     assert z.max() < 5.0, z.max()
-
-
-def test_per_trajectory_normalization_mode():
-    doc = small_doc(n_traj=800, master_seed=3)
-    doc["ensemble"]["normalize"] = "per-trajectory"
-    cfg = parse_config(doc)
-    res = run_ensemble(cfg)
-    assert res.normalize == "per-trajectory"
-    assert abs(np.trace(res.mean_rho0) - 1.0) < 1e-12
-    modes = diagonalize_bath(cfg.bath)
-    g = mode_couplings(modes, cfg.bath, cfg.system)
-    exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(14), cfg.grids)
-    # biased estimator, but at this coupling it should sit near the truth
-    assert np.abs(res.mean_rho - exact).max() < 0.05
 
 
 def test_equilibration_only(tmp_path):

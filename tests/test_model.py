@@ -5,9 +5,14 @@ from esln import (BathSpec, Drive, SystemSpec, diagonalize_bath, hamiltonian_at,
                   mode_couplings)
 from esln.errors import (AsymmetricInput, DimensionMismatch, NonPositiveMode,
                          OutOfRange, ValidationError)
-from esln.model import site_couplings_from_modes
 
 from conftest import SX, SZ
+
+
+def site_couplings_from_modes(modes, bath, g_ops):
+    """Inverse transform f_i = sqrt(m_i) sum_lam e_{i,lam} g_lam."""
+    weights = modes.evecs * np.sqrt(bath.masses)[:, None]
+    return list(np.einsum("il,ljk->ijk", weights, np.stack(g_ops)))
 
 
 def test_single_mode_diagonalization():

@@ -17,12 +17,12 @@ def block(cov, field_a, field_b):
 
 
 def test_grid_endpoints():
-    g = TimeGrids.from_spans(t_f=4.0, n_t=5, hbar_beta=2.0, n_tau=3)
+    g = TimeGrids(t_f=4.0, n_t=5, hbar_beta=2.0, n_tau=3)
     assert g.t[0] == 0.0 and g.t[-1] == pytest.approx(4.0, abs=1e-15)
     assert g.tau[0] == 0.0 and g.tau[-1] == pytest.approx(2.0, abs=1e-15)
     assert g.dt == pytest.approx(1.0) and g.dtau == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        TimeGrids.from_spans(t_f=1.0, n_t=1, hbar_beta=1.0, n_tau=3)
+        TimeGrids(t_f=1.0, n_t=1, hbar_beta=1.0, n_tau=3)
 
 
 def test_empty_bath_covariance(small_grids):
@@ -44,7 +44,7 @@ def test_covariance_dimensions_and_symmetry(ctx_one_mode, small_grids):
 
 
 def test_zero_lag_eta_variance(ctx_two_mode):
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=5, hbar_beta=ctx_two_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.0, n_t=5, hbar_beta=ctx_two_mode.hbar_beta,
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     hbar, hb = ctx_two_mode.hbar, ctx_two_mode.hbar_beta
@@ -73,7 +73,7 @@ def test_eta_nu_block_is_causal(ctx_one_mode, small_grids):
 
 
 def test_nu_blocks_exactly_zero(ctx_two_mode):
-    grids = TimeGrids.from_spans(t_f=1.5, n_t=7, hbar_beta=ctx_two_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.5, n_t=7, hbar_beta=ctx_two_mode.hbar_beta,
                                  n_tau=5)
     cov = build_covariance(ctx_two_mode, grids)
     assert np.all(block(cov, "nu", "nu") == 0.0)
@@ -112,11 +112,11 @@ def test_cross_kernel_variants_differ(ctx_one_mode, small_grids):
 
 
 def test_dimension_cap(ctx_one_mode, ctx_two_mode):
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=100, hbar_beta=1.0, n_tau=50)
+    grids = TimeGrids(t_f=1.0, n_t=100, hbar_beta=1.0, n_tau=50)
     with pytest.raises(CapExceeded):
         build_covariance(ctx_one_mode, grids, dim_cap=100)
     # the cap bounds one mode's D = 2 n_t + n_tau = 80, not M * D = 160
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=30, hbar_beta=ctx_two_mode.hbar_beta, n_tau=20)
+    grids = TimeGrids(t_f=1.0, n_t=30, hbar_beta=ctx_two_mode.hbar_beta, n_tau=20)
     assert build_covariance(ctx_two_mode, grids, dim_cap=80).sigma.shape == (2, 80, 80)
     with pytest.raises(CapExceeded):
         build_covariance(ctx_two_mode, grids, dim_cap=79)
@@ -127,7 +127,7 @@ def test_site_covariance_from_modes_matches_dense_reference(masses):
     # sigma_site = (S (x) I) blockdiag(sigma_lam) (S (x) I)^T with S the site weights
     bath = BathSpec(masses=masses, lam=[[2.0, -0.5], [-0.5, 3.0]])
     ctx = KernelContext.from_bath(bath, diagonalize_bath(bath), hbar=1.0, beta=1.0)
-    grids = TimeGrids.from_spans(t_f=2.0, n_t=12, hbar_beta=1.0, n_tau=7)
+    grids = TimeGrids(t_f=2.0, n_t=12, hbar_beta=1.0, n_tau=7)
     cov = build_covariance(ctx, grids)
     dense = dense_site_covariance(ctx, grids)
     scale = np.abs(dense).max()
@@ -188,7 +188,7 @@ def test_takagi_degenerate_and_deficient():
 
 
 def test_factorize_residual_bound(ctx_two_mode, small_grids):
-    grids = TimeGrids.from_spans(t_f=1.2, n_t=8, hbar_beta=ctx_two_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.2, n_t=8, hbar_beta=ctx_two_mode.hbar_beta,
                                  n_tau=5)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
@@ -258,7 +258,7 @@ def test_derive_seed_deterministic():
 
 
 def test_bundle_shapes(ctx_two_mode):
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta,
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
@@ -269,7 +269,7 @@ def test_bundle_shapes(ctx_two_mode):
 
 
 def test_empirical_covariance_all_blocks(ctx_one_mode):
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=6, hbar_beta=ctx_one_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.0, n_t=6, hbar_beta=ctx_one_mode.hbar_beta,
                                  n_tau=4)
     cov = build_covariance(ctx_one_mode, grids)
     factor = factorize(cov)
@@ -288,7 +288,7 @@ def test_verify_empirical_needs_samples(ctx_one_mode, small_grids):
 
 
 def test_hs_identity_small(ctx_one_mode):
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=5, hbar_beta=ctx_one_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.0, n_t=5, hbar_beta=ctx_one_mode.hbar_beta,
                                  n_tau=4)
     cov = build_covariance(ctx_one_mode, grids)
     factor = factorize(cov)
@@ -301,7 +301,7 @@ def test_hs_identity_small(ctx_one_mode):
 def test_draw_normal_matches_sample_chain(ctx_two_mode):
     # synthesize gives mode lam the fields a_lam @ w_lam, w_lam the next r_lam
     # rows of the draws, and reads every field at the covariance's own index
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta,
+    grids = TimeGrids(t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta,
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)

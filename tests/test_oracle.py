@@ -9,9 +9,19 @@ from esln import (BathSpec, SystemSpec, TimeGrids, TruncatedBath,
                   mode_couplings)
 from esln.errors import CapExceeded, TruncationWarning
 from esln.model import Drive, NormalModes
-from esln.oracle import mode_occupations, partial_trace_bath, thermal_state
+from esln.oracle import _ladder, _mode_operator, partial_trace_bath, thermal_state
 
 from conftest import SX, SZ, spin_system
+
+
+def mode_occupations(rho_tot, system, modes, trunc):
+    """Thermal expectation of each mode's number operator."""
+    n, m = trunc.n_levels, modes.n_modes
+    create = _ladder(n)
+    number = create @ create.T
+    return np.array([np.trace(rho_tot @ np.kron(np.eye(system.dim),
+                                                _mode_operator(number, lam, m, n))).real
+                     for lam in range(m)])
 
 
 def one_mode_setup(coupling=0.4, omega=1.3, beta=1.0, hbar=1.0):
@@ -69,7 +79,7 @@ def test_cap_enforced():
 def test_decoupled_reduced_dynamics_is_gibbs():
     system, modes, _ = one_mode_setup(coupling=0.0, beta=0.8)
     g = [np.zeros((2, 2), complex)]
-    grids = TimeGrids.from_spans(t_f=2.0, n_t=9, hbar_beta=0.8, n_tau=4)
+    grids = TimeGrids(t_f=2.0, n_t=9, hbar_beta=0.8, n_tau=4)
     series = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=10), grids)
     gibbs = scipy.linalg.expm(-0.8 * system.h0)
     gibbs = gibbs / np.trace(gibbs)
@@ -79,7 +89,7 @@ def test_decoupled_reduced_dynamics_is_gibbs():
 
 def test_static_reduced_dynamics_is_stationary():
     system, modes, g = one_mode_setup(coupling=0.5)
-    grids = TimeGrids.from_spans(t_f=3.0, n_t=7, hbar_beta=1.0, n_tau=4)
+    grids = TimeGrids(t_f=3.0, n_t=7, hbar_beta=1.0, n_tau=4)
     series = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=12), grids)
     for k in range(1, grids.n_t):
         assert np.abs(series[k] - series[0]).max() < 1e-11
@@ -87,7 +97,7 @@ def test_static_reduced_dynamics_is_stationary():
 
 def test_reduced_state_properties():
     system, modes, g = one_mode_setup(coupling=0.6)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=3, hbar_beta=1.0, n_tau=3)
+    grids = TimeGrids(t_f=1.0, n_t=3, hbar_beta=1.0, n_tau=3)
     series = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=12), grids)
     rho0 = series[0]
     assert abs(np.trace(rho0) - 1.0) < 1e-12
@@ -107,7 +117,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
 
 def test_truncation_convergence():
     system, modes, g = one_mode_setup(coupling=0.4)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=2, hbar_beta=1.0, n_tau=3)
+    grids = TimeGrids(t_f=1.0, n_t=2, hbar_beta=1.0, n_tau=3)
     r10 = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=10), grids)
     r12 = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=12), grids)
     assert np.abs(r10[0] - r12[0]).max() < 1e-6
@@ -116,7 +126,7 @@ def test_truncation_convergence():
 def test_truncation_warning_when_occupation_high():
     # a hot bath saturates a 2-level truncation: <n> ~ 0.5 > n_levels - 2
     system, modes, g = one_mode_setup(coupling=0.0, omega=0.5, beta=0.05)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=2, hbar_beta=0.05, n_tau=3)
+    grids = TimeGrids(t_f=1.0, n_t=2, hbar_beta=0.05, n_tau=3)
     with pytest.warns(TruncationWarning):
         exact_reduced_dynamics(system, modes, [np.zeros((2, 2), complex)],
                                TruncatedBath(n_levels=2), grids)
@@ -131,7 +141,7 @@ def test_truncation_warning_tracks_thermal_weight():
     bath = BathSpec(masses=[1.0, 1.0], lam=[[2.0, -0.5], [-0.5, 3.0]])
     modes = diagonalize_bath(bath)
     g = mode_couplings(modes, bath, system)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=2, hbar_beta=1.0, n_tau=3)
+    grids = TimeGrids(t_f=1.0, n_t=2, hbar_beta=1.0, n_tau=3)
     with pytest.warns(TruncationWarning):
         exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=8), grids)
     with warnings.catch_warnings():
@@ -152,7 +162,7 @@ def test_mode_occupation_matches_bose_factor():
 
 def test_driven_oracle_starts_from_static_equilibrium():
     system, modes, g = one_mode_setup(coupling=0.3)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=5, hbar_beta=1.0, n_tau=3)
+    grids = TimeGrids(t_f=1.0, n_t=5, hbar_beta=1.0, n_tau=3)
     amps = np.sin(np.linspace(0.0, 1.0, grids.n_t))
     driven = SystemSpec(dim=2, h0=system.h0, couplings=system.couplings, hbar=1.0,
                         beta=1.0, drive=(Drive(matrix=0.4 * SZ, times=grids.t,

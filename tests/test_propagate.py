@@ -9,7 +9,7 @@ from conftest import ID2, SX, SZ, spin_system
 
 
 def grids_for(system, t_f=1.0, n_t=41, n_tau=41):
-    return TimeGrids.from_spans(t_f=t_f, n_t=n_t,
+    return TimeGrids(t_f=t_f, n_t=n_t,
                                 hbar_beta=system.hbar * system.beta, n_tau=n_tau)
 
 

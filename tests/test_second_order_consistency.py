@@ -38,7 +38,7 @@ def setup():
     modes = diagonalize_bath(bath)
     ctx = KernelContext.from_bath(bath, modes, HBAR, BETA)
     g = mode_couplings(modes, bath, system)
-    grids = TimeGrids.from_spans(t_f=1.0, n_t=2, hbar_beta=HBAR * BETA, n_tau=2)
+    grids = TimeGrids(t_f=1.0, n_t=2, hbar_beta=HBAR * BETA, n_tau=2)
     exact = exact_reduced_dynamics(system, modes, g, TruncatedBath(24), grids)[0]
     evals, evecs = np.linalg.eigh(system.h0)
     return system, ctx, evecs.conj().T @ exact @ evecs, evals, \
