@@ -114,6 +114,15 @@ def test_covariance_cap_checked_at_parse_time():
     assert "dim_cap" in str(err.value) or "grids" in str(err.value)
 
 
+def test_bad_enum_values():
+    # `ensemble.normalize` is no longer a setting; any value of it is refused
+    doc = small_doc()
+    doc["ensemble"]["normalize"] = "sometimes"
+    with pytest.raises(ValidationError) as err:
+        parse_config(doc)
+    assert err.value.path == "ensemble.normalize"
+
+
 def test_roundtrip_is_stable():
     doc = small_doc()
     doc["system"]["drives"] = [{"matrix": [[0.2, 0.0], [0.0, -0.2]],
