@@ -16,7 +16,7 @@ from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeli
                        write_csv, write_document)
 from .kernels import KernelContext, k_complex, l_matrix
 from .model import (BathSpec, Drive, NormalModes, SystemSpec, diagonalize_bath,
-                    hamiltonian_at, mode_couplings)
+                    mode_couplings)
 from .noise import (NoiseCovariance, NoiseFactor, TimeGrids, build_covariance,
                     factorize, hs_identity_check, takagi, verify_empirical)
 from .oracle import TruncatedBath, build_total_hamiltonian, exact_reduced_dynamics
@@ -30,7 +30,7 @@ __all__ = [
     "SystemSpec", "TimeGrids", "TruncatedBath", "build_covariance", "build_pipeline",
     "build_total_hamiltonian", "compare_series", "diagonalize_bath", "emit_config",
     "equilibrate_batch", "evolve_batch", "exact_reduced_dynamics", "factorize",
-    "hamiltonian_at", "hermiticity_trace_report", "hs_identity_check", "k_complex",
-    "l_matrix", "load_config", "mode_couplings", "parse_config", "run_ensemble",
-    "takagi", "verify_empirical", "write_csv", "write_document",
+    "hermiticity_trace_report", "hs_identity_check", "k_complex", "l_matrix",
+    "load_config", "mode_couplings", "parse_config", "run_ensemble", "takagi",
+    "verify_empirical", "write_csv", "write_document",
 ]

@@ -196,7 +196,7 @@ def parse_config(document) -> RunConfig:
                             f"system.drives[{i}].amplitudes", length=n_t)
         _no_extras(dnode, f"system.drives[{i}]")
         check_hermitian(mat, f"system.drives[{i}].matrix")
-        drives.append(Drive(matrix=mat, times=grids.t, amplitudes=amps))
+        drives.append(Drive(matrix=mat, amplitudes=amps))
     try:
         system = SystemSpec(dim=dim, h0=h0, couplings=tuple(couplings), hbar=hbar,
                             beta=beta, drive=tuple(drives))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig, emit_config
-from .errors import TooManyFailures, ValidationError
+from .errors import NumericalError, TooManyFailures, ValidationError
 from .kernels import KernelContext
 from .model import NormalModes, SystemSpec, diagonalize_bath, mode_couplings
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
@@ -286,6 +286,9 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
 def _read_checkpoint(path: str, cfg_echo: dict, layout: dict):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    schema = DOCUMENT_SCHEMA + "+checkpoint"
+    if doc.get("schema") != schema:
+        raise ValidationError("checkpoint", f"schema {doc.get('schema')!r} is not {schema!r}")
     if doc.get("config") != cfg_echo:
         raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
     if doc.get("layout") != layout:
@@ -298,6 +301,22 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict):
 # ---------------------------------------------------------------------------
 # the ensemble run
 
+def _check_finite(series: _Stats, zfac: _Stats):
+    """Raise NumericalError, naming the first bad time index, unless every
+    folded mean and M2 is finite and Tr mean[0] is finite and nonzero."""
+    finite = (np.isfinite(series.mean) & np.isfinite(series.m2_re)
+              & np.isfinite(series.m2_im)).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"non-finite ensemble mean or variance at time index "
+                             f"{int(np.argmin(finite))}")
+    if not (np.isfinite(zfac.mean) and np.isfinite(zfac.m2_re) and np.isfinite(zfac.m2_im)):
+        raise NumericalError("non-finite z-factor mean or variance")
+    trace = np.trace(series.mean[0])
+    if trace == 0 or not np.isfinite(trace):
+        raise NumericalError(f"averaged partition function Tr rho_bar(hbar*beta) = {trace} "
+                             f"at time index 0")
+
+
 def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
                  pipeline: Pipeline | None = None,
                  real_time: bool = True) -> EnsembleResult:
@@ -309,8 +328,9 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     cannot change any output bit.  A ``pipeline`` built from the same system,
     bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
     written every ``ensemble.checkpoint_interval`` trajectories, which must
-    then be positive, and resumes only with the batch size and noise factor
-    that wrote it.
+    then be positive, and resumes only with the schema, batch size and noise
+    factor that wrote it.  A non-finite folded mean or M2, or an averaged
+    Tr rho_bar(hbar*beta) that is zero or non-finite, raises NumericalError.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
     holds the statistics of the initial reduced density on the single time
@@ -345,8 +365,10 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         return _run_batch(pipe, cfg, np.arange(*batch), real_time)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in batch order, whatever order the batches finish in
-        outs = pool.map(work, ranges[start_batch:])
+        # map yields in batch order, whatever order the batches finish in; one
+        # worker stays on the calling thread, so its batches reuse the main
+        # malloc arena instead of growing a pool thread's own
+        outs = (pool.map if workers > 1 else map)(work, ranges[start_batch:])
         for done_batches, out in enumerate(outs, start=start_batch + 1):
             series_acc = series_acc.merge(out.series)
             zfac_acc = zfac_acc.merge(out.zfac)
@@ -362,6 +384,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
             f"(> {FAILURE_FRACTION:.0%})")
     if n_ok < 2:
         raise TooManyFailures("fewer than two trajectories completed")
+    _check_finite(series_acc, zfac_acc)
 
     scale = 1.0 / np.trace(series_acc.mean[0])
     mean = series_acc.mean * scale

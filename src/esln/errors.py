@@ -37,10 +37,6 @@ class DimensionMismatch(NumericalError):
     """Array shapes are inconsistent with the declared system/bath sizes."""
 
 
-class OutOfRange(NumericalError):
-    """A time argument lies outside the configured grid span."""
-
-
 class FactorizationFailure(NumericalError):
     """No factor a with a @ a.T = sigma met the residual bound."""
 

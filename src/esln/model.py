@@ -1,10 +1,14 @@
 """System and bath specifications and the bath normal-mode transformation.
 
 The open system lives in a finite orthonormal basis: its Hamiltonian and the
-coupling operators are explicit complex matrices.  The environment is a set of
-M harmonic oscillators coupled among themselves through a real symmetric
-force-constant matrix; diagonalising the mass-weighted dynamical matrix yields
-the normal-mode frequencies and eigenvectors used by every other module.
+coupling operators are explicit complex matrices.  A drive adds
+amplitude(t) * matrix to the Hamiltonian in real time; its amplitudes are
+samples on the run's real-time grid, the grid the noise lives on, and
+``propagate`` brings both onto the RK4 stage times the same way.  The
+environment is a set of M harmonic oscillators coupled among themselves
+through a real symmetric force-constant matrix; diagonalising the
+mass-weighted dynamical matrix yields the normal-mode frequencies and
+eigenvectors used by every other module.
 """
 
 from __future__ import annotations
@@ -13,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInput,
-    DimensionMismatch,
-    NonPositiveMode,
-    OutOfRange,
-    ValidationError,
-)
+from .errors import AsymmetricInput, DimensionMismatch, NonPositiveMode, ValidationError
 
 HERMITICITY_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -40,31 +38,21 @@ def check_hermitian(a: np.ndarray, name: str, tol: float = HERMITICITY_TOL) -> N
 
 @dataclass(frozen=True)
 class Drive:
-    """One time-dependent term amplitude(t) * matrix, sampled on the real-time grid.
+    """One time-dependent term amplitude(t) * matrix.
 
-    Amplitudes between samples are obtained by linear interpolation; evaluation
-    outside [times[0], times[-1]] raises OutOfRange.
+    ``amplitudes`` holds the n_t samples on the run's real-time grid.  Like the
+    noise, they are interpolated linearly onto the RK4 stage times.
     """
 
     matrix: np.ndarray
-    times: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(np.array(self.matrix, dtype=complex)))
-        object.__setattr__(self, "times", _freeze(np.array(self.times, dtype=float)))
         object.__setattr__(self, "amplitudes", _freeze(np.array(self.amplitudes, dtype=float)))
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ValidationError("drive.times", "need at least two sample times")
-        if self.amplitudes.shape != self.times.shape:
-            raise ValidationError("drive.amplitudes", "amplitude samples must match the time grid")
+        if self.amplitudes.ndim != 1 or self.amplitudes.size < 2:
+            raise ValidationError("drive.amplitudes", "need at least two samples")
         check_hermitian(self.matrix, "drive.matrix")
-
-    def amplitude_at(self, t: float) -> float:
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise OutOfRange(f"drive amplitude requested at t={t} outside grid span "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        return float(np.interp(t, self.times, self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -78,7 +66,8 @@ class SystemSpec:
     couplings : one Hermitian operator per bath site; the interaction is
         ``- sum_i  (bath displacement_i) * couplings[i]``.
     hbar, beta : explicit unit scalars (action, inverse energy).
-    drive : optional time-dependent additions to ``h0``, active in real time only.
+    drive : optional time-dependent additions to ``h0``, active in real time only,
+        each sampled on the real-time grid.
     """
 
     dim: int
@@ -123,20 +112,6 @@ class SystemSpec:
         if self.couplings:
             return np.stack(self.couplings)
         return np.zeros((0, self.dim, self.dim), dtype=complex)
-
-
-def hamiltonian_at(system: SystemSpec, t: float) -> np.ndarray:
-    """System Hamiltonian h0 + sum_k amplitude_k(t) * V_k at real time ``t``.
-
-    Hermitian by construction.  With no drives the static ``h0`` is returned
-    for any ``t``; with drives, ``t`` must lie inside the drive sample span.
-    """
-    if not system.drive:
-        return system.h0
-    h = system.h0.copy()
-    for dr in system.drive:
-        h = h + dr.amplitude_at(t) * dr.matrix
-    return h
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, TruncationWarning
-from .model import NormalModes, SystemSpec, hamiltonian_at
+from .model import NormalModes, SystemSpec
 from .noise import TimeGrids
 
 DEFAULT_CAP = 4096
@@ -103,7 +103,9 @@ def exact_reduced_dynamics(system: SystemSpec, modes: NormalModes, g_ops: list,
     The total system starts in the canonical state of the static Hamiltonian
     (drives off) and evolves under the full, possibly driven, Hamiltonian.
     Static case: one eigendecomposition; driven case: midpoint-exponential
-    steps with ``drive_substeps`` substeps per grid interval.
+    steps with ``drive_substeps`` substeps per grid interval, each drive's
+    amplitude at the midpoint read off its grid samples by ``np.interp``
+    (independent of the simulator's stage interpolation).
     """
     h0_tot = build_total_hamiltonian(system, modes, trunc=trunc, g_ops=g_ops)
     rho_tot0 = thermal_state(h0_tot, system.beta)
@@ -135,7 +137,10 @@ def exact_reduced_dynamics(system: SystemSpec, modes: NormalModes, g_ops: list,
         t0 = (k - 1) * grids.dt
         for s in range(drive_substeps):
             t_mid = t0 + (s + 0.5) * h_sub
-            h_tot = np.kron(hamiltonian_at(system, t_mid), np.eye(d_bath)) + bath_part
+            h_sys = system.h0
+            for dr in system.drive:
+                h_sys = h_sys + np.interp(t_mid, grids.t, dr.amplitudes) * dr.matrix
+            h_tot = np.kron(h_sys, np.eye(d_bath)) + bath_part
             evals, evecs = np.linalg.eigh(h_tot)
             phase = np.exp(-1j * evals * h_sub / system.hbar)
             u = (evecs * phase) @ evecs.conj().T

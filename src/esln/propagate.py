@@ -10,16 +10,19 @@ normalization.  Real time:
 
 equivalently rho' = (H+ rho - rho H-) / (i hbar) with
 H+- = H(t) - sum_i (eta_i +- hbar nu_i / 2) f_i.  Both phases run through one
-fixed-step classical RK4 driver, one step per grid interval by default, with
-the noises linearly interpolated at interior stage times.  Every array is
-batched over trajectories; one trajectory is a batch of size one.
+fixed-step classical RK4 driver, one step per grid interval by default.  The
+noises and the drive amplitudes are all samples on the grids; one linear
+interpolation, ``interpolate_half_grid``, brings each onto the RK4 stage
+times.  Every array is batched over trajectories; one trajectory is a batch
+of size one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import SystemSpec, hamiltonian_at
+from .errors import DimensionMismatch
+from .model import SystemSpec
 from .noise import TimeGrids
 
 DIVERGENCE_LIMIT = 1e300
@@ -107,6 +110,9 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     eta, nu : (B, M, n_t) complex noise samples on the real-time grid.
     rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
 
+    The stage Hamiltonians h0 + sum_k a_k(t) V_k are built once per call; a
+    drive whose amplitudes are not n_t samples raises DimensionMismatch.
+
     Returns
     -------
     series : (B, n_t, d, d) with series[:, 0] = rho0 (zeroed where diverged).
@@ -117,13 +123,15 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     n_steps = (grids.n_t - 1) * substeps
     co_p = interpolate_half_grid(eta + 0.5 * hbar * nu, substeps)
     co_m = interpolate_half_grid(eta - 0.5 * hbar * nu, substeps)
-    h_fine = np.stack([hamiltonian_at(system, s * h / 2.0)
-                       for s in range(2 * n_steps + 1)]) if system.drive else None
+    if any(dr.amplitudes.size != grids.n_t for dr in system.drive):
+        raise DimensionMismatch(f"drive amplitudes must hold n_t = {grids.n_t} samples")
+    amps = np.array([dr.amplitudes for dr in system.drive]).reshape(-1, grids.n_t)
+    v = np.array([dr.matrix for dr in system.drive]).reshape(-1, system.dim, system.dim)
+    h_stage = h0 + np.einsum("ks,kij->sij", interpolate_half_grid(amps, substeps), v)
 
     def rhs(stage, r):
-        hs = h0 if h_fine is None else h_fine[stage]
-        hp = _mix(hs, f_stack, co_p[:, :, stage])
-        hm = _mix(hs, f_stack, co_m[:, :, stage])
+        hp = _mix(h_stage[stage], f_stack, co_p[:, :, stage])
+        hm = _mix(h_stage[stage], f_stack, co_m[:, :, stage])
         return (hp @ r - r @ hm) / (1j * hbar)
 
     series = np.zeros((rho0.shape[0], grids.n_t, system.dim, system.dim), dtype=complex)

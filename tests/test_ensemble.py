@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 import time
 
 import numpy as np
@@ -12,7 +13,8 @@ from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, fact
                   run_ensemble, TruncatedBath, write_csv, write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats,
                            compare_series, document_bytes, read_csv, result_document)
-from esln.errors import TooManyFailures, ValidationError
+from esln.cli import main
+from esln.errors import NumericalError, TooManyFailures, ValidationError
 from esln.noise import NoiseCovariance
 
 from conftest import small_doc
@@ -78,6 +80,47 @@ def test_batches_merge_in_batch_order(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_run_batch", slow_first)
     assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
+
+
+def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
+    # at workers = 1 no pool thread (and no malloc arena of its own) is used
+    cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE + 5))
+    real_batch = ensemble._run_batch
+    threads = []
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return real_batch(*args)
+
+    monkeypatch.setattr(ensemble, "_run_batch", recorded)
+    run_ensemble(cfg, workers=1)
+    assert threads == [threading.main_thread()] * 3
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda out: out.series.m2_re.__setitem__((5, 0, 1), np.inf), "time index 5"),
+    (lambda out: out.series.mean.__setitem__(0, 0.0), "time index 0"),
+    (lambda out: setattr(out.zfac, "mean", np.complex128(np.nan)), "z-factor"),
+], ids=["series_m2_inf", "zero_partition_function", "zfac_mean_nan"])
+def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
+    # one batch (n_traj <= BATCH_SIZE) so no merge arithmetic touches the bad value
+    doc = small_doc(n_traj=64)
+    doc["grids"] = {"t_f": 0.5, "n_t": 11, "n_tau": 9}
+    real_batch = ensemble._run_batch
+
+    def corrupted(*args):
+        out = real_batch(*args)
+        corrupt(out)
+        return out
+
+    monkeypatch.setattr(ensemble, "_run_batch", corrupted)
+    with pytest.raises(NumericalError, match=message):
+        run_ensemble(parse_config(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_stderr_shrinks_with_more_trajectories():
@@ -307,6 +350,21 @@ def test_checkpoint_refuses_other_layout(tmp_path):
         with pytest.raises(ValidationError) as err:
             run_ensemble(cfg, checkpoint_path=str(ckpt))
         assert err.value.path == "checkpoint"
+
+
+def test_checkpoint_refuses_other_schema(tmp_path):
+    doc = small_doc(n_traj=300, master_seed=21)
+    doc["ensemble"]["checkpoint_interval"] = 256
+    cfg = parse_config(doc)
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg, checkpoint_path=str(ckpt))
+    data = json.loads(ckpt.read_text())
+    assert data["schema"] == ensemble.DOCUMENT_SCHEMA + "+checkpoint"
+    data["schema"] = "esln-result/1+checkpoint"
+    ckpt.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(cfg, checkpoint_path=str(ckpt))
+    assert err.value.path == "checkpoint"
 
 
 def test_pipeline_reused_across_seed_and_count_overrides(monkeypatch):

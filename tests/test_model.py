@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from esln import (BathSpec, Drive, SystemSpec, diagonalize_bath, hamiltonian_at,
-                  mode_couplings)
-from esln.errors import (AsymmetricInput, DimensionMismatch, NonPositiveMode,
-                         OutOfRange, ValidationError)
+from esln import (BathSpec, Drive, SystemSpec, TimeGrids, diagonalize_bath,
+                  evolve_batch, mode_couplings)
+from esln.errors import AsymmetricInput, DimensionMismatch, NonPositiveMode, ValidationError
 
 from conftest import SX, SZ
 
@@ -125,48 +124,74 @@ def test_mode_couplings_dimension_mismatch(two_mode_bath):
         mode_couplings(modes, two_mode_bath, system)
 
 
-def test_hamiltonian_static_for_any_time():
-    system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(), hbar=1.0, beta=1.0)
-    assert np.array_equal(hamiltonian_at(system, -7.0), system.h0)
-    assert np.array_equal(hamiltonian_at(system, 123.0), system.h0)
+# A drive enters H(t) only on the RK4 stages of evolve_batch, so these tests
+# look at H(t) through the real-time evolution.
+
+def _evolve(system, grids, rho0, eta=None, substeps=1):
+    """Real-time series (B, n_t, d, d) under zero nu and the given (or zero) eta."""
+    if eta is None:
+        eta = np.zeros((rho0.shape[0], system.n_sites, grids.n_t), complex)
+    series, diverged = evolve_batch(system, eta, np.zeros_like(eta), grids, rho0, substeps)
+    assert not diverged.any()
+    return series
 
 
 def test_hamiltonian_constant_drive():
-    times = np.linspace(0.0, 1.0, 5)
-    drive = Drive(matrix=SZ, times=times, amplitudes=np.ones(5))
-    system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(), hbar=1.0, beta=1.0,
-                        drive=(drive,))
-    for t in times:
-        assert np.allclose(hamiltonian_at(system, t), 0.5 * SX + SZ)
+    # a constant drive c V is the static Hamiltonian h0 + c V, noise and all
+    rng = np.random.default_rng(3)
+    grids = TimeGrids(t_f=1.0, n_t=21, hbar_beta=1.0, n_tau=3)
+    c = 0.37
+    driven = SystemSpec(dim=2, h0=0.5 * SX, couplings=(0.4 * SZ,), hbar=1.0, beta=1.0,
+                        drive=(Drive(matrix=SZ + 0.2 * SX, amplitudes=np.full(21, c)),))
+    static = SystemSpec(dim=2, h0=0.5 * SX + c * (SZ + 0.2 * SX), couplings=(0.4 * SZ,),
+                        hbar=1.0, beta=1.0)
+    eta = 0.3 * (rng.standard_normal((3, 1, 21)) + 1j * rng.standard_normal((3, 1, 21)))
+    rho0 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    for substeps in (1, 2):
+        a = _evolve(driven, grids, rho0, eta, substeps)
+        b = _evolve(static, grids, rho0, eta, substeps)
+        assert np.abs(a - b).max() < 1e-14
 
 
 def test_hamiltonian_linear_interpolation_midpoint():
-    drive = Drive(matrix=SZ, times=np.array([0.0, 1.0]), amplitudes=np.array([0.0, 1.0]))
+    # one RK4 step over a ramp 0 -> 1 takes H(h/2) = h0 + V / 2 at its midpoint
+    # stages, the linear interpolation of the two samples
+    grids = TimeGrids(t_f=0.3, n_t=2, hbar_beta=1.0, n_tau=3)
     system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(), hbar=1.0, beta=1.0,
-                        drive=(drive,))
-    assert np.allclose(hamiltonian_at(system, 0.5), 0.5 * SX + 0.5 * SZ)
+                        drive=(Drive(matrix=SZ, amplitudes=[0.0, 1.0]),))
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    h = grids.dt
 
+    def f(t, r):
+        ham = 0.5 * SX + (t / h) * SZ
+        return (ham @ r - r @ ham) / 1j
 
-def test_hamiltonian_out_of_range():
-    drive = Drive(matrix=SZ, times=np.array([0.0, 1.0]), amplitudes=np.array([0.0, 1.0]))
-    system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(), hbar=1.0, beta=1.0,
-                        drive=(drive,))
-    with pytest.raises(OutOfRange):
-        hamiltonian_at(system, 2.0)
+    k1 = f(0.0, rho)
+    k2 = f(h / 2, rho + 0.5 * h * k1)
+    k3 = f(h / 2, rho + 0.5 * h * k2)
+    k4 = f(h, rho + h * k3)
+    expected = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.abs(_evolve(system, grids, rho[None])[0, -1] - expected).max() < 1e-14
 
 
 def test_hamiltonian_hermitian_on_grid():
+    # Hermitian stage Hamiltonians keep a Hermitian state Hermitian
     rng = np.random.default_rng(9)
-    times = np.linspace(0.0, 2.0, 11)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     system = SystemSpec(
         dim=3, h0=h + h.conj().T, couplings=(), hbar=1.0, beta=1.0,
-        drive=(Drive(matrix=v + v.conj().T, times=times,
-                     amplitudes=rng.standard_normal(11)),))
-    for t in times:
-        hm = hamiltonian_at(system, t)
-        assert np.abs(hm - hm.conj().T).max() < 1e-12
+        drive=(Drive(matrix=v + v.conj().T, amplitudes=rng.standard_normal(11)),))
+    grids = TimeGrids(t_f=0.5, n_t=11, hbar_beta=1.0, n_tau=3)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    series = _evolve(system, grids, (x @ x.conj().T)[None], substeps=2)[0]
+    assert np.abs(series - np.conj(np.swapaxes(series, 1, 2))).max() < 1e-12
+
+
+def test_drive_needs_a_sampled_amplitude_series():
+    for amps in ([1.0], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValidationError):
+            Drive(matrix=SZ, amplitudes=amps)
 
 
 def test_non_hermitian_h0_rejected():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esln import (BathSpec, KernelContext, TimeGrids, build_covariance, diagonalize_bath,
                   factorize, hs_identity_check, takagi, verify_empirical)
 from esln.errors import CapExceeded, FactorizationFailure
 from esln.kernels import k_complex
-from esln.noise import NoiseCovariance, NoiseFactor, derive_seed, draw_normal, synthesize
+from esln.noise import (SV_TRUNCATION, NoiseCovariance, NoiseFactor, derive_seed, draw_normal,
+                        synthesize)
 
 from conftest import (coth, dense_site_covariance, k_complex_printed_split, site_covariance,
                       site_factor)
@@ -185,6 +187,27 @@ def test_takagi_degenerate_and_deficient():
     sym = np.diag([1.0, -3.0]).astype(complex)
     s, u = takagi(sym)
     assert np.abs(u @ np.diag(s) @ u.T - sym).max() < 1e-12
+
+
+# the same 60 examples on every run: no random seed, no saved-example database
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       clusters=st.lists(st.tuples(st.floats(0.1, 10.0), st.integers(1, 3)),
+                         min_size=1, max_size=4),
+       n_zero=st.integers(0, 3))
+def test_takagi_property_degenerate_clusters(seed, clusters, n_zero):
+    # A = Q diag(s) Q^T with Q unitary and s holding repeated values and zeros
+    s_true = np.array([v for v, k in clusters for _ in range(k)] + [0.0] * n_zero)
+    n = s_true.size
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    sym = (q * s_true) @ q.T
+    s, u = takagi(sym)
+    scale = s_true.max()
+    assert np.abs(s - np.sort(s_true)[::-1]).max() < 1e-12 * n * scale
+    kept = u[:, s > SV_TRUNCATION * scale]
+    assert np.abs(kept.conj().T @ kept - np.eye(kept.shape[1])).max() < 1e-10
+    assert np.abs((u * s) @ u.T - sym).max() < 1e-12 * n * scale
 
 
 def test_factorize_residual_bound(ctx_two_mode, small_grids):

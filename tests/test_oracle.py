@@ -165,8 +165,7 @@ def test_driven_oracle_starts_from_static_equilibrium():
     grids = TimeGrids(t_f=1.0, n_t=5, hbar_beta=1.0, n_tau=3)
     amps = np.sin(np.linspace(0.0, 1.0, grids.n_t))
     driven = SystemSpec(dim=2, h0=system.h0, couplings=system.couplings, hbar=1.0,
-                        beta=1.0, drive=(Drive(matrix=0.4 * SZ, times=grids.t,
-                                               amplitudes=amps),))
+                        beta=1.0, drive=(Drive(matrix=0.4 * SZ, amplitudes=amps),))
     static = exact_reduced_dynamics(system, modes, g, TruncatedBath(n_levels=10), grids)
     drv = exact_reduced_dynamics(driven, modes, g, TruncatedBath(n_levels=10), grids)
     assert np.abs(drv[0] - static[0]).max() < 1e-12       # same initial state

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from esln import SystemSpec, TimeGrids, equilibrate_batch, evolve_batch
+from esln import Drive, SystemSpec, TimeGrids, equilibrate_batch, evolve_batch
+from esln.errors import DimensionMismatch
 from esln.propagate import interpolate_half_grid
 
 from conftest import ID2, SX, SZ, spin_system
@@ -249,3 +250,13 @@ def test_divergence_detected_and_reported():
     mu = np.full((1, grids.n_tau), 1e6, dtype=complex)
     _, flags = equilibrate_batch(system, mu[None], grids)
     assert flags[0]
+
+
+def test_drive_amplitude_count_must_match_grid():
+    # drive amplitudes are samples on the real-time grid, one per grid time
+    grids = TimeGrids(t_f=1.0, n_t=11, hbar_beta=1.0, n_tau=3)
+    eta = np.zeros((1, 1, grids.n_t), complex)
+    for n_amps in (grids.n_t - 1, grids.n_t + 1):
+        system = spin_system(drive=(Drive(matrix=SZ, amplitudes=np.ones(n_amps)),))
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(system, eta, eta, grids, ID2[None])
