@@ -10,6 +10,9 @@ small-system reference (full diagonalization of system plus truncated bath)
 validates the whole chain.
 """
 
+# Set before the submodules load: ensemble records it in a checkpoint's layout.
+__version__ = "0.2.0"
+
 from .config import RunConfig, emit_config, load_config, parse_config
 from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeline,
                        compare_series, hermiticity_trace_report, run_ensemble,
@@ -21,8 +24,6 @@ from .noise import (NoiseCovariance, NoiseFactor, TimeGrids, build_covariance,
                     factorize, hs_identity_check, takagi, verify_empirical)
 from .oracle import TruncatedBath, build_total_hamiltonian, exact_reduced_dynamics
 from .propagate import equilibrate_batch, evolve_batch
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BathSpec", "Drive", "EnsembleResult", "HermiticityReport", "KernelContext",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .config import RunConfig, emit_config
 from .errors import NumericalError, TooManyFailures, ValidationError
 from .kernels import KernelContext
@@ -261,10 +262,11 @@ def _stats_from_doc(doc: dict) -> _Stats:
 
 
 def _layout(pipe: Pipeline) -> dict:
-    """What fixes each trajectory's noise stream besides the config: the batch
-    size and the mode factors, bit for bit."""
+    """What fixes each trajectory's bits besides the config: the batch size,
+    the mode factors, bit for bit, and the package version (the propagator's
+    rounding changes between versions)."""
     digest = hashlib.sha256(b"".join(a.tobytes() for a in pipe.factor.a)).hexdigest()
-    return {"batch_size": BATCH_SIZE, "factor_sha256": digest}
+    return {"batch_size": BATCH_SIZE, "factor_sha256": digest, "version": __version__}
 
 
 def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
@@ -293,7 +295,7 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict):
         raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
     if doc.get("layout") != layout:
         raise ValidationError("checkpoint", "checkpoint was written with a different noise "
-                                            "factor or batch size")
+                                            "factor, batch size or esln version")
     return (int(doc["next_batch"]), _stats_from_doc(doc["series"]),
             _stats_from_doc(doc["z_factor"]), int(doc["n_failed"]))
 

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import esln
 from esln import ensemble
 from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
                   hermiticity_trace_report, k_complex, mode_couplings, parse_config,
@@ -332,7 +334,7 @@ def test_workers_must_be_positive(workers):
 
 def test_checkpoint_refuses_other_layout(tmp_path):
     # a checkpoint resumes only into the noise streams that wrote it: the same
-    # noise factor, bit for bit, and the same batch size
+    # noise factor, bit for bit, the same batch size and the same package version
     doc = small_doc(n_traj=600, master_seed=21)
     doc["ensemble"]["checkpoint_interval"] = 256
     cfg = parse_config(doc)
@@ -340,7 +342,8 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     run_ensemble(cfg, checkpoint_path=str(ckpt))
     written = json.loads(ckpt.read_text())
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
-    for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), (None, None)):
+    for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128),
+                       ("version", "0.1.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -350,6 +353,14 @@ def test_checkpoint_refuses_other_layout(tmp_path):
         with pytest.raises(ValidationError) as err:
             run_ensemble(cfg, checkpoint_path=str(ckpt))
         assert err.value.path == "checkpoint"
+
+
+def test_package_version_matches_pyproject():
+    # the version is part of a checkpoint's layout, so both places must agree
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == esln.__version__
 
 
 def test_checkpoint_refuses_other_schema(tmp_path):

@@ -260,3 +260,77 @@ def test_drive_amplitude_count_must_match_grid():
         system = spin_system(drive=(Drive(matrix=SZ, amplitudes=np.ones(n_amps)),))
         with pytest.raises(DimensionMismatch):
             evolve_batch(system, eta, eta, grids, ID2[None])
+
+
+def _random_hermitian(rng, d, scale):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return scale * (a + a.conj().T) / 2
+
+
+def _random_noise(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _assert_rows_close(batch, single, tol=1e-14):
+    assert np.abs(batch - single).max() <= tol * np.abs(single).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("size", ["1", "d", "7"])
+def test_batch_rows_equal_single_trajectories(d, size):
+    # B = d is the size at which a trajectory axis swapped with a matrix axis
+    # would still broadcast; each row must be its own trajectory run alone
+    b = {"1": 1, "d": d, "7": 7}[size]
+    rng = np.random.default_rng(10 * d + b)
+    grids = TimeGrids(t_f=1.0, n_t=21, hbar_beta=0.8 * 1.2, n_tau=11)
+    drive = Drive(matrix=_random_hermitian(rng, d, 0.4), amplitudes=np.sin(3.0 * grids.t))
+    system = SystemSpec(dim=d, h0=_random_hermitian(rng, d, 0.5),
+                        couplings=(_random_hermitian(rng, d, 0.3),
+                                   _random_hermitian(rng, d, 0.3)),
+                        hbar=0.8, beta=1.2, drive=(drive,))
+    mu = _random_noise(rng, (b, 2, grids.n_tau), 0.3)
+    eta = _random_noise(rng, (b, 2, grids.n_t), 0.3)
+    nu = _random_noise(rng, (b, 2, grids.n_t), 0.3)
+    rho_end, div_imag = equilibrate_batch(system, mu, grids, substeps=2)
+    series, div_real = evolve_batch(system, eta, nu, grids, rho_end, substeps=2)
+    assert rho_end.shape == (b, d, d) and series.shape == (b, grids.n_t, d, d)
+    assert not div_imag.any() and not div_real.any()
+    for k in range(b):
+        one_end, _ = equilibrate_batch(system, mu[k:k + 1], grids, substeps=2)
+        one_series, _ = evolve_batch(system, eta[k:k + 1], nu[k:k + 1], grids, one_end,
+                                     substeps=2)
+        _assert_rows_close(rho_end[k], one_end[0])
+        _assert_rows_close(series[k], one_series[0])
+
+
+def test_divergence_in_mixed_batch_zeroes_only_its_row():
+    system = spin_system()
+    grids = grids_for(system, n_t=41, n_tau=21)
+    rng = np.random.default_rng(5)
+    mu = _random_noise(rng, (3, 1, grids.n_tau), 0.3)
+    eta = _random_noise(rng, (3, 1, grids.n_t), 0.3)
+    nu = _random_noise(rng, (3, 1, grids.n_t), 0.3)
+    outer = [0, 2]
+    rho0 = np.broadcast_to(ID2, (3, 2, 2))
+
+    # imaginary time: a 1e6 noise overflows the middle quench within a few steps
+    loud = mu.copy()
+    loud[1] = 1e6
+    rho_end, flags = equilibrate_batch(system, loud, grids)
+    assert flags.tolist() == [False, True, False]
+    assert not rho_end[1].any()
+    pair, pair_flags = equilibrate_batch(system, mu[outer], grids)
+    assert not pair_flags.any()
+    for row, k in zip(pair, outer):
+        _assert_rows_close(rho_end[k], row)
+
+    # real time: the same for a 1e6 eta, and the whole middle series is zero
+    loud = eta.copy()
+    loud[1] = 1e6
+    series, flags = evolve_batch(system, loud, nu, grids, rho0)
+    assert flags.tolist() == [False, True, False]
+    assert not series[1].any()
+    pair, pair_flags = evolve_batch(system, eta[outer], nu[outer], grids, rho0[outer])
+    assert not pair_flags.any()
+    for row, k in zip(pair, outer):
+        _assert_rows_close(series[k], row)
