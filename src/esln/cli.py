@@ -153,6 +153,8 @@ def _cmd_equilibrate(args) -> int:
 
 
 def _cmd_verify_noise(args) -> int:
+    if args.samples < 100:
+        raise ValidationError("--samples", "must be >= 100")
     cfg = _load(args)
     pipe = ens.build_pipeline(cfg)
     cov, factor = pipe.cov, pipe.factor
@@ -221,6 +223,8 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n_levels is not None and args.n_levels < 2:
+        raise ValidationError("--n-levels", "must be >= 2")
     cfg = _load(args)
     modes = diagonalize_bath(cfg.bath)
     g_ops = mode_couplings(modes, cfg.bath, cfg.system)

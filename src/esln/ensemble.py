@@ -4,11 +4,12 @@ One estimator: trajectories stay unnormalized through real time, and every
 output is scaled once by 1 / Tr <rho_bar(hbar*beta)>, the noise-averaged
 partition function.  By linearity of the noise average this is exact.
 
-Trajectories are processed in fixed-size batches.  Each batch's (mean, M2)
-statistics are taken in two passes; batch partials are then folded in batch
-order with Chan's merge.  Both depend only on trajectory indices, so results
-are bit-identical for any worker count, and a checkpoint taken between batches
-resumes to the same bits.
+Trajectories are processed in fixed-size batches.  Each batch draws its noise
+in one call from the stream keyed by (master_seed, batch index), one row per
+trajectory, and takes its (mean, M2) statistics in two passes; batch partials
+are then folded in batch order with Chan's merge.  All of it depends only on
+batch indices, so results are bit-identical for any worker count, and a
+checkpoint taken between batches resumes to the same bits.
 """
 
 from __future__ import annotations
@@ -132,17 +133,17 @@ class _BatchResult:
     n_failed: int
 
 
-def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
-               real_time: bool) -> _BatchResult:
-    """Draw, quench and (with ``real_time``) evolve one batch of trajectories.
+def _run_batch(pipe: Pipeline, cfg: RunConfig, batch: int, real_time: bool) -> _BatchResult:
+    """Draw, quench and (with ``real_time``) evolve batch ``batch`` of the run.
 
-    The seed comes from the run's ``cfg``.  Without real time the series is
-    the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
+    The batch holds trajectories batch * BATCH_SIZE onwards, up to BATCH_SIZE
+    of them and none past ``cfg.n_traj``; their noise is one draw from the
+    stream keyed by (``cfg.master_seed``, batch).  Without real time the series
+    is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
     system, grids, factor = pipe.system, cfg.grids, pipe.factor
-    w = np.empty((factor.rank, len(indices)))
-    for j, idx in enumerate(indices):
-        w[:, j] = draw_normal(factor, derive_seed(cfg.master_seed, int(idx)))
+    n = min(BATCH_SIZE, cfg.n_traj - batch * BATCH_SIZE)
+    w = draw_normal(factor, derive_seed(cfg.master_seed, batch), n)
     eta, nu, mu = synthesize(factor, w)
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
@@ -159,11 +160,6 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, indices: np.ndarray,
     return _BatchResult(series=_pairwise_stats(series[ok]),
                         zfac=_pairwise_stats(zfac),
                         n_failed=int(failed.sum()))
-
-
-def _batch_ranges(n_traj: int):
-    return [(start, min(start + BATCH_SIZE, n_traj))
-            for start in range(0, n_traj, BATCH_SIZE)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def _stats_from_doc(doc: dict) -> _Stats:
 def _layout(pipe: Pipeline) -> dict:
     """What fixes each trajectory's bits besides the config: the batch size,
     the mode factors, bit for bit, and the package version (the propagator's
-    rounding changes between versions)."""
+    rounding and the keying of the noise streams change between versions)."""
     digest = hashlib.sha256(b"".join(a.tobytes() for a in pipe.factor.a)).hexdigest()
     return {"batch_size": BATCH_SIZE, "factor_sha256": digest, "version": __version__}
 
@@ -324,8 +320,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
                  real_time: bool = True) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
-    Deterministic in the config: the per-trajectory seeds, the batch layout,
-    and the reduction are all functions of trajectory indices alone, and
+    Deterministic in the config: the per-batch noise keys, the batch layout,
+    and the reduction are all functions of batch indices alone, and
     batches are merged in batch order, so the worker count (at least 1)
     cannot change any output bit.  A ``pipeline`` built from the same system,
     bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
@@ -350,7 +346,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         else build_pipeline(cfg)
     cfg_echo = emit_config(cfg)
     layout = _layout(pipe) if checkpoint_path else None
-    ranges = _batch_ranges(cfg.n_traj)
+    n_batches = -(-cfg.n_traj // BATCH_SIZE)
     d = cfg.system.dim
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
     series_acc = _Stats.empty((times.size, d, d))
@@ -363,14 +359,14 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
 
     interval_batches = max(1, cfg.checkpoint_interval // BATCH_SIZE) if checkpoint_path else 0
 
-    def work(batch: tuple) -> _BatchResult:
-        return _run_batch(pipe, cfg, np.arange(*batch), real_time)
+    def work(batch: int) -> _BatchResult:
+        return _run_batch(pipe, cfg, batch, real_time)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # map yields in batch order, whatever order the batches finish in; one
         # worker stays on the calling thread, so its batches reuse the main
         # malloc arena instead of growing a pool thread's own
-        outs = (pool.map if workers > 1 else map)(work, ranges[start_batch:])
+        outs = (pool.map if workers > 1 else map)(work, range(start_batch, n_batches))
         for done_batches, out in enumerate(outs, start=start_batch + 1):
             series_acc = series_acc.merge(out.series)
             zfac_acc = zfac_acc.merge(out.zfac)

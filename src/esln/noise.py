@@ -26,6 +26,11 @@ a_lam a_lam^T = sigma_lam, so the pseudo-covariance holds by construction while
 <z z^dagger> = a a^dagger remains free, as it must.  Each a_lam comes from a
 Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
 sigma_lam; no matrix spans two modes.
+
+One function makes every w: ``draw_normal`` reads n rows, one per trajectory,
+from the Philox stream of a key.  A run keys one stream per batch,
+``derive_seed(master_seed, batch)``, and the Monte Carlo checks one per chunk,
+``derive_seed(seed, chunk)``.
 """
 
 from __future__ import annotations
@@ -221,27 +226,28 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit stream key for trajectory ``index``."""
+    """Deterministic 64-bit stream key for batch or chunk ``index``."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def draw_normal(factor: NoiseFactor, seed: int, n: int) -> np.ndarray:
+    """Real standard normals w (n, rank) of the Philox stream keyed by ``seed``.
 
-
-def draw_normal(factor: NoiseFactor, seed: int) -> np.ndarray:
-    """The real standard-normal vector w used for this seed (length = rank)."""
-    return _generator(seed).standard_normal(factor.rank)
+    Row j, trajectory j's draw, is the j-th rank-long block of the stream, so
+    n rows are a prefix of any longer draw from the same key.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return rng.standard_normal((n, factor.rank))
 
 
 def synthesize(factor: NoiseFactor, w: np.ndarray):
-    """Fields eta, nu (B, M, n_t) and mu (B, M, n_tau) of draws w (rank, B):
-    mode lam's are a_lam @ w_lam, with w_lam the next r_lam rows of w."""
-    z = np.empty((w.shape[1], len(factor.a), factor.dim), dtype=complex)
+    """Fields eta, nu (B, M, n_t) and mu (B, M, n_tau) of draws w (B, rank):
+    mode lam's are w_lam @ a_lam^T, with w_lam the next r_lam columns of w."""
+    z = np.empty((w.shape[0], len(factor.a), factor.dim), dtype=complex)
     start = 0
     for lam, a in enumerate(factor.a):
-        z[:, lam] = (a @ w[start:start + a.shape[1]]).T
+        z[:, lam] = w[:, start:start + a.shape[1]] @ a.T
         start += a.shape[1]
     n_t = factor.n_t
     return z[..., :n_t], z[..., n_t:2 * n_t], z[..., 2 * n_t:]
@@ -275,19 +281,6 @@ class NoiseVerification:
         return out
 
 
-def _chunked_draws(factor: NoiseFactor, n_samples: int, seed: int):
-    """Yield (r, chunk) standard-normal blocks, deterministic in (seed, chunk index)."""
-    done = 0
-    idx = 0
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
-        yield rng.standard_normal((factor.rank, take))
-        done += take
-        idx += 1
-
-
 def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
                      seed: int = 0) -> NoiseVerification:
     """Monte Carlo check that each mode's sampled fields reproduce every block
@@ -306,7 +299,8 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
     m_yy = np.zeros(shape)
     m_xy2 = np.zeros(shape)                 # sum (x_i y_i)(x_j y_j)
     m_x2y2 = np.zeros(shape)                # sum x_i^2 y_j^2
-    for w in _chunked_draws(factor, n_samples, seed):
+    for k, done in enumerate(range(0, n_samples, _CHUNK)):
+        w = draw_normal(factor, derive_seed(seed, k), min(_CHUNK, n_samples - done))
         z = np.concatenate(synthesize(factor, w), axis=-1).transpose(1, 2, 0)  # (M, D, n)
         x, y = z.real, z.imag
         s1 += z @ z.mT
@@ -374,11 +368,12 @@ def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int 
     s_val = np.zeros(n_vectors, dtype=complex)
     s_re2 = np.zeros(n_vectors)
     s_im2 = np.zeros(n_vectors)
-    for w in _chunked_draws(factor, n_samples, seed):
-        vals = np.exp(1j * (cmat @ w))                 # same draws for every vector
-        s_val += vals.sum(axis=1)
-        s_re2 += np.sum(vals.real ** 2, axis=1)
-        s_im2 += np.sum(vals.imag ** 2, axis=1)
+    for k, done in enumerate(range(0, n_samples, _CHUNK)):
+        w = draw_normal(factor, derive_seed(seed, k), min(_CHUNK, n_samples - done))
+        vals = np.exp(1j * (w @ cmat.T))               # same draws for every vector
+        s_val += vals.sum(axis=0)
+        s_re2 += np.sum(vals.real ** 2, axis=0)
+        s_im2 += np.sum(vals.imag ** 2, axis=0)
     n = float(n_samples)
     results = []
     for v in range(n_vectors):

@@ -129,6 +129,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", good, "--n-traj", "1"]) == 2
     assert main(["run", "--config", good, "--workers", "-1"]) == 2
     assert main(["equilibrate", "--config", good, "--workers", "0"]) == 2
+    assert main(["verify-noise", "--config", good, "--samples", "10"]) == 2
+    assert main(["oracle", "--config", good, "--n-levels", "1"]) == 2
     # checkpoint_interval defaults to 0, which would never write the checkpoint
     ckpt = tmp_path / "state.ckpt"
     capsys.readouterr()

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esln import emit_config, parse_config
 from esln.errors import ValidationError
@@ -134,6 +137,86 @@ def test_roundtrip_is_stable():
     assert emit_config(cfg2) == emitted
     assert cfg2.grids.t_f == cfg.grids.t_f
     assert cfg2.output_document == "out.json"
+
+
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False)
+_POSITIVE = st.floats(0.01, 100.0)
+
+
+def _entries(array):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in array]
+
+
+@st.composite
+def _hermitian(draw, dim):
+    parts = np.array(draw(st.lists(_FINITE, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+    z = parts[:dim * dim].reshape(dim, dim) + 1j * parts[dim * dim:].reshape(dim, dim)
+    return 0.5 * (z + z.conj().T)           # exactly Hermitian
+
+
+@st.composite
+def _documents(draw):
+    """A valid configuration document and the arrays it was written from."""
+    dim = draw(st.integers(1, 3))
+    n_sites = draw(st.integers(0, 3))
+    n_t, n_tau = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    b = np.array(draw(st.lists(_FINITE, min_size=n_sites ** 2,
+                               max_size=n_sites ** 2))).reshape(n_sites, n_sites)
+    lam = b @ b.T
+    lam = 0.5 * (lam + lam.T) + np.eye(n_sites)     # symmetric, positive-definite
+    arrays = {"h0": draw(_hermitian(dim)),
+              "couplings": [draw(_hermitian(dim)) for _ in range(n_sites)],
+              "masses": np.array(draw(st.lists(_POSITIVE, min_size=n_sites,
+                                               max_size=n_sites)), dtype=float),
+              "lambda": lam,
+              "drives": [(draw(_hermitian(dim)),
+                          np.array(draw(st.lists(_FINITE, min_size=n_t, max_size=n_t))))
+                         for _ in range(draw(st.integers(0, 2)))]}
+    doc = {
+        "system": {"dim": dim, "h0": _entries(arrays["h0"]),
+                   "couplings": [_entries(c) for c in arrays["couplings"]],
+                   "hbar": draw(_POSITIVE), "beta": draw(_POSITIVE)},
+        "bath": {"masses": arrays["masses"].tolist(), "lambda": lam.tolist()},
+        "grids": {"t_f": draw(_POSITIVE), "n_t": n_t, "n_tau": n_tau},
+        "ensemble": {"n_traj": draw(st.integers(2, 10 ** 6)),
+                     "master_seed": draw(st.integers(0, 2 ** 63))},
+    }
+    if arrays["drives"]:
+        doc["system"]["drives"] = [{"matrix": _entries(m), "amplitudes": a.tolist()}
+                                   for m, a in arrays["drives"]]
+    path = st.text("abcxyz0189 _-./", min_size=1)
+    output = draw(st.fixed_dictionaries({}, optional={"document": path, "csv": path}))
+    if draw(st.booleans()):
+        doc["output"] = output
+    return doc, arrays
+
+
+def _config_arrays(cfg):
+    return {"h0": cfg.system.h0, "couplings": list(cfg.system.couplings),
+            "masses": cfg.bath.masses, "lambda": cfg.bath.lam,
+            "drives": [(dr.matrix, dr.amplitudes) for dr in cfg.system.drive]}
+
+
+def _same_bits(a, b):
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60)
+@given(case=_documents())
+def test_roundtrip_property(case):
+    # emit(parse(.)) is a fixed point after one pass, through JSON text too, and
+    # every array comes back bit for bit
+    doc, arrays = case
+    cfg = parse_config(doc)
+    emitted = emit_config(cfg)
+    again = parse_config(json.loads(json.dumps(emitted)))
+    assert emit_config(again) == emitted
+    for key, source in arrays.items():
+        assert _same_bits(_config_arrays(cfg)[key], source), key
+        assert _same_bits(_config_arrays(again)[key], source), key
 
 
 def test_document_must_be_object():

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import esln
 from esln import ensemble
 from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
                   hermiticity_trace_report, k_complex, mode_couplings, parse_config,
                   run_ensemble, TruncatedBath, write_csv, write_document)
-from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats,
+from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _Stats,
                            compare_series, document_bytes, read_csv, result_document)
 from esln.cli import main
 from esln.errors import NumericalError, TooManyFailures, ValidationError
@@ -30,6 +31,53 @@ def test_pairwise_stats_match_two_pass():
     assert np.abs(st.mean - vals.mean(axis=0)).max() < 1e-12
     var_re = vals.real.var(axis=0, ddof=1)
     assert np.abs(st.m2_re / 36 - var_re).max() < 1e-12
+
+
+def _fold(values, cuts):
+    """Chan-fold the two-pass statistics of values split at ``cuts``, in order."""
+    acc = _Stats.empty(values.shape[1:])
+    for part in np.split(values, cuts):
+        acc = acc.merge(_pairwise_stats(part))
+    return acc
+
+
+@settings(max_examples=80)
+@given(data=st.data(), n=st.integers(1, 48), t=st.integers(1, 3), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), offset=st.floats(-3.0, 3.0),
+       spread=st.floats(0.1, 1.0))
+def test_stats_fold_under_any_batch_split(data, n, t, d, seed, offset, spread):
+    # any consecutive batching folds to the statistics of the whole array, and
+    # identical rows keep an M2 of exactly 0 under every split
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    rng = np.random.default_rng(seed)
+    shape = (n, t, d, d)
+    values = offset + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    folded, whole = _fold(values, cuts), _pairwise_stats(values)
+    assert folded.n == whole.n == n
+    scale = np.abs(values).max()
+    assert np.abs(folded.mean - whole.mean).max() <= 1e-12 * scale
+    for got, ref in ((folded.m2_re, whole.m2_re), (folded.m2_im, whole.m2_im)):
+        assert np.abs(got - ref).max() <= 1e-12 * max(ref.max(), scale ** 2)
+    same = np.broadcast_to(values[0], shape).copy()
+    folded = _fold(same, cuts)
+    assert np.array_equal(folded.mean, values[0])
+    assert np.all(folded.m2_re == 0.0) and np.all(folded.m2_im == 0.0)
+
+
+def test_run_draws_each_batch_in_one_call(monkeypatch):
+    # one draw per batch, keyed by (master_seed, batch index), one row per trajectory
+    cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE + 5, master_seed=9))
+    real_draw = ensemble.draw_normal
+    calls = []
+
+    def counted(factor, seed, n):
+        calls.append((seed, n))
+        return real_draw(factor, seed, n)
+
+    monkeypatch.setattr(ensemble, "draw_normal", counted)
+    run_ensemble(cfg, workers=1)
+    assert calls == [(ensemble.derive_seed(9, b), n)
+                     for b, n in enumerate((ensemble.BATCH_SIZE, ensemble.BATCH_SIZE, 5))]
 
 
 def test_zero_coupling_is_deterministic_unitary():
@@ -75,10 +123,10 @@ def test_batches_merge_in_batch_order(monkeypatch):
     ref = document_bytes(result_document(run_ensemble(cfg, workers=1)))
     real_batch = ensemble._run_batch
 
-    def slow_first(pipe, run_cfg, indices, real_time):
-        if indices[0] == 0:
+    def slow_first(pipe, run_cfg, batch, real_time):
+        if batch == 0:
             time.sleep(0.2)
-        return real_batch(pipe, run_cfg, indices, real_time)
+        return real_batch(pipe, run_cfg, batch, real_time)
 
     monkeypatch.setattr(ensemble, "_run_batch", slow_first)
     assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
@@ -293,14 +341,14 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     real_batch = ensemble._run_batch
     ran = []
 
-    def killed_at_batch_2(pipe, run_cfg, indices, real_time):
-        if indices[0] == 2 * ensemble.BATCH_SIZE:
+    def killed_at_batch_2(pipe, run_cfg, batch, real_time):
+        if batch == 2:
             raise Killed
-        return real_batch(pipe, run_cfg, indices, real_time)
+        return real_batch(pipe, run_cfg, batch, real_time)
 
-    def counted(pipe, run_cfg, indices, real_time):
-        ran.append(int(indices[0]) // ensemble.BATCH_SIZE)
-        return real_batch(pipe, run_cfg, indices, real_time)
+    def counted(pipe, run_cfg, batch, real_time):
+        ran.append(batch)
+        return real_batch(pipe, run_cfg, batch, real_time)
 
     ckpt = tmp_path / "state.json"
     monkeypatch.setattr(ensemble, "_run_batch", killed_at_batch_2)

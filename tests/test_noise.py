@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from esln import (BathSpec, KernelContext, TimeGrids, build_covariance, diagonalize_bath,
                   factorize, hs_identity_check, takagi, verify_empirical)
+from esln import noise
 from esln.errors import CapExceeded, FactorizationFailure
 from esln.kernels import k_complex
 from esln.noise import (SV_TRUNCATION, NoiseCovariance, NoiseFactor, derive_seed, draw_normal,
@@ -189,8 +190,8 @@ def test_takagi_degenerate_and_deficient():
     assert np.abs(u @ np.diag(s) @ u.T - sym).max() < 1e-12
 
 
-# the same 60 examples on every run: no random seed, no saved-example database
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# 60 examples, the same on every run under the tier-1 profile (conftest.py)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        clusters=st.lists(st.tuples(st.floats(0.1, 10.0), st.integers(1, 3)),
                          min_size=1, max_size=4),
@@ -251,27 +252,68 @@ def test_factorize_raises_when_residual_bound_missed():
 # ---------------------------------------------------------------------------
 # sampling
 
-def draw_fields(factor, seeds):
-    """eta, nu (B, M, n_t) and mu (B, M, n_tau) for one trajectory per seed."""
-    w = np.stack([draw_normal(factor, seed) for seed in seeds], axis=1)
-    return synthesize(factor, w)
+def draw_fields(factor, seed, n):
+    """eta, nu (n, M, n_t) and mu (n, M, n_tau) of n trajectories keyed by seed."""
+    return synthesize(factor, draw_normal(factor, seed, n))
 
 
 def test_sample_zero_factor_gives_zero_noise():
     factor = NoiseFactor(a=(np.zeros((6, 0), complex),), n_t=2, n_tau=2)
-    eta, nu, mu = draw_fields(factor, [123])
+    eta, nu, mu = draw_fields(factor, 123, 1)
     assert np.all(eta == 0) and np.all(nu == 0) and np.all(mu == 0)
 
 
 def test_sample_deterministic(ctx_one_mode, small_grids):
     cov = build_covariance(ctx_one_mode, small_grids)
     factor = factorize(cov)
-    b1 = draw_fields(factor, [2024])
-    b2 = draw_fields(factor, [2024])
+    b1 = draw_fields(factor, 2024, 1)
+    b2 = draw_fields(factor, 2024, 1)
     for f1, f2 in zip(b1, b2):
         assert f1.tobytes() == f2.tobytes()
-    b3 = draw_fields(factor, [2025])
+    b3 = draw_fields(factor, 2025, 1)
     assert b1[0].tobytes() != b3[0].tobytes()
+
+
+def test_draw_is_prefix_of_longer_draw(ctx_two_mode):
+    # row j is the j-th rank-long block of the key's stream, so a short batch
+    # draws exactly the first rows of a full one
+    factor = factorize(build_covariance(ctx_two_mode, TimeGrids(
+        t_f=1.0, n_t=6, hbar_beta=ctx_two_mode.hbar_beta, n_tau=4)))
+    key = derive_seed(42, 3)
+    short, full = draw_normal(factor, key, 17), draw_normal(factor, key, 256)
+    assert short.shape == (17, factor.rank) and full.shape == (256, factor.rank)
+    assert np.array_equal(short, full[:17])
+
+
+def test_first_row_is_single_trajectory_recipe(ctx_one_mode, small_grids):
+    # row 0 of a batch is the README's one-trajectory draw, which is the first
+    # rank normals of the Philox stream seeded with the batch key
+    factor = factorize(build_covariance(ctx_one_mode, small_grids))
+    key = derive_seed(7, 0)
+    batch = draw_normal(factor, key, 256)
+    assert np.array_equal(batch[0], draw_normal(factor, key, 1)[0])
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    assert np.array_equal(batch[0], rng.standard_normal(factor.rank))
+
+
+def test_verification_draws_through_draw_normal(ctx_one_mode, small_grids, monkeypatch):
+    # the Monte Carlo checks take their normals from the run's one draw
+    # function, one call per chunk of _CHUNK samples
+    cov = build_covariance(ctx_one_mode, small_grids)
+    factor = factorize(cov)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return draw_normal(*args)
+
+    monkeypatch.setattr(noise, "draw_normal", counted)
+    n = 2 * noise._CHUNK + 1
+    verify_empirical(factor, cov, n_samples=n, seed=5)
+    assert calls == [noise._CHUNK, noise._CHUNK, 1]
+    calls.clear()
+    hs_identity_check(cov, factor, n_vectors=1, n_samples=300, seed=5)
+    assert calls == [300]
 
 
 def test_derive_seed_deterministic():
@@ -285,7 +327,7 @@ def test_bundle_shapes(ctx_two_mode):
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
-    eta, nu, mu = draw_fields(factor, [5, 6, 7])
+    eta, nu, mu = draw_fields(factor, 5, 3)
     assert eta.shape == (3, 2, 6)
     assert nu.shape == (3, 2, 6)
     assert mu.shape == (3, 2, 4)
@@ -328,11 +370,11 @@ def test_draw_normal_matches_sample_chain(ctx_two_mode):
                                  n_tau=4)
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
-    seeds = [derive_seed(42, 17), derive_seed(42, 18)]
-    w = np.stack([draw_normal(factor, seed) for seed in seeds], axis=1)
+    seed = derive_seed(42, 17)
+    w = draw_normal(factor, seed, 2).T
     r0 = factor.a[0].shape[1]
     z = [factor.a[0] @ w[:r0], factor.a[1] @ w[r0:]]
-    fields = dict(zip(("eta", "nu", "mu"), draw_fields(factor, seeds)))
+    fields = dict(zip(("eta", "nu", "mu"), draw_fields(factor, seed, 2)))
     for name, arr in fields.items():
         start = cov.field_slice(name).start
         for b, lam, k in np.ndindex(arr.shape):
