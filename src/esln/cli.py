@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None,
                      help="output CSV path; either flag replaces the config's output")
     run.add_argument("--checkpoint", default=None,
-                     help="checkpoint file (resumed when present)")
+                     help=f"checkpoint file, written every {ens.CHECKPOINT_EVERY} batches "
+                          "and after the last; resumed when present")
 
     eq = sub.add_parser("equilibrate", help="imaginary-time phase only")
     add_config(eq)
@@ -113,6 +114,16 @@ def _outputs(args, cfg: RunConfig):
                  for path in (cfg.output_document, cfg.output_csv))
 
 
+def _write_text(text: str, path: str | None):
+    """Write ``text`` to ``path`` and say so, or to stdout when there is no path."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     result = ens.run_ensemble(cfg, workers=args.workers, checkpoint_path=args.checkpoint)
@@ -136,18 +147,10 @@ def _cmd_run(args) -> int:
 def _cmd_equilibrate(args) -> int:
     cfg = _load(args)
     result = ens.run_ensemble(cfg, workers=args.workers, real_time=False)
-    doc = {
-        "schema": "esln-equilibrate/1",
-        "n_ok": result.n_ok,
-        "n_failed": result.n_failed,
-        "mean_rho0": [[[float(v.real), float(v.imag)] for v in row]
-                      for row in result.mean_rho0],
-        "stderr_re": [[float(v) for v in row] for row in result.se_re[0]],
-        "stderr_im": [[float(v) for v in row] for row in result.se_im[0]],
-        "z_factor": {"mean_re": result.z_factor_mean.real,
-                     "mean_im": result.z_factor_mean.imag,
-                     "se": result.z_factor_se},
-    }
+    full = ens.result_document(result)      # its one time is t = 0
+    doc = {"schema": "esln-equilibrate/1", "n_ok": full["n_ok"], "n_failed": full["n_failed"],
+           "mean_rho0": full["mean_rho"][0], "stderr_re": full["stderr_re"][0],
+           "stderr_im": full["stderr_im"][0], "z_factor": full["z_factor"]}
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     return EXIT_OK
 
@@ -212,13 +215,7 @@ def _cmd_kernels(args) -> int:
                 tau_part = (f"{float(tau[k])!r},{float(l_e[k, i, j])!r},"
                             f"{float(l_o[k, i, j])!r}") if k < tau.size else ",,"
                 lines.append(f"{i},{j},{t_part},{tau_part}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -233,14 +230,7 @@ def _cmd_oracle(args) -> int:
     series = exact_reduced_dynamics(cfg.system, modes, g_ops, trunc, cfg.grids)
     zeros = np.zeros_like(series, dtype=float)
     lines = ens.csv_lines(cfg.grids.t, series, zeros, zeros)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        print(f"wrote {args.csv}")
-    else:
-        for line in lines:
-            print(line)
+    _write_text("".join(line + "\n" for line in lines), args.csv)
     return EXIT_OK
 
 

@@ -26,7 +26,6 @@ class RunConfig:
     grids: TimeGrids
     n_traj: int
     master_seed: int
-    checkpoint_interval: int
     dim_cap: int
     oracle_n_levels: int
     oracle_cap: int
@@ -152,9 +151,6 @@ def parse_config(document) -> RunConfig:
     n_traj = _integer(_take(ens_node, "n_traj", "ensemble"), "ensemble.n_traj", minimum=2)
     master_seed = _integer(_take(ens_node, "master_seed", "ensemble"),
                            "ensemble.master_seed", minimum=0)
-    checkpoint_interval = _integer(
-        _take(ens_node, "checkpoint_interval", "ensemble", required=False, default=0),
-        "ensemble.checkpoint_interval", minimum=0)
     _no_extras(ens_node, "ensemble")
 
     noise_node = dict(_expect_map(
@@ -207,9 +203,8 @@ def parse_config(document) -> RunConfig:
         raise ValidationError("system", str(exc)) from exc
 
     return RunConfig(system=system, bath=bath, grids=grids, n_traj=n_traj,
-                     master_seed=master_seed, checkpoint_interval=checkpoint_interval,
-                     dim_cap=dim_cap, oracle_n_levels=n_levels, oracle_cap=oracle_cap,
-                     output_document=output_document, output_csv=output_csv)
+                     master_seed=master_seed, dim_cap=dim_cap, oracle_n_levels=n_levels,
+                     oracle_cap=oracle_cap, output_document=output_document, output_csv=output_csv)
 
 
 def load_config(path: str) -> RunConfig:
@@ -242,11 +237,7 @@ def emit_config(cfg: RunConfig) -> dict:
             "lambda": [[float(v) for v in row] for row in cfg.bath.lam],
         },
         "grids": {"t_f": cfg.grids.t_f, "n_t": cfg.grids.n_t, "n_tau": cfg.grids.n_tau},
-        "ensemble": {
-            "n_traj": cfg.n_traj,
-            "master_seed": cfg.master_seed,
-            "checkpoint_interval": cfg.checkpoint_interval,
-        },
+        "ensemble": {"n_traj": cfg.n_traj, "master_seed": cfg.master_seed},
         "noise": {"dim_cap": cfg.dim_cap},
         "oracle": {"n_levels": cfg.oracle_n_levels, "cap": cfg.oracle_cap},
     }

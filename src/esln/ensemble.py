@@ -33,7 +33,10 @@ from .propagate import equilibrate_batch, evolve_batch
 
 BATCH_SIZE = 256
 FAILURE_FRACTION = 0.01
-DOCUMENT_SCHEMA = "esln-result/2"
+CHECKPOINT_EVERY = 16       # batches between checkpoint writes; the last batch writes too
+DOCUMENT_SCHEMA = "esln-result/3"
+# the config sections that fix a run's numbers: documents and checkpoints echo these alone
+ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,6 @@ class EnsembleResult:
     mean_rho: np.ndarray        # (n_t, d, d) complex
     se_re: np.ndarray           # (n_t, d, d)
     se_im: np.ndarray           # (n_t, d, d)
-    mean_rho0: np.ndarray       # (d, d)
     n_traj: int
     n_ok: int
     n_failed: int
@@ -181,6 +183,10 @@ class EnsembleResult:
     z_factor_mean: complex
     z_factor_se: float
     config_echo: dict = field(default_factory=dict)
+
+    @property
+    def mean_rho0(self) -> np.ndarray:     # (d, d), the averaged initial state
+        return self.mean_rho[0]
 
     @property
     def stderr_rho(self) -> np.ndarray:
@@ -252,9 +258,12 @@ def _stats_to_doc(st: _Stats) -> dict:
             "m2_re": st.m2_re.tolist(), "m2_im": st.m2_im.tolist()}
 
 
-def _stats_from_doc(doc: dict) -> _Stats:
-    mean = np.array(doc["mean_re"]) + 1j * np.array(doc["mean_im"])
-    return _Stats(int(doc["n"]), mean, np.array(doc["m2_re"]), np.array(doc["m2_im"]))
+def _stats_from_doc(doc: dict, shape: tuple) -> _Stats:
+    re, im, m2_re, m2_im = (np.array(doc[key], dtype=float)
+                            for key in ("mean_re", "mean_im", "m2_re", "m2_im"))
+    if {re.shape, im.shape, m2_re.shape, m2_im.shape} != {shape}:
+        raise ValueError(f"statistics are not of shape {shape}")
+    return _Stats(int(doc["n"]), re + 1j * im, m2_re, m2_im)
 
 
 def _layout(pipe: Pipeline) -> dict:
@@ -278,22 +287,32 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())       # on disk before it takes the final name
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict, layout: dict):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_batches: int, shape: tuple):
+    """(next batch, series, z-factor, failure count) from ``path``; a torn or
+    malformed checkpoint, or one of another run, raises ValidationError."""
     schema = DOCUMENT_SCHEMA + "+checkpoint"
-    if doc.get("schema") != schema:
-        raise ValidationError("checkpoint", f"schema {doc.get('schema')!r} is not {schema!r}")
-    if doc.get("config") != cfg_echo:
-        raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
-    if doc.get("layout") != layout:
-        raise ValidationError("checkpoint", "checkpoint was written with a different noise "
-                                            "factor, batch size or esln version")
-    return (int(doc["next_batch"]), _stats_from_doc(doc["series"]),
-            _stats_from_doc(doc["z_factor"]), int(doc["n_failed"]))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = dict(json.load(fh))
+        if doc.get("schema") != schema:
+            raise ValidationError("checkpoint", f"schema {doc.get('schema')!r} is not {schema!r}")
+        if doc.get("config") != cfg_echo:
+            raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
+        if doc.get("layout") != layout:
+            raise ValidationError("checkpoint", "checkpoint was written with a different noise "
+                                                "factor, batch size or esln version")
+        next_batch, n_failed = doc["next_batch"], int(doc["n_failed"])
+        series, zfac = _stats_from_doc(doc["series"], shape), _stats_from_doc(doc["z_factor"], ())
+    except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
+        raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
+    if type(next_batch) is not int or not 0 <= next_batch <= n_batches:
+        raise ValidationError("checkpoint", f"next_batch {next_batch!r} is not in [0, {n_batches}]")
+    return next_batch, series, zfac, n_failed
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +344,9 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     batches are merged in batch order, so the worker count (at least 1)
     cannot change any output bit.  A ``pipeline`` built from the same system,
     bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
-    written every ``ensemble.checkpoint_interval`` trajectories, which must
-    then be positive, and resumes only with the schema, batch size and noise
-    factor that wrote it.  A non-finite folded mean or M2, or an averaged
+    written every CHECKPOINT_EVERY batches and after the last, and resumes
+    only with the echoed config, schema, batch size, noise factor and version
+    that wrote it.  A non-finite folded mean or M2, or an averaged
     Tr rho_bar(hbar*beta) that is zero or non-finite, raises NumericalError.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
@@ -339,12 +358,9 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     if checkpoint_path and not real_time:
         raise ValidationError("checkpoint",
                               "only full (real-time) runs write or resume checkpoints")
-    if checkpoint_path and cfg.checkpoint_interval <= 0:
-        raise ValidationError("ensemble.checkpoint_interval",
-                              "must be > 0 for a run with a checkpoint file")
     pipe = pipeline if pipeline is not None and _built_for(pipeline, cfg) \
         else build_pipeline(cfg)
-    cfg_echo = emit_config(cfg)
+    cfg_echo = {key: val for key, val in emit_config(cfg).items() if key in ECHOED_SECTIONS}
     layout = _layout(pipe) if checkpoint_path else None
     n_batches = -(-cfg.n_traj // BATCH_SIZE)
     d = cfg.system.dim
@@ -355,9 +371,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
         start_batch, series_acc, zfac_acc, n_failed = _read_checkpoint(
-            checkpoint_path, cfg_echo, layout)
-
-    interval_batches = max(1, cfg.checkpoint_interval // BATCH_SIZE) if checkpoint_path else 0
+            checkpoint_path, cfg_echo, layout, n_batches, series_acc.mean.shape)
 
     def work(batch: int) -> _BatchResult:
         return _run_batch(pipe, cfg, batch, real_time)
@@ -371,7 +385,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
             series_acc = series_acc.merge(out.series)
             zfac_acc = zfac_acc.merge(out.zfac)
             n_failed += out.n_failed
-            if interval_batches and done_batches % interval_batches == 0:
+            if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
+                                    or done_batches == n_batches):
                 _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
                                   series_acc, zfac_acc, n_failed)
 
@@ -390,7 +405,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     zf_se_re, zf_se_im = zfac_acc.se()
     return EnsembleResult(
         times=times, mean_rho=mean, se_re=se_re, se_im=se_im,
-        mean_rho0=mean[0].copy(), n_traj=cfg.n_traj, n_ok=n_ok, n_failed=n_failed,
+        n_traj=cfg.n_traj, n_ok=n_ok, n_failed=n_failed,
         master_seed=cfg.master_seed, z_factor_mean=complex(zfac_acc.mean),
         z_factor_se=float(np.hypot(zf_se_re, zf_se_im)), config_echo=cfg_echo)
 
@@ -402,6 +417,7 @@ def result_document(result: EnsembleResult) -> dict:
     """JSON-compatible output document (deterministic for identical results)."""
     return {
         "schema": DOCUMENT_SCHEMA,
+        "version": __version__,
         "config": result.config_echo,
         "master_seed": result.master_seed,
         "n_traj": result.n_traj,

@@ -43,7 +43,8 @@ def test_run_outputs_are_byte_identical_across_workers(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert csv1.read_bytes() == csv2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["schema"] == "esln-result/2"
+    assert doc["schema"] == "esln-result/3"
+    assert doc["version"] == esln.__version__
     assert doc["n_ok"] == 128
 
 
@@ -131,12 +132,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["equilibrate", "--config", good, "--workers", "0"]) == 2
     assert main(["verify-noise", "--config", good, "--samples", "10"]) == 2
     assert main(["oracle", "--config", good, "--n-levels", "1"]) == 2
-    # checkpoint_interval defaults to 0, which would never write the checkpoint
-    ckpt = tmp_path / "state.ckpt"
-    capsys.readouterr()
-    assert main(["run", "--config", good, "--checkpoint", str(ckpt)]) == 2
-    assert "ensemble.checkpoint_interval" in capsys.readouterr().err
-    assert not ckpt.exists()
 
 
 def test_numerical_error_exit_code(tmp_path):
@@ -170,10 +165,10 @@ def test_run_does_not_mutate_config(tmp_path):
     assert open(cfg, "rb").read() == before
 
 
-def test_checkpoint_flag(tmp_path):
+def test_checkpoint_flag(tmp_path, capsys):
+    # --checkpoint alone writes a checkpoint, and a rerun resumes to the same bytes
     doc = tiny_doc()
     doc["ensemble"]["n_traj"] = 600
-    doc["ensemble"]["checkpoint_interval"] = 256
     cfg = write_cfg(tmp_path, doc)
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -184,6 +179,12 @@ def test_checkpoint_flag(tmp_path):
     assert main(["run", "--config", cfg, "--output", str(out2),
                  "--checkpoint", str(ckpt)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the removed checkpoint_interval setting is an unknown key
+    doc["ensemble"]["checkpoint_interval"] = 256
+    old = write_cfg(tmp_path, doc, name="old.json")
+    capsys.readouterr()
+    assert main(["run", "--config", old, "--checkpoint", str(ckpt)]) == 2
+    assert "ensemble.checkpoint_interval" in capsys.readouterr().err
 
 
 def test_oracle_without_csv_prints_and_keeps_the_run_csv(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from esln import emit_config, parse_config
 from esln.errors import ValidationError
 
 from conftest import small_doc
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_minimal_document_parses():
@@ -72,11 +76,12 @@ def test_unknown_keys_rejected():
     with pytest.raises(ValidationError) as err:
         parse_config(doc)
     assert "system.extra_field" in str(err.value)
-    # the factorisation, the eta-mu convention and the estimator are fixed,
-    # not configurable
+    # the factorisation, the eta-mu convention, the estimator and the
+    # checkpoint cadence are fixed, not configurable
     for section, key, value in (("noise", "factorization", "takagi"),
                                 ("noise", "cross_kernel", "equilibrium"),
-                                ("ensemble", "normalize", "ensemble")):
+                                ("ensemble", "normalize", "ensemble"),
+                                ("ensemble", "checkpoint_interval", 256)):
         doc = small_doc()
         doc.setdefault(section, {})[key] = value
         with pytest.raises(ValidationError) as err:
@@ -222,3 +227,22 @@ def test_roundtrip_property(case):
 def test_document_must_be_object():
     with pytest.raises(ValidationError):
         parse_config([1, 2, 3])
+
+
+def _key_names(node) -> set:
+    """Every key of every object nested in ``node``."""
+    if isinstance(node, dict):
+        return set(node).union(*(_key_names(v) for v in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_key_names(v) for v in node))
+    return set()
+
+
+def test_readme_schema_block_names_every_key():
+    # the README's jsonc config block names exactly the keys of a document
+    # with every optional section, drives and output included
+    block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    doc = small_doc(output={"document": "r.json", "csv": "r.csv"})
+    doc["system"]["drives"] = [{"matrix": [[1.0, 0.0], [0.0, -1.0]], "amplitudes": [0.0] * 21}]
+    emitted = emit_config(parse_config(doc))
+    assert set(re.findall(r'"(\w+)":', block.group(1))) == _key_names(emitted)

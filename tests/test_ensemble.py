@@ -305,9 +305,7 @@ def test_hermiticity_report_thresholds():
 
 
 def test_checkpoint_resume_is_bit_identical(tmp_path):
-    doc = small_doc(n_traj=600, master_seed=21)
-    doc["ensemble"]["checkpoint_interval"] = 256
-    cfg = parse_config(doc)
+    cfg = parse_config(small_doc(n_traj=600, master_seed=21))
     ref = run_ensemble(cfg)
 
     ckpt = tmp_path / "state.json"
@@ -334,9 +332,8 @@ class Killed(Exception):
 def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     # a run killed in its third of four batches resumes from the checkpoint
     # after batch 2, runs exactly batches 2 and 3, and writes the same bytes
-    doc = small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21)
-    doc["ensemble"]["checkpoint_interval"] = ensemble.BATCH_SIZE
-    cfg = parse_config(doc)
+    monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    cfg = parse_config(small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21))
     ref = document_bytes(result_document(run_ensemble(cfg, workers=workers)))
     real_batch = ensemble._run_batch
     ran = []
@@ -361,17 +358,6 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     assert document_bytes(result_document(resumed)) == ref
 
 
-def test_checkpoint_needs_positive_interval(tmp_path):
-    # with the default interval 0 no checkpoint would ever be written
-    cfg = parse_config(small_doc(n_traj=64))
-    assert cfg.checkpoint_interval == 0
-    ckpt = tmp_path / "state.json"
-    with pytest.raises(ValidationError) as err:
-        run_ensemble(cfg, checkpoint_path=str(ckpt))
-    assert err.value.path == "ensemble.checkpoint_interval"
-    assert not ckpt.exists()
-
-
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_must_be_positive(workers):
     cfg = parse_config(small_doc(n_traj=64))
@@ -383,9 +369,7 @@ def test_workers_must_be_positive(workers):
 def test_checkpoint_refuses_other_layout(tmp_path):
     # a checkpoint resumes only into the noise streams that wrote it: the same
     # noise factor, bit for bit, the same batch size and the same package version
-    doc = small_doc(n_traj=600, master_seed=21)
-    doc["ensemble"]["checkpoint_interval"] = 256
-    cfg = parse_config(doc)
+    cfg = parse_config(small_doc(n_traj=600, master_seed=21))
     ckpt = tmp_path / "state.json"
     run_ensemble(cfg, checkpoint_path=str(ckpt))
     written = json.loads(ckpt.read_text())
@@ -403,6 +387,68 @@ def test_checkpoint_refuses_other_layout(tmp_path):
         assert err.value.path == "checkpoint"
 
 
+def _edit(change):
+    """A damage that decodes the checkpoint, applies ``change`` and encodes it again."""
+    def damage(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+    return damage
+
+
+_DAMAGES = {
+    "truncated": lambda text: text[:len(text) // 2],
+    "not-an-object": lambda text: "[]",
+    "no-series": _edit(lambda data: data.pop("series")),
+    "three-rows": _edit(lambda data: data["series"].update(
+        {key: rows[:3] for key, rows in data["series"].items() if key != "n"})),
+    "next-batch-negative": _edit(lambda data: data.update(next_batch=-5)),
+    "next-batch-past-end": _edit(lambda data: data.update(next_batch=99)),
+    "next-batch-string": _edit(lambda data: data.update(next_batch="2")),
+}
+
+
+@pytest.mark.parametrize("damage", _DAMAGES.values(), ids=_DAMAGES.keys())
+def test_damaged_checkpoint_is_refused(tmp_path, capsys, damage):
+    # a torn or malformed checkpoint is a configuration error (exit 2) in the
+    # library and on the command line, never a traceback
+    doc = small_doc(n_traj=600, master_seed=21)
+    cfg = parse_config(doc)
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg, checkpoint_path=str(ckpt))
+    ckpt.write_text(damage(ckpt.read_text()))
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(cfg, checkpoint_path=str(ckpt))
+    assert err.value.path == "checkpoint"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out.json"),
+                 "--checkpoint", str(ckpt)]) == 2
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_settings_that_fix_no_number_leave_the_bytes_alone(tmp_path):
+    # the output paths, the oracle and the covariance cap are not echoed: two
+    # runs that differ only there write the same bytes, and a checkpoint
+    # written by one resumes under the other
+    doc_a = small_doc(n_traj=600, master_seed=21,
+                      output={"document": "a.json", "csv": "a.csv"},
+                      oracle={"n_levels": 12}, noise={"dim_cap": 100})
+    doc_b = small_doc(n_traj=600, master_seed=21, output={"document": "b.json"},
+                      oracle={"n_levels": 5, "cap": 64})
+    cfg_a, cfg_b = parse_config(doc_a), parse_config(doc_b)
+    assert cfg_a.dim_cap != cfg_b.dim_cap
+    ref = document_bytes(result_document(run_ensemble(cfg_a)))
+    assert document_bytes(result_document(run_ensemble(cfg_b))) == ref
+    assert set(json.loads(ref)["config"]) == {"system", "bath", "grids", "ensemble"}
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg_a, checkpoint_path=str(ckpt))
+    resumed = run_ensemble(cfg_b, checkpoint_path=str(ckpt))
+    assert document_bytes(result_document(resumed)) == ref
+
+
 def test_package_version_matches_pyproject():
     # the version is part of a checkpoint's layout, so both places must agree
     tomllib = pytest.importorskip("tomllib")
@@ -412,9 +458,7 @@ def test_package_version_matches_pyproject():
 
 
 def test_checkpoint_refuses_other_schema(tmp_path):
-    doc = small_doc(n_traj=300, master_seed=21)
-    doc["ensemble"]["checkpoint_interval"] = 256
-    cfg = parse_config(doc)
+    cfg = parse_config(small_doc(n_traj=300, master_seed=21))
     ckpt = tmp_path / "state.json"
     run_ensemble(cfg, checkpoint_path=str(ckpt))
     data = json.loads(ckpt.read_text())
