@@ -10,7 +10,7 @@ oracle       exact reduced dynamics of the truncated total system, as CSV
 compare      diff two result CSVs (ensemble vs oracle) in stderr units
 
 Exit codes: 0 success, 1 standard output closed early, 2 configuration
-error, 3 numerical failure, 4 comparison failure.
+error, 3 numerical failure or a lost worker process, 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config(run)
     run.add_argument("--n-traj", type=int, default=None, help="override ensemble.n_traj")
     run.add_argument("--workers", type=int, default=1,
-                     help="worker threads (never affects results)")
+                     help="worker processes (never affects results)")
     run.add_argument("--output", default=None, help="output document path (see --csv)")
     run.add_argument("--csv", default=None,
                      help="output CSV path; either flag replaces the config's output")
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("equilibrate", help="imaginary-time phase only")
     add_config(eq)
     eq.add_argument("--n-traj", type=int, default=None)
-    eq.add_argument("--workers", type=int, default=1)
+    eq.add_argument("--workers", type=int, default=1, help="worker processes")
 
     vn = sub.add_parser("verify-noise", help="empirical covariance z-score report")
     add_config(vn)

@@ -10,21 +10,30 @@ trajectory, and takes its (mean, M2) statistics in two passes; batch partials
 are then folded in batch order with Chan's merge.  All of it depends only on
 batch indices, so results are bit-identical for any worker count, and a
 checkpoint taken between batches resumes to the same bits.
+
+One worker runs the batches on the calling thread.  More run them on that
+many spawned processes, each sent the config, the system and the noise factor
+once; the calling process only merges and checkpoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, emit_config
-from .errors import NumericalError, TooManyFailures, ValidationError
+from .errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from .kernels import KernelContext
 from .model import NormalModes, SystemSpec, diagonalize_bath, mode_couplings
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
@@ -136,7 +145,8 @@ class _BatchResult:
     n_failed: int
 
 
-def _run_batch(pipe: Pipeline, cfg: RunConfig, batch: int, real_time: bool) -> _BatchResult:
+def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, batch: int,
+               real_time: bool) -> _BatchResult:
     """Draw, quench and (with ``real_time``) evolve batch ``batch`` of the run.
 
     The batch holds trajectories batch * BATCH_SIZE onwards, up to BATCH_SIZE
@@ -144,7 +154,7 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, batch: int, real_time: bool) -> _
     stream keyed by (``cfg.master_seed``, batch).  Without real time the series
     is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
-    system, grids, factor = pipe.system, cfg.grids, pipe.factor
+    grids = cfg.grids
     n = min(BATCH_SIZE, cfg.n_traj - batch * BATCH_SIZE)
     w = draw_normal(factor, derive_seed(cfg.master_seed, batch), n)
     eta, nu, mu = synthesize(factor, w)
@@ -163,6 +173,77 @@ def _run_batch(pipe: Pipeline, cfg: RunConfig, batch: int, real_time: bool) -> _
     return _BatchResult(series=_pairwise_stats(series[ok]),
                         zfac=_pairwise_stats(zfac),
                         n_failed=int(failed.sum()))
+
+
+# the arguments every batch of a pooled run shares, set once in each worker process
+_worker_args: tuple = ()
+
+
+def _init_worker(path: str):
+    global _worker_args
+    with open(path, "rb") as fh:
+        _worker_args = pickle.load(fh)
+
+
+def _worker_batch(batch: int) -> _BatchResult:
+    run_batch, system, factor, cfg, real_time = _worker_args
+    return run_batch(system, factor, cfg, batch, real_time)
+
+
+@contextmanager
+def _blas_threads_sleep_at_once():
+    """OPENBLAS_THREAD_TIMEOUT=4 in os.environ for the block, then the caller's value.
+
+    Workers keep the caller's BLAS thread count: with one BLAS thread the noise
+    synthesis rounds differently, so a pooled run would change bits.  The
+    shortest timeout (2**4 cycles, against 2**28, about 0.1 s) makes OpenBLAS's
+    helper threads sleep right after each call instead of spinning on the
+    cores the other workers need.
+    """
+    saved = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        else:
+            os.environ["OPENBLAS_THREAD_TIMEOUT"] = saved
+
+
+@contextmanager
+def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, batches: range,
+                   workers: int, real_time: bool):
+    """An iterator over ``run_batch``'s results for ``batches``, in batch order.
+
+    One worker runs them on the calling thread.  More run them on
+    min(workers, len(batches)) spawned processes (spawned, not forked, since
+    this process may already run BLAS threads), whose BLAS threads sleep
+    between calls.  Each reads what ``run_batch`` reads, once, from a file.
+    Passed as initializer arguments, that payload would go down each worker's
+    start-up pipe, and a worker that dies while starting (re-running a script
+    that has no main guard, say) would leave this process blocked on a payload
+    larger than the pipe buffer; read from a file, the pool breaks instead.
+    On leaving the block the pool is shut down, its queued batches cancelled
+    and its processes joined.
+    """
+    if workers == 1 or not batches:
+        yield (run_batch(pipe.system, pipe.factor, cfg, batch, real_time) for batch in batches)
+        return
+    with tempfile.TemporaryDirectory(prefix="esln-") as tmp:
+        args_path = os.path.join(tmp, "batch-args.pickle")
+        with open(args_path, "wb") as fh:
+            pickle.dump((run_batch, pipe.system, pipe.factor, cfg, real_time), fh,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(batches)),
+                                   mp_context=multiprocessing.get_context("spawn"),
+                                   initializer=_init_worker, initargs=(args_path,))
+        try:
+            with _blas_threads_sleep_at_once():     # the workers start inside map's submits
+                outs = pool.map(_worker_batch, batches)
+            yield outs
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +373,11 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_batches: int, shape: tuple):
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_traj: int, shape: tuple):
     """(next batch, series, z-factor, failure count) from ``path``; a torn or
-    malformed checkpoint, or one of another run, raises ValidationError."""
+    malformed checkpoint, one of another run, or one whose counts do not add
+    up to its batches raises ValidationError."""
+    n_batches = -(-n_traj // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -312,6 +395,12 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_batches: int, sh
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if type(next_batch) is not int or not 0 <= next_batch <= n_batches:
         raise ValidationError("checkpoint", f"next_batch {next_batch!r} is not in [0, {n_batches}]")
+    if series.n != zfac.n:
+        raise ValidationError("checkpoint", f"series.n {series.n} is not z_factor.n {zfac.n}")
+    n_run = min(next_batch * BATCH_SIZE, n_traj)
+    if series.n + n_failed != n_run:
+        raise ValidationError("checkpoint", f"series.n {series.n} + n_failed {n_failed} is not "
+                                            f"the {n_run} trajectories of {next_batch} batches")
     return next_batch, series, zfac, n_failed
 
 
@@ -342,7 +431,12 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     Deterministic in the config: the per-batch noise keys, the batch layout,
     and the reduction are all functions of batch indices alone, and
     batches are merged in batch order, so the worker count (at least 1)
-    cannot change any output bit.  A ``pipeline`` built from the same system,
+    cannot change any output bit.  ``workers`` = 1 runs the batches on the
+    calling thread; more run them on that many spawned worker processes,
+    which take about 0.5 s to start.  Each worker imports the caller's main
+    module, so a script that calls this needs an ``if __name__ == "__main__":``
+    guard.  A worker that dies raises WorkerLost, naming the first batch not
+    merged.  A ``pipeline`` built from the same system,
     bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
     written every CHECKPOINT_EVERY batches and after the last, and resumes
     only with the echoed config, schema, batch size, noise factor and version
@@ -371,24 +465,26 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
         start_batch, series_acc, zfac_acc, n_failed = _read_checkpoint(
-            checkpoint_path, cfg_echo, layout, n_batches, series_acc.mean.shape)
+            checkpoint_path, cfg_echo, layout, cfg.n_traj, series_acc.mean.shape)
 
-    def work(batch: int) -> _BatchResult:
-        return _run_batch(pipe, cfg, batch, real_time)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in batch order, whatever order the batches finish in; one
-        # worker stays on the calling thread, so its batches reuse the main
-        # malloc arena instead of growing a pool thread's own
-        outs = (pool.map if workers > 1 else map)(work, range(start_batch, n_batches))
-        for done_batches, out in enumerate(outs, start=start_batch + 1):
-            series_acc = series_acc.merge(out.series)
-            zfac_acc = zfac_acc.merge(out.zfac)
-            n_failed += out.n_failed
-            if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
-                                    or done_batches == n_batches):
-                _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
-                                  series_acc, zfac_acc, n_failed)
+    # _run_batch is looked up now, so a replacement set on the module reaches
+    # the workers too
+    done_batches = start_batch
+    try:
+        with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
+                            workers, real_time) as outs:
+            for out in outs:
+                series_acc = series_acc.merge(out.series)
+                zfac_acc = zfac_acc.merge(out.zfac)
+                n_failed += out.n_failed
+                done_batches += 1
+                if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
+                                        or done_batches == n_batches):
+                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
+                                      series_acc, zfac_acc, n_failed)
+    except BrokenProcessPool as exc:
+        raise WorkerLost(f"a worker process died; batch {done_batches} and later "
+                         f"were not merged") from exc
 
     n_ok = series_acc.n
     if n_failed > FAILURE_FRACTION * cfg.n_traj:

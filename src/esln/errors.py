@@ -18,7 +18,11 @@ class ValidationError(ConfigError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):           # rebuilt from both arguments, not from str(self)
+        return type(self), (self.path, self.message)
 
 
 class NumericalError(EslnError):
@@ -47,6 +51,10 @@ class TooManyFailures(NumericalError):
 
 class CapExceeded(NumericalError):
     """A configured size cap (covariance dimension, Hilbert dimension) was exceeded."""
+
+
+class WorkerLost(EslnError):
+    """A worker process died before its batch was merged (CLI exit code 3)."""
 
 
 class TruncationWarning(UserWarning):

@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +22,76 @@ from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, fact
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _Stats,
                            compare_series, document_bytes, read_csv, result_document)
 from esln.cli import main
-from esln.errors import NumericalError, TooManyFailures, ValidationError
+from esln.errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from esln.noise import NoiseCovariance
 
 from conftest import small_doc
+
+# Stand-ins for ensemble._run_batch live at module level: at workers > 1 they
+# are pickled by name into spawned processes, which see no monkeypatch and no
+# list of this process, so what they record goes through a file.
+_real_run_batch = ensemble._run_batch
+
+
+class Killed(Exception):
+    """Stands in for a run stopped from outside."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _Logged:
+    """Runs the real batch after appending ``record(batch)`` to the file ``log``."""
+
+    log: str
+    record: object = str
+
+    def __call__(self, system, factor, run_cfg, batch, real_time):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write(f"{self.record(batch)}\n")
+        return _real_run_batch(system, factor, run_cfg, batch, real_time)
+
+    def lines(self) -> list:
+        return Path(self.log).read_text().split() if os.path.exists(self.log) else []
+
+
+def _slow_first(system, factor, run_cfg, batch, real_time):
+    if batch == 0:
+        time.sleep(0.2)
+    return _real_run_batch(system, factor, run_cfg, batch, real_time)
+
+
+def _killed_at_batch_2(system, factor, run_cfg, batch, real_time):
+    if batch == 2:
+        raise Killed
+    return _real_run_batch(system, factor, run_cfg, batch, real_time)
+
+
+def _blas_timeout(batch):
+    return os.environ.get("OPENBLAS_THREAD_TIMEOUT", "unset")
+
+
+def _pid(batch):
+    return os.getpid()
+
+
+@dataclasses.dataclass(frozen=True)
+class _DiesAtBatch2:
+    """Ends its process, as an out-of-memory kill would, on batch 2, once the
+    checkpoint shows batches 0 and 1 merged."""
+
+    checkpoint: str
+
+    def __call__(self, system, factor, run_cfg, batch, real_time):
+        if batch == 2:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    if json.loads(Path(self.checkpoint).read_text())["next_batch"] == 2:
+                        break
+                except (OSError, ValueError):
+                    pass
+                time.sleep(0.01)
+            os._exit(1)
+        return _real_run_batch(system, factor, run_cfg, batch, real_time)
 
 
 def test_pairwise_stats_match_two_pass():
@@ -121,14 +192,7 @@ def test_batches_merge_in_batch_order(monkeypatch):
     # batch runs before it ends; the merge must still take batch 0 first
     cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE + 17))
     ref = document_bytes(result_document(run_ensemble(cfg, workers=1)))
-    real_batch = ensemble._run_batch
-
-    def slow_first(pipe, run_cfg, batch, real_time):
-        if batch == 0:
-            time.sleep(0.2)
-        return real_batch(pipe, run_cfg, batch, real_time)
-
-    monkeypatch.setattr(ensemble, "_run_batch", slow_first)
+    monkeypatch.setattr(ensemble, "_run_batch", _slow_first)
     assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
 
 
@@ -324,10 +388,6 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     assert resumed.n_ok == ref.n_ok
 
 
-class Killed(Exception):
-    """Stands in for a run stopped from outside."""
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     # a run killed in its third of four batches resumes from the checkpoint
@@ -335,27 +395,124 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
     cfg = parse_config(small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21))
     ref = document_bytes(result_document(run_ensemble(cfg, workers=workers)))
-    real_batch = ensemble._run_batch
-    ran = []
-
-    def killed_at_batch_2(pipe, run_cfg, batch, real_time):
-        if batch == 2:
-            raise Killed
-        return real_batch(pipe, run_cfg, batch, real_time)
-
-    def counted(pipe, run_cfg, batch, real_time):
-        ran.append(batch)
-        return real_batch(pipe, run_cfg, batch, real_time)
+    counted = _Logged(str(tmp_path / "ran.txt"))
 
     ckpt = tmp_path / "state.json"
-    monkeypatch.setattr(ensemble, "_run_batch", killed_at_batch_2)
+    monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
     with pytest.raises(Killed):
         run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
     assert json.loads(ckpt.read_text())["next_batch"] == 2
     monkeypatch.setattr(ensemble, "_run_batch", counted)
     resumed = run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
+    ran = [int(batch) for batch in counted.lines()]
     assert sorted(ran) == [2, 3]
     assert document_bytes(result_document(resumed)) == ref
+
+
+@pytest.mark.parametrize("preset", [None, "20"], ids=["unset", "preset"])
+def test_workers_start_with_sleeping_blas_threads(tmp_path, monkeypatch, preset):
+    # each worker process starts with OPENBLAS_THREAD_TIMEOUT=4, and the
+    # caller's environment is left as it was, the variable unset or at its value
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", preset)
+    before = dict(os.environ)
+    seen = _Logged(str(tmp_path / "blas.txt"), _blas_timeout)
+    monkeypatch.setattr(ensemble, "_run_batch", seen)
+    run_ensemble(parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE)), workers=2)
+    assert seen.lines() == ["4", "4"]
+    assert dict(os.environ) == before
+
+
+def test_workers_round_blas_calls_as_the_caller():
+    # on this grid the noise synthesis rounds differently with one BLAS thread
+    # than with several, so workers must keep the caller's thread count
+    doc = small_doc(n_traj=ensemble.BATCH_SIZE)
+    doc["grids"] = {"t_f": 4.0, "n_t": 61, "n_tau": 21}
+    cfg = parse_config(doc)
+    ref = document_bytes(result_document(run_ensemble(cfg)))
+    assert document_bytes(result_document(run_ensemble(cfg, workers=2))) == ref
+
+
+def test_pool_leaves_no_processes(monkeypatch):
+    cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE))
+    run_ensemble(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
+    with pytest.raises(Killed):
+        run_ensemble(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_starts_one_process_per_remaining_batch(tmp_path, monkeypatch):
+    # workers = 4 on a 2-batch run starts 2 processes; a resume with no batch
+    # left starts none
+    sizes = []
+
+    def spy(*args, max_workers, **kwargs):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(*args, max_workers=max_workers, **kwargs)
+
+    cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE, master_seed=21))
+    pids = _Logged(str(tmp_path / "pids.txt"), _pid)
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(ensemble, "_run_batch", pids)
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg, workers=4, checkpoint_path=str(ckpt))
+    assert sizes == [2]
+    assert len(pids.lines()) == 2 and len(set(pids.lines())) <= 2
+    run_ensemble(cfg, workers=4, checkpoint_path=str(ckpt))
+    assert sizes == [2]
+    assert len(pids.lines()) == 2
+
+
+def test_dead_worker_is_a_typed_failure(tmp_path, monkeypatch, capsys):
+    # a worker process that dies (os._exit, as an out-of-memory kill would end
+    # it) raises WorkerLost naming the first batch not merged, exit 3 on the
+    # command line; the checkpoint it leaves resumes to the reference bytes
+    monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    doc = small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21)
+    cfg = parse_config(doc)
+    ref = document_bytes(result_document(run_ensemble(cfg)))
+    ckpt = tmp_path / "state.json"
+    monkeypatch.setattr(ensemble, "_run_batch", _DiesAtBatch2(str(ckpt)))
+    with pytest.raises(WorkerLost) as err:
+        run_ensemble(cfg, workers=2, checkpoint_path=str(ckpt))
+    assert "batch 2 and later were not merged" in str(err.value)
+    assert json.loads(ckpt.read_text())["next_batch"] == 2
+    assert multiprocessing.active_children() == []
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    cli_ckpt = tmp_path / "cli_state.json"
+    monkeypatch.setattr(ensemble, "_run_batch", _DiesAtBatch2(str(cli_ckpt)))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out.json"),
+                 "--workers", "2", "--checkpoint", str(cli_ckpt)]) == 3
+    assert "batch 2" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+    monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
+    resumed = run_ensemble(cfg, workers=2, checkpoint_path=str(ckpt))
+    assert document_bytes(result_document(resumed)) == ref
+
+
+def test_script_without_main_guard_fails_instead_of_hanging(tmp_path):
+    # each spawned worker re-runs an unguarded script, whose run_ensemble cannot
+    # start processes while the worker is still starting, so the worker dies;
+    # the caller gets WorkerLost.  quick_demo's noise factor is larger than a
+    # pipe buffer, which is what once left the caller blocked for good.
+    script = tmp_path / "unguarded.py"
+    config = Path(__file__).resolve().parent.parent / "configs" / "quick_demo.json"
+    script.write_text("import esln\n"
+                      f"cfg = esln.load_config({str(config)!r}).with_overrides(n_traj=512)\n"
+                      "esln.run_ensemble(cfg, workers=2)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(esln.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 1
+    assert "WorkerLost: a worker process died; batch 0" in done.stderr
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -405,6 +562,11 @@ _DAMAGES = {
     "next-batch-negative": _edit(lambda data: data.update(next_batch=-5)),
     "next-batch-past-end": _edit(lambda data: data.update(next_batch=99)),
     "next-batch-string": _edit(lambda data: data.update(next_batch="2")),
+    "series-n-not-z-factor-n": _edit(lambda data: (data["series"].update(n=5),
+                                                   data.update(n_failed=2))),
+    "counts-short-of-batches": _edit(lambda data: (data["series"].update(n=5),
+                                                   data["z_factor"].update(n=5),
+                                                   data.update(n_failed=2))),
 }
 
 
