@@ -4,14 +4,20 @@ One estimator: trajectories stay unnormalized through real time, and every
 output is scaled once by 1 / Tr <rho_bar(hbar*beta)>, the noise-averaged
 partition function.  By linearity of the noise average this is exact.
 
-Trajectories are processed in fixed-size batches.  Each batch draws its noise
-in one call from the stream keyed by (master_seed, batch index), one row per
-trajectory, and takes its (mean, M2) statistics in two passes; batch partials
-are then folded in batch order with Chan's merge.  All of it depends only on
-batch indices, so results are bit-identical for any worker count, and a
-checkpoint taken between batches resumes to the same bits.
+The determinism unit is the block of BATCH_SIZE trajectories.  Each block
+draws its noise in one call from the stream keyed by (master_seed, block
+index), one row per trajectory, and takes its (mean, M2) statistics in two
+passes; block partials are then folded in block order with Chan's merge.  All
+of it depends only on block indices, so results are bit-identical for any
+worker count, and a checkpoint taken between blocks resumes to the same bits.
 
-One worker runs the batches on the calling thread.  More run them on that
+The compute unit is the chunk: up to CHUNK_BLOCKS consecutive full blocks,
+whose rows are synthesized, quenched and evolved together, so each numpy call
+spreads its overhead over more trajectories.  A full block's rows round the
+same in a chunk as alone.  A short last block's few rows do not (they round
+differently inside a wider matrix product), so it always runs alone.
+
+One worker runs the chunks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
 once; the calling process only merges and checkpoints.
 """
@@ -40,9 +46,10 @@ from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
                     draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
 
-BATCH_SIZE = 256
+BATCH_SIZE = 256            # trajectories per block, the unit of keying, reduction and merge
+CHUNK_BLOCKS = 2            # full blocks per compute chunk, at most
 FAILURE_FRACTION = 0.01
-CHECKPOINT_EVERY = 16       # batches between checkpoint writes; the last batch writes too
+CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
 DOCUMENT_SCHEMA = "esln-result/3"
 # the config sections that fix a run's numbers: documents and checkpoints echo these alone
 ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
@@ -145,19 +152,22 @@ class _BatchResult:
     n_failed: int
 
 
-def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, batch: int,
-               real_time: bool) -> _BatchResult:
-    """Draw, quench and (with ``real_time``) evolve batch ``batch`` of the run.
+def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: range,
+               real_time: bool) -> list:
+    """Draw, quench and (with ``real_time``) evolve the chunk ``blocks``; one
+    _BatchResult per block, in block order.
 
-    The batch holds trajectories batch * BATCH_SIZE onwards, up to BATCH_SIZE
-    of them and none past ``cfg.n_traj``; their noise is one draw from the
-    stream keyed by (``cfg.master_seed``, batch).  Without real time the series
-    is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
+    Block b holds trajectories b * BATCH_SIZE onwards, up to BATCH_SIZE of
+    them and none past ``cfg.n_traj``; its noise is one draw from the stream
+    keyed by (``cfg.master_seed``, b).  The blocks' rows are synthesized,
+    quenched and evolved together, then each block is reduced on its own, so
+    a failed row counts against its block alone.  Without real time the
+    series is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
     grids = cfg.grids
-    n = min(BATCH_SIZE, cfg.n_traj - batch * BATCH_SIZE)
-    w = draw_normal(factor, derive_seed(cfg.master_seed, batch), n)
-    eta, nu, mu = synthesize(factor, w)
+    sizes = [min(BATCH_SIZE, cfg.n_traj - b * BATCH_SIZE) for b in blocks]
+    eta, nu, mu = synthesize(factor, np.concatenate(
+        [draw_normal(factor, derive_seed(cfg.master_seed, b), n) for b, n in zip(blocks, sizes)]))
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
     traces = np.trace(rho_end, axis1=1, axis2=2)
@@ -168,14 +178,34 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, batch: i
         failed |= div_real
     else:
         series = rho_end[:, None]
-    ok = ~failed
-    zfac = traces[ok] / system.dim
-    return _BatchResult(series=_pairwise_stats(series[ok]),
-                        zfac=_pairwise_stats(zfac),
-                        n_failed=int(failed.sum()))
+    results, lo = [], 0
+    for n in sizes:
+        rows = slice(lo, lo + n)
+        ok = ~failed[rows]
+        values = series[rows] if ok.all() else series[rows][ok]
+        results.append(_BatchResult(series=_pairwise_stats(values),
+                                    zfac=_pairwise_stats(traces[rows][ok] / system.dim),
+                                    n_failed=n - int(ok.sum())))
+        lo += n
+    return results
 
 
-# the arguments every batch of a pooled run shares, set once in each worker process
+def _chunks(start: int, n_traj: int, workers: int) -> list:
+    """The compute chunks of blocks ``start`` onwards, as ranges of blocks.
+
+    Full blocks go CHUNK_BLOCKS at a time, or fewer, so that no chunk holds
+    more than a worker's share of them, ceil(full blocks left / workers); a
+    short last block is a chunk of its own.
+    """
+    n_full = n_traj // BATCH_SIZE
+    width = max(1, min(CHUNK_BLOCKS, -(-(n_full - start) // workers)))
+    chunks = [range(b, min(b + width, n_full)) for b in range(start, n_full, width)]
+    if n_traj % BATCH_SIZE and start <= n_full:
+        chunks.append(range(n_full, n_full + 1))
+    return chunks
+
+
+# the arguments every chunk of a pooled run shares, set once in each worker process
 _worker_args: tuple = ()
 
 
@@ -185,9 +215,9 @@ def _init_worker(path: str):
         _worker_args = pickle.load(fh)
 
 
-def _worker_batch(batch: int) -> _BatchResult:
+def _worker_chunk(blocks: range) -> list:
     run_batch, system, factor, cfg, real_time = _worker_args
-    return run_batch(system, factor, cfg, batch, real_time)
+    return run_batch(system, factor, cfg, blocks, real_time)
 
 
 @contextmanager
@@ -212,36 +242,38 @@ def _blas_threads_sleep_at_once():
 
 
 @contextmanager
-def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, batches: range,
+def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, chunks: list,
                    workers: int, real_time: bool):
-    """An iterator over ``run_batch``'s results for ``batches``, in batch order.
+    """An iterator over ``run_batch``'s per-block results for ``chunks``, in
+    block order.
 
-    One worker runs them on the calling thread.  More run them on
-    min(workers, len(batches)) spawned processes (spawned, not forked, since
+    One worker runs the chunks on the calling thread.  More run them on
+    min(workers, len(chunks)) spawned processes (spawned, not forked, since
     this process may already run BLAS threads), whose BLAS threads sleep
     between calls.  Each reads what ``run_batch`` reads, once, from a file.
     Passed as initializer arguments, that payload would go down each worker's
     start-up pipe, and a worker that dies while starting (re-running a script
     that has no main guard, say) would leave this process blocked on a payload
     larger than the pipe buffer; read from a file, the pool breaks instead.
-    On leaving the block the pool is shut down, its queued batches cancelled
+    On leaving the block the pool is shut down, its queued chunks cancelled
     and its processes joined.
     """
-    if workers == 1 or not batches:
-        yield (run_batch(pipe.system, pipe.factor, cfg, batch, real_time) for batch in batches)
+    if workers == 1 or not chunks:
+        yield (out for blocks in chunks
+               for out in run_batch(pipe.system, pipe.factor, cfg, blocks, real_time))
         return
     with tempfile.TemporaryDirectory(prefix="esln-") as tmp:
         args_path = os.path.join(tmp, "batch-args.pickle")
         with open(args_path, "wb") as fh:
             pickle.dump((run_batch, pipe.system, pipe.factor, cfg, real_time), fh,
                         protocol=pickle.HIGHEST_PROTOCOL)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(batches)),
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
                                    mp_context=multiprocessing.get_context("spawn"),
                                    initializer=_init_worker, initargs=(args_path,))
         try:
             with _blas_threads_sleep_at_once():     # the workers start inside map's submits
-                outs = pool.map(_worker_batch, batches)
-            yield outs
+                outs = pool.map(_worker_chunk, chunks)
+            yield (out for chunk_outs in outs for out in chunk_outs)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -428,20 +460,23 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
                  real_time: bool = True) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
-    Deterministic in the config: the per-batch noise keys, the batch layout,
-    and the reduction are all functions of batch indices alone, and
-    batches are merged in batch order, so the worker count (at least 1)
-    cannot change any output bit.  ``workers`` = 1 runs the batches on the
-    calling thread; more run them on that many spawned worker processes,
-    which take about 0.5 s to start.  Each worker imports the caller's main
-    module, so a script that calls this needs an ``if __name__ == "__main__":``
-    guard.  A worker that dies raises WorkerLost, naming the first batch not
-    merged.  A ``pipeline`` built from the same system,
-    bath, grids and cap is reused; any other is rebuilt.  A checkpoint is
-    written every CHECKPOINT_EVERY batches and after the last, and resumes
-    only with the echoed config, schema, batch size, noise factor and version
-    that wrote it.  A non-finite folded mean or M2, or an averaged
-    Tr rho_bar(hbar*beta) that is zero or non-finite, raises NumericalError.
+    Deterministic in the config: the noise keys, the reduction and the merge
+    order are functions of block indices alone (a block is BATCH_SIZE
+    trajectories, the last one possibly fewer), so the worker count (at
+    least 1) cannot change any output bit.  The work runs in chunks of up to
+    CHUNK_BLOCKS full blocks, none wider than a worker's share of the full
+    blocks left; a short last block runs alone.  ``workers`` = 1 runs the
+    chunks on the calling thread; more run them on min(workers, chunks)
+    spawned worker processes, which take about 0.5 s to start.  Each worker
+    imports the caller's main module, so a script that calls this needs an
+    ``if __name__ == "__main__":`` guard.  A worker that dies raises
+    WorkerLost, naming the first block not merged.  A ``pipeline`` built from
+    the same system, bath, grids and cap is reused; any other is rebuilt.  A
+    checkpoint is written every CHECKPOINT_EVERY blocks and after the last,
+    and resumes only with the echoed config, schema, batch size, noise factor
+    and version that wrote it.  A non-finite folded mean or M2, or an
+    averaged Tr rho_bar(hbar*beta) that is zero or non-finite, raises
+    NumericalError.
 
     With ``real_time`` False only the imaginary-time phase runs and the result
     holds the statistics of the initial reduced density on the single time
@@ -471,7 +506,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     # the workers too
     done_batches = start_batch
     try:
-        with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
+        with _batch_results(_run_batch, pipe, cfg, _chunks(start_batch, cfg.n_traj, workers),
                             workers, real_time) as outs:
             for out in outs:
                 series_acc = series_acc.merge(out.series)

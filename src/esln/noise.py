@@ -28,9 +28,9 @@ Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
 sigma_lam; no matrix spans two modes.
 
 One function makes every w: ``draw_normal`` reads n rows, one per trajectory,
-from the Philox stream of a key.  A run keys one stream per batch,
-``derive_seed(master_seed, batch)``, and the Monte Carlo checks one per chunk,
-``derive_seed(seed, chunk)``.
+from the Philox stream of a key.  A run keys one stream per block of 256
+trajectories, ``derive_seed(master_seed, block)``, and the Monte Carlo checks
+one per block of samples, ``derive_seed(seed, block)``.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit stream key for batch or chunk ``index``."""
+    """Deterministic 64-bit stream key for block ``index``."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 

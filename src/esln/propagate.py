@@ -34,6 +34,7 @@ from .model import SystemSpec
 from .noise import TimeGrids
 
 DIVERGENCE_LIMIT = 1e300
+STAGE_ROWS = 64
 
 
 def interpolate_half_grid(samples: np.ndarray, substeps: int) -> np.ndarray:
@@ -52,8 +53,17 @@ def interpolate_half_grid(samples: np.ndarray, substeps: int) -> np.ndarray:
 
 
 def _stage_coefficients(samples: np.ndarray, substeps: int) -> np.ndarray:
-    """(B, M, n) grid samples -> (S, M, B) contiguous RK4 stage coefficients."""
-    return np.ascontiguousarray(interpolate_half_grid(samples, substeps).transpose(2, 1, 0))
+    """(B, M, n) grid samples -> (S, M, B) contiguous RK4 stage coefficients.
+
+    Interpolated STAGE_ROWS trajectories at a time, so that the temporaries
+    stay small however wide the batch is.
+    """
+    b, m, n = samples.shape
+    out = np.empty((2 * substeps * (n - 1) + 1, m, b), dtype=complex)
+    for lo in range(0, b, STAGE_ROWS):
+        rows = slice(lo, lo + STAGE_ROWS)
+        out[:, :, rows] = interpolate_half_grid(samples[rows], substeps).transpose(2, 1, 0)
+    return out
 
 
 def _hamiltonian(h_static, f_stack, coeffs):
@@ -160,5 +170,7 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     series = np.zeros((grids.n_t,) + rho.shape, dtype=complex)
     series[0] = rho
     _, alive = _rk4(rhs, rho, n_steps, h, substeps, series)
-    series = np.where(alive, series, 0.0)
+    del co_p, co_m          # freed before the series is copied out, to lower the peak memory
+    if not alive.all():
+        series[..., ~alive] = 0.0
     return np.ascontiguousarray(series.transpose(3, 0, 1, 2)), ~alive

@@ -39,30 +39,32 @@ class Killed(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class _Logged:
-    """Runs the real batch after appending ``record(batch)`` to the file ``log``."""
+    """Runs the real chunk after appending ``record(block)`` for each of its
+    blocks to the file ``log``."""
 
     log: str
     record: object = str
 
-    def __call__(self, system, factor, run_cfg, batch, real_time):
+    def __call__(self, system, factor, run_cfg, blocks, real_time):
         with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write(f"{self.record(batch)}\n")
-        return _real_run_batch(system, factor, run_cfg, batch, real_time)
+            for block in blocks:
+                fh.write(f"{self.record(block)}\n")
+        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
 
     def lines(self) -> list:
         return Path(self.log).read_text().split() if os.path.exists(self.log) else []
 
 
-def _slow_first(system, factor, run_cfg, batch, real_time):
-    if batch == 0:
+def _slow_first(system, factor, run_cfg, blocks, real_time):
+    if 0 in blocks:
         time.sleep(0.2)
-    return _real_run_batch(system, factor, run_cfg, batch, real_time)
+    return _real_run_batch(system, factor, run_cfg, blocks, real_time)
 
 
-def _killed_at_batch_2(system, factor, run_cfg, batch, real_time):
-    if batch == 2:
+def _killed_at_batch_2(system, factor, run_cfg, blocks, real_time):
+    if 2 in blocks:
         raise Killed
-    return _real_run_batch(system, factor, run_cfg, batch, real_time)
+    return _real_run_batch(system, factor, run_cfg, blocks, real_time)
 
 
 def _blas_timeout(batch):
@@ -80,8 +82,8 @@ class _DiesAtBatch2:
 
     checkpoint: str
 
-    def __call__(self, system, factor, run_cfg, batch, real_time):
-        if batch == 2:
+    def __call__(self, system, factor, run_cfg, blocks, real_time):
+        if 2 in blocks:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 try:
@@ -91,7 +93,7 @@ class _DiesAtBatch2:
                     pass
                 time.sleep(0.01)
             os._exit(1)
-        return _real_run_batch(system, factor, run_cfg, batch, real_time)
+        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
 
 
 def test_pairwise_stats_match_two_pass():
@@ -196,15 +198,104 @@ def test_batches_merge_in_batch_order(monkeypatch):
     assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
 
 
+@settings(max_examples=200)
+@given(n_full=st.integers(0, 12), short=st.integers(0, ensemble.BATCH_SIZE - 1),
+       workers=st.integers(1, 8), data=st.data())
+def test_chunks_cover_each_block_once_grouping_only_full_blocks(n_full, short, workers, data):
+    # the chunks run blocks start onwards, each once and in order; only full
+    # blocks share a chunk, and none holds more than a worker's share of them
+    n_traj = n_full * ensemble.BATCH_SIZE + short
+    n_blocks = n_full + (short > 0)
+    start = data.draw(st.integers(0, n_blocks))
+    chunks = ensemble._chunks(start, n_traj, workers)
+    assert [b for chunk in chunks for b in chunk] == list(range(start, n_blocks))
+    assert all(chunk.step == 1 and 1 <= len(chunk) <= ensemble.CHUNK_BLOCKS for chunk in chunks)
+    assert all(chunk.stop <= n_full for chunk in chunks if len(chunk) > 1)
+    share = -(-(n_full - start) // workers)
+    assert all(len(chunk) <= max(share, 1) for chunk in chunks)
+
+
+def _driven_61x21(n_traj):
+    doc = small_doc(n_traj=n_traj, master_seed=13)
+    doc["grids"] = {"t_f": 4.0, "n_t": 61, "n_tau": 21}
+    t = np.linspace(0.0, 4.0, 61)
+    doc["system"]["drives"] = [{"matrix": [[0.0, 1.0], [1.0, 0.0]],
+                                "amplitudes": (0.3 * np.sin(2.0 * t)).tolist()}]
+    return parse_config(doc)
+
+
+def test_chunk_width_and_workers_never_change_bits(monkeypatch):
+    # full blocks round the same in a chunk of any width as alone; the one-row
+    # last block, which would round otherwise inside a wider product, runs alone
+    cfg = _driven_61x21(5 * ensemble.BATCH_SIZE + 1)
+    pipe = build_pipeline(cfg)
+    docs = set()
+    for width in (1, 2, 3, 4):
+        monkeypatch.setattr(ensemble, "CHUNK_BLOCKS", width)
+        for workers in (1, 2, 3):
+            res = run_ensemble(cfg, workers=workers, pipeline=pipe)
+            docs.add(document_bytes(result_document(res)))
+    assert len(docs) == 1
+
+
+def test_short_last_block_runs_alone(monkeypatch):
+    seen = []
+
+    def recorded(system, factor, run_cfg, blocks, real_time):
+        seen.append(blocks)
+        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
+
+    monkeypatch.setattr(ensemble, "CHUNK_BLOCKS", 4)
+    monkeypatch.setattr(ensemble, "_run_batch", recorded)
+    run_ensemble(_driven_61x21(ensemble.BATCH_SIZE + 1))
+    assert seen == [range(0, 1), range(1, 2)]
+    seen.clear()
+    run_ensemble(_driven_61x21(3 * ensemble.BATCH_SIZE + 1))
+    assert seen == [range(0, 3), range(3, 4)]
+
+
+def _same_result(a, b) -> bool:
+    return a.n_failed == b.n_failed and all(
+        x.n == y.n and all(np.array_equal(getattr(x, f), getattr(y, f))
+                           for f in ("mean", "m2_re", "m2_im"))
+        for x, y in ((a.series, b.series), (a.zfac, b.zfac)))
+
+
+def test_a_failed_row_counts_against_its_own_block(monkeypatch):
+    # a chunk's blocks equal the same blocks run alone, bit for bit; a row of
+    # the second block that diverges fails that block only
+    cfg = _driven_61x21(2 * ensemble.BATCH_SIZE)
+    pipe = build_pipeline(cfg)
+    args = (pipe.system, pipe.factor, cfg)
+    clean = ensemble._run_batch(*args, range(0, 2), True)
+    alone = [ensemble._run_batch(*args, range(b, b + 1), True)[0] for b in (0, 1)]
+    assert all(_same_result(c, a) for c, a in zip(clean, alone))
+    real_evolve = ensemble.evolve_batch
+    bad_row = ensemble.BATCH_SIZE + 7
+
+    def one_row_diverges(*evolve_args):
+        series, diverged = real_evolve(*evolve_args)
+        series[bad_row] = np.nan
+        diverged[bad_row] = True
+        return series, diverged
+
+    monkeypatch.setattr(ensemble, "evolve_batch", one_row_diverges)
+    first, second = ensemble._run_batch(*args, range(0, 2), True)
+    assert _same_result(first, clean[0])
+    assert second.n_failed == 1
+    assert second.series.n == second.zfac.n == ensemble.BATCH_SIZE - 1
+    assert np.isfinite(second.series.mean).all() and np.isfinite(second.series.m2_re).all()
+
+
 def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     # at workers = 1 no pool thread (and no malloc arena of its own) is used
     cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE + 5))
     real_batch = ensemble._run_batch
     threads = []
 
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return real_batch(*args)
+    def recorded(system, factor, run_cfg, blocks, real_time):
+        threads.extend([threading.current_thread()] * len(blocks))
+        return real_batch(system, factor, run_cfg, blocks, real_time)
 
     monkeypatch.setattr(ensemble, "_run_batch", recorded)
     run_ensemble(cfg, workers=1)
@@ -223,9 +314,10 @@ def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
     real_batch = ensemble._run_batch
 
     def corrupted(*args):
-        out = real_batch(*args)
-        corrupt(out)
-        return out
+        outs = real_batch(*args)
+        for out in outs:
+            corrupt(out)
+        return outs
 
     monkeypatch.setattr(ensemble, "_run_batch", corrupted)
     with pytest.raises(NumericalError, match=message):

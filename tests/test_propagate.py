@@ -4,7 +4,7 @@ import scipy.linalg
 
 from esln import Drive, SystemSpec, TimeGrids, equilibrate_batch, evolve_batch
 from esln.errors import DimensionMismatch
-from esln.propagate import interpolate_half_grid
+from esln.propagate import STAGE_ROWS, _stage_coefficients, interpolate_half_grid
 
 from conftest import ID2, SX, SZ, spin_system
 
@@ -36,6 +36,18 @@ def test_interpolation_hits_nodes_and_midpoints():
     assert np.allclose(fine, [[0.0, 0.5, 1.0, 2.0, 3.0]])
     fine2 = interpolate_half_grid(samples, substeps=2)
     assert np.allclose(fine2, [[0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]])
+
+
+def test_stage_coefficients_equal_one_interpolation_of_the_batch():
+    # interpolated STAGE_ROWS trajectories at a time, the (S, M, B) stage
+    # coefficients equal one interpolation of the whole batch, bit for bit
+    rng = np.random.default_rng(6)
+    for b in (1, STAGE_ROWS, 2 * STAGE_ROWS + 3):
+        samples = rng.standard_normal((b, 3, 17)) + 1j * rng.standard_normal((b, 3, 17))
+        for substeps in (1, 2):
+            got = _stage_coefficients(samples, substeps)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, interpolate_half_grid(samples, substeps).transpose(2, 1, 0))
 
 
 def _constant_noise_cases():
