@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import esln
 from esln import emit_config, parse_config
 from esln.errors import ValidationError
 
@@ -246,3 +247,11 @@ def test_readme_schema_block_names_every_key():
     doc["system"]["drives"] = [{"matrix": [[1.0, 0.0], [0.0, -1.0]], "amplitudes": [0.0] * 21}]
     emitted = emit_config(parse_config(doc))
     assert set(re.findall(r'"(\w+)":', block.group(1))) == _key_names(emitted)
+
+
+def test_readme_checkpoint_paragraph_names_the_version():
+    # a checkpoint refuses other versions, so the README paragraph on
+    # checkpoints says which version this is
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"`run --checkpoint PATH`.*?\n\n", text, re.S)
+    assert esln.__version__ in paragraph.group(0)

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from esln import Drive, SystemSpec, TimeGrids, equilibrate_batch, evolve_batch
 from esln.errors import DimensionMismatch
-from esln.propagate import STAGE_ROWS, _stage_coefficients, interpolate_half_grid
+from esln import propagate
+from esln.propagate import interpolate_half_grid
 
 from conftest import ID2, SX, SZ, spin_system
 
@@ -38,16 +39,19 @@ def test_interpolation_hits_nodes_and_midpoints():
     assert np.allclose(fine2, [[0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]])
 
 
-def test_stage_coefficients_equal_one_interpolation_of_the_batch():
-    # interpolated STAGE_ROWS trajectories at a time, the (S, M, B) stage
-    # coefficients equal one interpolation of the whole batch, bit for bit
+def test_stage_window_equals_slice_of_whole_interpolation():
+    # a window of stages keeps its global positions, so it is the matching
+    # slice of one interpolation of the whole grid, bit for bit; a window
+    # interpolated from local positions would round differently at substeps 3
     rng = np.random.default_rng(6)
-    for b in (1, STAGE_ROWS, 2 * STAGE_ROWS + 3):
-        samples = rng.standard_normal((b, 3, 17)) + 1j * rng.standard_normal((b, 3, 17))
-        for substeps in (1, 2):
-            got = _stage_coefficients(samples, substeps)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, interpolate_half_grid(samples, substeps).transpose(2, 1, 0))
+    samples = rng.standard_normal((4, 3, 17)) + 1j * rng.standard_normal((4, 3, 17))
+    for substeps in (1, 2, 3):
+        whole = interpolate_half_grid(samples, substeps)
+        n_stages = whole.shape[-1]
+        for stages in (slice(None), slice(0, 7), slice(5, 40), slice(3, n_stages),
+                       slice(n_stages - 2, n_stages)):
+            got = interpolate_half_grid(samples, substeps, stages)
+            assert np.array_equal(got, whole[..., stages]), (substeps, stages)
 
 
 def _constant_noise_cases():
@@ -346,3 +350,57 @@ def test_divergence_in_mixed_batch_zeroes_only_its_row():
     assert not pair_flags.any()
     for row, k in zip(pair, outer):
         _assert_rows_close(series[k], row)
+
+
+def test_block_intervals_never_change_bits(monkeypatch):
+    # the steps run in blocks of BLOCK_INTERVALS grid intervals, and each
+    # block's stage generators are a slice of the whole grid's: the block
+    # length moves no bit of either phase
+    rng = np.random.default_rng(11)
+    grids = TimeGrids(t_f=1.5, n_t=61, hbar_beta=0.8 * 1.2, n_tau=21)
+    drive = Drive(matrix=_random_hermitian(rng, 2, 0.4), amplitudes=np.sin(3.0 * grids.t))
+    system = SystemSpec(dim=2, h0=_random_hermitian(rng, 2, 0.5),
+                        couplings=(_random_hermitian(rng, 2, 0.3),
+                                   _random_hermitian(rng, 2, 0.3)),
+                        hbar=0.8, beta=1.2, drive=(drive,))
+    mu, eta, nu = (_random_noise(rng, (5, 2, n), 0.3)
+                   for n in (grids.n_tau, grids.n_t, grids.n_t))
+    mu[2] = 1e6                     # one quench diverges, so the masks are tested too
+    for substeps in (1, 2, 3):
+        runs = []
+        for block in (1, 7, 32, 10_000):
+            monkeypatch.setattr(propagate, "BLOCK_INTERVALS", block)
+            rho_end, div_imag = equilibrate_batch(system, mu, grids, substeps)
+            series, div_real = evolve_batch(system, eta, nu, grids, rho_end, substeps)
+            runs.append((rho_end, div_imag, series, div_real))
+        assert runs[0][1].tolist() == [False, False, True, False, False]
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(got, want), substeps
+
+
+def test_divergence_in_a_later_block_zeroes_only_its_row():
+    # the middle row's eta is huge only from grid interval BLOCK_INTERVALS on,
+    # so it stays finite through the first block and dies in the second
+    system = spin_system()
+    n_block = propagate.BLOCK_INTERVALS
+    grids = grids_for(system, t_f=2.0, n_t=2 * n_block + 17, n_tau=11)
+    rng = np.random.default_rng(8)
+    eta = _random_noise(rng, (3, 1, grids.n_t), 0.3)
+    nu = _random_noise(rng, (3, 1, grids.n_t), 0.3)
+    rho0 = np.broadcast_to(ID2, (3, 2, 2))
+    loud = eta.copy()
+    loud[1, :, n_block + 1:] = 1e6
+
+    first = TimeGrids(t_f=grids.t[n_block], n_t=n_block + 1, hbar_beta=grids.hbar_beta,
+                      n_tau=grids.n_tau)
+    _, flags = evolve_batch(system, loud[..., :n_block + 1], nu[..., :n_block + 1], first,
+                            rho0)
+    assert not flags.any()
+    series, flags = evolve_batch(system, loud, nu, grids, rho0)
+    assert flags.tolist() == [False, True, False]
+    assert not series[1].any()
+    outer = [0, 2]
+    pair, pair_flags = evolve_batch(system, eta[outer], nu[outer], grids, rho0[outer])
+    assert not pair_flags.any()
+    assert np.array_equal(series[outer], pair)
