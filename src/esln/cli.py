@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vn.add_argument("--hs-vectors", type=int, default=0,
                     help="also check this many random characteristic-function vectors")
     vn.add_argument("--csv", default=None,
-                    help="dump every mode's empirical vs target blocks to CSV")
+                    help="dump every coupling channel's empirical vs target blocks to CSV")
 
     ker = sub.add_parser("kernels", help="dump kernel tables to CSV")
     add_config(ker)
@@ -174,17 +174,17 @@ def _cmd_verify_noise(args) -> int:
             print(f"  characteristic function vector {i}: |z| = {chk.z:.3f}   {mark}")
             ok = ok and chk.z < 5.0
     if args.csv:
-        # Each mode's own blocks (modes are independent); row and col index
-        # mode * n + k within the block.
+        # Each coupling channel's own blocks (channels are independent); row
+        # and col index channel * n + k within the block.
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("block,row,col,target_re,target_im,empirical_re,empirical_im,z\n")
             for fa, fb in BLOCKS:
                 sa, sb = cov.field_slice(fa), cov.field_slice(fb)
                 tgt, emp, zs = (x[:, sa, sb] for x in (cov.sigma, report.empirical, report.z))
                 _, n_a, n_b = tgt.shape
-                for (lam, r, c), t, e, z in zip(np.ndindex(tgt.shape), tgt.ravel().tolist(),
-                                                emp.ravel().tolist(), zs.ravel().tolist()):
-                    fh.write(f"{fa}-{fb},{lam * n_a + r},{lam * n_b + c},{t.real!r},"
+                for (ch, r, c), t, e, z in zip(np.ndindex(tgt.shape), tgt.ravel().tolist(),
+                                               emp.ravel().tolist(), zs.ravel().tolist()):
+                    fh.write(f"{fa}-{fb},{ch * n_a + r},{ch * n_b + c},{t.real!r},"
                              f"{t.imag!r},{e.real!r},{e.imag!r},{z!r}\n")
         print(f"wrote {args.csv}")
     if not ok:

@@ -160,7 +160,7 @@ def parse_config(document) -> RunConfig:
     _no_extras(noise_node, "noise")
     if 2 * n_t + n_tau > dim_cap:
         raise ValidationError(
-            "grids", f"per-mode covariance dimension {2 * n_t + n_tau} exceeds "
+            "grids", f"per-channel covariance dimension {2 * n_t + n_tau} exceeds "
                      f"noise.dim_cap = {dim_cap}")
 
     oracle_node = dict(_expect_map(

@@ -41,7 +41,8 @@ from . import __version__
 from .config import RunConfig, emit_config
 from .errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from .kernels import KernelContext
-from .model import NormalModes, SystemSpec, diagonalize_bath, mode_couplings
+from .model import (NormalModes, SystemSpec, coupling_channels, diagonalize_bath,
+                    mode_couplings)
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
                     draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
@@ -60,21 +61,29 @@ ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
 
 @dataclass(frozen=True)
 class Pipeline:
-    """All derived objects a run needs, built once from the config."""
+    """All derived objects a run needs, built once from the config.
+
+    The noise lives on the coupling channels: ``system`` has one coupling G_k
+    per channel, and ``cov`` and ``factor`` hold one matrix per channel.
+    """
 
     config: RunConfig
     modes: NormalModes
     ctx: KernelContext
-    system: SystemSpec      # the config's system with one coupling g_lam per mode
+    system: SystemSpec      # the config's system with one coupling G_k per channel
     cov: NoiseCovariance
     factor: NoiseFactor
 
 
 def build_pipeline(cfg: RunConfig) -> Pipeline:
+    """Diagonalise the bath, group the mode couplings into coupling channels
+    (modes with parallel couplings share one), and build and factor each
+    channel's noise covariance."""
     modes = diagonalize_bath(cfg.bath)
     ctx = KernelContext.from_bath(cfg.bath, modes, cfg.system.hbar, cfg.system.beta)
-    system = replace(cfg.system, couplings=tuple(mode_couplings(modes, cfg.bath, cfg.system)))
-    cov = build_covariance(ctx, cfg.grids, dim_cap=cfg.dim_cap)
+    channels, weights = coupling_channels(mode_couplings(modes, cfg.bath, cfg.system))
+    system = replace(cfg.system, couplings=channels)
+    cov = build_covariance(ctx, cfg.grids, dim_cap=cfg.dim_cap, weights=weights)
     factor = factorize(cov)
     return Pipeline(config=cfg, modes=modes, ctx=ctx, system=system, cov=cov, factor=factor)
 

@@ -8,7 +8,9 @@ samples on the run's real-time grid, the grid the noise lives on, and
 environment is a set of M harmonic oscillators coupled among themselves
 through a real symmetric force-constant matrix; diagonalising the
 mass-weighted dynamical matrix yields the normal-mode frequencies and
-eigenvectors used by every other module.
+eigenvectors used by every other module.  Modes whose couplings are parallel
+act on the system through one operator, so they form one coupling channel
+(``coupling_channels``), and the noise is sampled per channel.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import AsymmetricInput, DimensionMismatch, NonPositiveMode, Validat
 HERMITICITY_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
+CHANNEL_TOL = 1e-12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -210,3 +213,34 @@ def mode_couplings(modes: NormalModes, bath: BathSpec, system: SystemSpec) -> li
     weights = modes.evecs / np.sqrt(bath.masses)[:, None]
     # g[lam] = sum_i weights[i, lam] * f[i]
     return list(np.einsum("il,ijk->ljk", weights, system.coupling_stack()))
+
+
+def coupling_channels(g) -> tuple:
+    """Group mode couplings into channels of parallel operators.
+
+    Returns ``(channels, weights)``: channel k's operator G_k is the first
+    coupling of its group, and the real (r, M) ``weights`` give
+    g_lam = weights[k, lam] * G_k for the modes of channel k and 0 elsewhere.
+    A coupling is parallel to G_k when its relative Frobenius residual
+    |g - c G_k| / |g| is below CHANNEL_TOL; one whose norm is at most
+    CHANNEL_TOL times the largest is zero, and its mode joins no channel.
+    Channels are in the order of their first modes.
+    """
+    norms = [np.linalg.norm(op) for op in g]         # Frobenius
+    floor = CHANNEL_TOL * max(norms, default=0.0)
+    channels, rows = [], []
+    for lam, (op, norm) in enumerate(zip(g, norms)):
+        if norm <= floor:
+            continue
+        for k, base in enumerate(channels):
+            # both are Hermitian, so a parallel pair has a real ratio c
+            c = np.vdot(base, op).real / np.vdot(base, base).real
+            if np.linalg.norm(op - c * base) < CHANNEL_TOL * norm:
+                rows[k][lam] = c
+                break
+        else:
+            channels.append(op)
+            rows.append(np.zeros(len(g)))
+            rows[-1][lam] = 1.0
+    weights = np.array(rows).reshape(len(rows), len(g))
+    return tuple(channels), weights

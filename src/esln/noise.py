@@ -1,4 +1,4 @@
-"""Correlated complex Gaussian noise on the two-time grid, one normal mode at a time.
+"""Correlated complex Gaussian noise on the two-time grid, one coupling channel at a time.
 
 The bath's normal modes are independent, so the influence functional and the
 Hubbard-Stratonovich noise that decouples it factorise over modes.  Mode lam
@@ -21,11 +21,20 @@ flipping it to -hbar K(t - i tau) makes it drift
 (tests/test_ensemble.py::test_printed_cross_kernel_breaks_stationarity and
 tests/test_second_order_consistency.py hold that evidence).
 
-Sampling draws z_lam = a_lam @ w_lam with w real i.i.d. standard normal and
-a_lam a_lam^T = sigma_lam, so the pseudo-covariance holds by construction while
-<z z^dagger> = a a^dagger remains free, as it must.  Each a_lam comes from a
+The system sees the modes only through their couplings.  Modes whose couplings
+are parallel, g_lam = W[k, lam] G_k (``model.coupling_channels``), act through
+the one operator G_k, so only the sum zeta_k = sum_lam W[k, lam] z_lam enters
+the dynamics.  Its pseudo-covariance is sigma_k = sum_lam W[k, lam]^2 sigma_lam,
+and channels built from disjoint sets of independent modes are independent:
+the noise is sampled per channel, r <= M fields instead of M.  Trajectories
+depend holomorphically on the noise, so their mean depends only on the
+pseudo-covariance, and this is exact.
+
+Sampling draws z_k = a_k @ w_k with w real i.i.d. standard normal and
+a_k a_k^T = sigma_k, so the pseudo-covariance holds by construction while
+<z z^dagger> = a a^dagger remains free, as it must.  Each a_k comes from a
 Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
-sigma_lam; no matrix spans two modes.
+sigma_k; no matrix spans two channels.
 
 One function makes every w: ``draw_normal`` reads n rows, one per trajectory,
 from the Philox stream of a key.  A run keys one stream per block of 256
@@ -89,10 +98,10 @@ class TimeGrids:
 
 @dataclass(frozen=True)
 class NoiseCovariance:
-    """Per-mode pseudo-covariance: sigma[lam] is the (D, D) matrix of mode lam's
-    fields stacked (eta, nu, mu), D = 2 n_t + n_tau."""
+    """Per-channel pseudo-covariance: sigma[k] is the (D, D) matrix of coupling
+    channel k's fields stacked (eta, nu, mu), D = 2 n_t + n_tau."""
 
-    sigma: np.ndarray       # (M, D, D)
+    sigma: np.ndarray       # (r, D, D)
     n_t: int
     n_tau: int
 
@@ -105,34 +114,57 @@ class NoiseCovariance:
         return slice(start, start + (self.n_tau if fieldname == "mu" else self.n_t))
 
 
-def build_covariance(ctx: KernelContext, grids: TimeGrids,
-                     dim_cap: int = DEFAULT_DIM_CAP) -> NoiseCovariance:
-    """Assemble every mode's joint pseudo-covariance on the two-time grid.
+def _by_channel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_lam weights[k, lam]^2 values[lam] for every channel k, (r, *shape).
 
-    Every block is a value of the one master kernel K(t - i tau): the two
-    real-time blocks share its evaluation at the real-time lags.  ``dim_cap``
-    bounds the per-mode dimension D.
+    The sum runs elementwise over the channel's modes in mode order, so equal
+    entries of every mode give equal sums: a BLAS contraction would round
+    equal lags differently and lose the Toeplitz structure.
+    """
+    out = np.empty((len(weights),) + values.shape[1:], dtype=values.dtype)
+    for k, row in enumerate(weights):
+        first, *rest = np.flatnonzero(row)
+        out[k] = row[first] ** 2 * values[first]
+        for lam in rest:
+            out[k] += row[lam] ** 2 * values[lam]
+    return out
+
+
+def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAULT_DIM_CAP,
+                     weights: np.ndarray | None = None) -> NoiseCovariance:
+    """Assemble every coupling channel's joint pseudo-covariance on the two-time grid.
+
+    Channel k's is sigma_k = sum_lam weights[k, lam]^2 sigma_lam, with sigma_lam
+    mode lam's; the (r, M) ``weights`` come from ``model.coupling_channels``,
+    and without them each mode is a channel of its own.  Every block is a value
+    of the one master kernel K(t - i tau), weighted and summed over the
+    channel's modes: the two real-time blocks share its evaluation at the
+    real-time lags.  ``dim_cap`` bounds the per-channel dimension D.
     """
     n_t, n_tau = grids.n_t, grids.n_tau
     dim = 2 * n_t + n_tau
     if dim > dim_cap:
         raise CapExceeded(
-            f"per-mode covariance dimension {dim} exceeds cap {dim_cap}; "
+            f"per-channel covariance dimension {dim} exceeds cap {dim_cap}; "
             "reduce the grids or raise noise.dim_cap")
     hbar = ctx.hbar
     hb = ctx.hbar_beta
     if abs(hb - grids.hbar_beta) > 1e-9 * max(hb, 1.0):
         raise ValueError("imaginary grid span does not equal hbar*beta of the kernel context")
+    weights = np.eye(ctx.n_modes) if weights is None else np.asarray(weights, dtype=float)
 
-    sigma = np.zeros((ctx.n_modes, dim, dim), dtype=complex)
+    def values(t, tau):
+        return _by_channel(_mode_values(ctx, t, tau), weights)
+
+    sigma = np.zeros((len(weights), dim, dim), dtype=complex)
     cov = NoiseCovariance(sigma=sigma, n_t=n_t, n_tau=n_tau)
     eta, nu, mu = (cov.field_slice(name) for name in ("eta", "nu", "mu"))
 
     # Lags from integer index differences so equal lags are bitwise equal and
-    # the eta blocks are exactly stationary (Toeplitz per mode).
+    # the eta blocks are exactly stationary (Toeplitz per channel).
     k_idx = np.arange(n_t)
     lag_idx = k_idx[:, None] - k_idx[None, :]
-    k_t = _mode_values(ctx, lag_idx * grids.dt, 0.0)            # (M, n_t, n_t)
+    k_t = values(lag_idx * grids.dt, 0.0)                        # (r, n_t, n_t)
     assert np.array_equal(k_t[:, 1:, 1:], k_t[:, :-1, :-1]), \
         "real-time blocks lost their Toeplitz structure"
     # <eta eta> = hbar K^R(t - t').
@@ -144,13 +176,13 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
     sigma[:, eta, nu] = 2j * theta * k_t.imag
 
     # <eta mu> = +hbar K(t - i(hbar*beta - tau)).
-    sigma[:, eta, mu] = hbar * _mode_values(ctx, grids.t[:, None], hb - grids.tau[None, :])
+    sigma[:, eta, mu] = hbar * values(grids.t[:, None], hb - grids.tau[None, :])
 
     # <mu mu> = hbar [K^e(dtau) - K^o(|dtau|)] = hbar K(-i |dtau|), evaluated
     # through the master kernel so large w*hbar*beta stays finite.
     l_idx = np.arange(n_tau)
     abs_dtau = np.abs(l_idx[:, None] - l_idx[None, :]) * grids.dtau
-    sigma[:, mu, mu] = hbar * _mode_values(ctx, 0.0, abs_dtau).real
+    sigma[:, mu, mu] = hbar * values(0.0, abs_dtau).real
 
     # The lower cross blocks mirror the upper ones; <nu nu> and <nu mu> stay zero.
     sigma[:, nu, eta] = sigma[:, eta, nu].mT
@@ -162,10 +194,10 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids,
 
 @dataclass(frozen=True)
 class NoiseFactor:
-    """Per-mode factors a[lam] with a[lam] @ a[lam].T ~= sigma[lam], plus the
-    grid layout needed to unpack draws.  Ranks may differ between modes."""
+    """Per-channel factors a[k] with a[k] @ a[k].T ~= sigma[k], plus the
+    grid layout needed to unpack draws.  Ranks may differ between channels."""
 
-    a: tuple                # M arrays of shape (D, r_lam)
+    a: tuple                # r arrays of shape (D, p_k)
     n_t: int
     n_tau: int
 
@@ -175,7 +207,7 @@ class NoiseFactor:
 
     @property
     def rank(self) -> int:
-        """Length of the standard-normal draw of one trajectory, sum of r_lam."""
+        """Length of the standard-normal draw of one trajectory, sum of p_k."""
         return sum(a.shape[1] for a in self.a)
 
 
@@ -204,14 +236,14 @@ def takagi(sym: np.ndarray):
 
 
 def factorize(cov: NoiseCovariance) -> NoiseFactor:
-    """Factor each mode's sigma = a a^T by Takagi, truncating singular values
+    """Factor each channel's sigma = a a^T by Takagi, truncating singular values
     below 1e-12 * max.
 
-    Raises FactorizationFailure when a mode's factor misses the residual bound
-    ``FACTOR_REL_TOL * max|sigma|`` of that mode.
+    Raises FactorizationFailure when a channel's factor misses the residual
+    bound ``FACTOR_REL_TOL * max|sigma|`` of that channel.
     """
     factors = []
-    for lam, sigma in enumerate(cov.sigma):
+    for k, sigma in enumerate(cov.sigma):
         s, u = takagi(sigma)
         keep = s > SV_TRUNCATION * s.max(initial=0.0)
         a = u[:, keep] * np.sqrt(s[keep])[None, :]
@@ -219,7 +251,7 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
         residual = np.abs(a @ a.T - sigma).max(initial=0.0)
         if residual > FACTOR_REL_TOL * max(scale, 1e-300):
             raise FactorizationFailure(
-                f"mode {lam} factor residual {residual:g} exceeds {FACTOR_REL_TOL:g} * {scale:g}")
+                f"channel {k} factor residual {residual:g} exceeds {FACTOR_REL_TOL:g} * {scale:g}")
         a.setflags(write=False)
         factors.append(a)
     return NoiseFactor(a=tuple(factors), n_t=cov.n_t, n_tau=cov.n_tau)
@@ -242,12 +274,12 @@ def draw_normal(factor: NoiseFactor, seed: int, n: int) -> np.ndarray:
 
 
 def synthesize(factor: NoiseFactor, w: np.ndarray):
-    """Fields eta, nu (B, M, n_t) and mu (B, M, n_tau) of draws w (B, rank):
-    mode lam's are w_lam @ a_lam^T, with w_lam the next r_lam columns of w."""
+    """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
+    channel k's are w_k @ a_k^T, with w_k the next p_k columns of w."""
     z = np.empty((w.shape[0], len(factor.a), factor.dim), dtype=complex)
     start = 0
-    for lam, a in enumerate(factor.a):
-        z[:, lam] = w[:, start:start + a.shape[1]] @ a.T
+    for k, a in enumerate(factor.a):
+        z[:, k] = w[:, start:start + a.shape[1]] @ a.T
         start += a.shape[1]
     n_t = factor.n_t
     return z[..., :n_t], z[..., n_t:2 * n_t], z[..., 2 * n_t:]
@@ -257,7 +289,7 @@ def synthesize(factor: NoiseFactor, w: np.ndarray):
 class NoiseVerification:
     """Per-block worst z-scores of empirical pseudo-covariance vs target.
 
-    ``empirical`` and ``z`` hold the full (M, D, D) per-mode matrices for
+    ``empirical`` and ``z`` hold the full (r, D, D) per-channel matrices for
     inspection/CSV dumps.
     """
 
@@ -283,13 +315,13 @@ class NoiseVerification:
 
 def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
                      seed: int = 0) -> NoiseVerification:
-    """Monte Carlo check that each mode's sampled fields reproduce every block
-    of that mode's covariance.
+    """Monte Carlo check that each channel's sampled fields reproduce every
+    block of that channel's covariance.
 
     The z-score of each matrix entry is |empirical - target| / SE, with the
     standard error estimated from the per-sample product fluctuations; real and
     imaginary parts are scored separately and the per-block worst over all
-    modes is reported.
+    channels is reported.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful check")
@@ -347,11 +379,11 @@ class HsCheckResult:
 
 def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int = 5,
                       n_samples: int = 100_000, seed: int = 0, hbar: float = 1.0):
-    """Check <exp(i z.k)> = exp(-sum_lam k_lam^T sigma_lam k_lam / 2) for random
-    physical test vectors k = (k_lam).
+    """Check <exp(i z.k)> = exp(-sum_c k_c^T sigma_c k_c / 2) for random
+    physical test vectors k = (k_c), one part per channel c.
 
     Test vectors mimic the structure that couples to the fields: real weights
-    on every mode's eta and nu slots and purely imaginary weights on its mu
+    on every channel's eta and nu slots and purely imaginary weights on its mu
     slots.
     """
     rng = np.random.default_rng(seed)
@@ -363,7 +395,7 @@ def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int 
         k[:, cov.field_slice("nu")] = rng.standard_normal((m, n_t)) * scale
         k[:, cov.field_slice("mu")] = 1j * rng.standard_normal((m, n_tau)) * scale / hbar
     exact = np.exp(-0.5 * np.einsum("vli,lij,vlj->v", kmat, cov.sigma, kmat))
-    cmat = np.concatenate([kmat[:, lam] @ a for lam, a in enumerate(factor.a)],
+    cmat = np.concatenate([kmat[:, c] @ a for c, a in enumerate(factor.a)],
                           axis=1)                       # (n_vectors, rank)
     s_val = np.zeros(n_vectors, dtype=complex)
     s_re2 = np.zeros(n_vectors)

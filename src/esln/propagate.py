@@ -19,7 +19,7 @@ of size one.
 Inside this module a batch is held as (d, d, B), trajectory axis last and
 contiguous.  The RK4 steps run in blocks of BLOCK_INTERVALS grid intervals;
 once per block, the generator of every stage of the block is built as one
-(S, d, d, B) array, by M broadcast multiply-adds over the couplings, so each
+(S, d, d, B) array, by one broadcast multiply-add per coupling, so each
 right-hand side is only one or two matrix products.  Every matrix product is
 d broadcast multiply-adds over whole B-long rows: a few numpy calls per
 stage, where a stacked ``@`` on (B, d, d) pays per-matrix overhead.  That is
@@ -60,11 +60,11 @@ def interpolate_half_grid(samples: np.ndarray, substeps: int,
 def _generators(h, f_stack, samples, substeps, stages, divisor):
     """(h - sum_i c_i f_i) / divisor at the ``stages`` of the stage grid, (S, d, d, B).
 
-    ``h`` is (d, d) or one (d, d) per stage, and c_i the i-th of the (B, M, n)
+    ``h`` is (d, d) or one (d, d) per stage, and c_i the i-th of the (B, r, n)
     ``samples`` interpolated onto the stages.  The small h and f_i are divided,
-    not the result, and the sum is M broadcast multiply-adds, without BLAS.
+    not the result, and the sum is r broadcast multiply-adds, without BLAS.
     """
-    co = interpolate_half_grid(samples, substeps, stages).transpose(1, 2, 0)   # (M, S, B)
+    co = interpolate_half_grid(samples, substeps, stages).transpose(1, 2, 0)   # (r, S, B)
     out = np.empty((co.shape[1],) + h.shape[-2:] + (co.shape[2],), dtype=complex)
     out[...] = (h / divisor)[..., None]
     for f, c in zip(f_stack / divisor, co):
@@ -127,7 +127,8 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids,
 
     Parameters
     ----------
-    mu_bar : (B, M, n_tau) complex noise samples on the imaginary grid.
+    mu_bar : (B, r, n_tau) complex noise samples on the imaginary grid, one
+        field per coupling of ``system`` (per coupling channel in a run).
 
     Returns
     -------
@@ -152,7 +153,8 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
 
     Parameters
     ----------
-    eta, nu : (B, M, n_t) complex noise samples on the real-time grid.
+    eta, nu : (B, r, n_t) complex noise samples on the real-time grid, one
+        field per coupling of ``system``.
     rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
 
     The stage Hamiltonians h0 + sum_k a_k(t) V_k are built once per call; a

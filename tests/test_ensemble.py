@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import esln
 from esln import ensemble
-from esln import (build_pipeline, diagonalize_bath, exact_reduced_dynamics, factorize,
-                  hermiticity_trace_report, k_complex, mode_couplings, parse_config,
+from esln import (build_pipeline, coupling_channels, diagonalize_bath, exact_reduced_dynamics,
+                  factorize, hermiticity_trace_report, k_complex, mode_couplings, parse_config,
                   run_ensemble, TruncatedBath, write_csv, write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _Stats,
                            compare_series, document_bytes, read_csv, result_document)
@@ -392,6 +392,40 @@ def test_unequal_masses_match_oracle():
     assert z.max() < 5.0, z.max()
 
 
+def test_parallel_modes_share_one_channel_in_the_pipeline():
+    # two modes coupling through sigma_z: one operator, one covariance, one factor
+    doc = small_doc()
+    doc["system"]["couplings"] = [[[0.3, 0.0], [0.0, -0.3]], [[0.2, 0.0], [0.0, -0.2]]]
+    doc["bath"] = {"masses": [1.0, 1.0], "lambda": [[2.0, -0.5], [-0.5, 3.0]]}
+    pipe = build_pipeline(parse_config(doc))
+    g = mode_couplings(pipe.modes, pipe.config.bath, pipe.config.system)
+    (op,) = pipe.system.couplings
+    assert np.array_equal(op, g[0])
+    assert pipe.cov.sigma.shape == (1, pipe.cov.dim, pipe.cov.dim)
+    assert len(pipe.factor.a) == 1
+
+
+def test_mixed_channels_match_oracle():
+    # sites 0 and 1 share a sub-bath and couple through sigma_z; site 2 has its
+    # own and couples through sigma_x: three modes in two channels, one merged
+    doc = small_doc(n_traj=2048, master_seed=29)
+    doc["system"]["couplings"] = [[[0.6, 0.0], [0.0, -0.6]], [[0.2, 0.0], [0.0, -0.2]],
+                                  [[0.0, 0.3], [0.3, 0.0]]]
+    doc["bath"] = {"masses": [1.0, 1.0, 1.0],
+                   "lambda": [[3.5, -0.5, 0.0], [-0.5, 3.5, 0.0], [0.0, 0.0, 3.3]]}
+    doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 21}
+    cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
+    g = mode_couplings(pipe.modes, cfg.bath, cfg.system)
+    channels, weights = coupling_channels(g)
+    assert len(pipe.system.couplings) == len(channels) == 2
+    assert sorted((weights != 0).sum(axis=1).tolist()) == [1, 2]     # g_1 = 0.5 g_0
+    res = run_ensemble(cfg, pipeline=pipe)
+    exact = exact_reduced_dynamics(cfg.system, pipe.modes, g, TruncatedBath(7), cfg.grids)
+    z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
+    assert z.max() < 5.0, z.max()
+
+
 def test_sixteen_mode_bath_stays_stationary():
     # as one dense site covariance, 16 * (2 * 201 + 51) = 7248 would exceed
     # noise.dim_cap = 6000; undriven, the partition-free average must keep
@@ -624,7 +658,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     written = json.loads(ckpt.read_text())
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128),
-                       ("version", "0.1.0"), (None, None)):
+                       ("version", "0.1.0"), ("version", "0.4.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from esln import (BathSpec, Drive, SystemSpec, TimeGrids, diagonalize_bath,
-                  evolve_batch, mode_couplings)
+from esln import (BathSpec, Drive, SystemSpec, TimeGrids, coupling_channels,
+                  diagonalize_bath, evolve_batch, mode_couplings)
 from esln.errors import AsymmetricInput, DimensionMismatch, NonPositiveMode, ValidationError
 
-from conftest import SX, SZ
+from conftest import SX, SY, SZ
 
 
 def site_couplings_from_modes(modes, bath, g_ops):
@@ -122,6 +122,41 @@ def test_mode_couplings_dimension_mismatch(two_mode_bath):
     system = SystemSpec(dim=2, h0=np.zeros((2, 2)), couplings=(SZ,), hbar=1.0, beta=1.0)
     with pytest.raises(DimensionMismatch):
         mode_couplings(modes, two_mode_bath, system)
+
+
+def test_parallel_couplings_merge_with_real_weights():
+    # the channel operator is the first coupling, and every weight is the real
+    # ratio g_lam / G_k, negative ones included
+    channels, weights = coupling_channels([0.4 * SZ, -0.1 * SZ, 1.2 * SZ])
+    assert len(channels) == 1
+    assert np.array_equal(channels[0], 0.4 * SZ)
+    assert weights.shape == (1, 3)
+    assert np.allclose(weights, [[1.0, -0.25, 3.0]], rtol=1e-15, atol=0)
+    assert weights[0, 0] == 1.0
+
+
+def test_zero_coupling_joins_no_channel():
+    channels, weights = coupling_channels([np.zeros((2, 2)), SX, 1e-14 * SZ])
+    assert len(channels) == 1
+    assert np.array_equal(channels[0], SX)
+    assert np.array_equal(weights, [[0.0, 1.0, 0.0]])
+    channels, weights = coupling_channels([np.zeros((2, 2))])
+    assert channels == () and weights.shape == (0, 1)
+    channels, weights = coupling_channels(np.zeros((0, 2, 2)))
+    assert channels == () and weights.shape == (0, 0)
+
+
+def test_non_parallel_couplings_stay_apart_in_first_mode_order():
+    g = [SX + 0.5 * SZ, SZ, 2.0 * SX + SZ, SY, -0.5 * SZ, SZ + 1e-9 * SX]
+    channels, weights = coupling_channels(g)
+    assert [c.tolist() for c in channels] == [g[0].tolist(), g[1].tolist(), g[3].tolist(),
+                                             g[5].tolist()]
+    expect = [[1, 0, 2, 0, 0, 0], [0, 1, 0, 0, -0.5, 0], [0, 0, 0, 1, 0, 0],
+              [0, 0, 0, 0, 0, 1]]
+    assert np.allclose(weights, expect, rtol=1e-15, atol=0)
+    # each mode coupling is its weight times its channel's operator
+    rebuilt = np.einsum("kl,kij->lij", weights, np.stack(channels))
+    assert np.abs(rebuilt - np.stack(g)).max() <= 1e-15
 
 
 # A drive enters H(t) only on the RK4 stages of evolve_batch, so these tests

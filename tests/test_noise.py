@@ -125,6 +125,58 @@ def test_dimension_cap(ctx_one_mode, ctx_two_mode):
         build_covariance(ctx_two_mode, grids, dim_cap=79)
 
 
+def _channel_grids(ctx):
+    return TimeGrids(t_f=1.5, n_t=11, hbar_beta=ctx.hbar_beta, n_tau=7)
+
+
+def test_channel_covariance_is_weighted_sum_of_mode_covariances(ctx_two_mode):
+    # two modes in one channel, g_1 = -0.3 g_0: sigma = sigma_0 + 0.09 sigma_1,
+    # and the sum keeps the exact symmetry and stationarity of each mode's
+    grids = _channel_grids(ctx_two_mode)
+    per_mode = build_covariance(ctx_two_mode, grids).sigma
+    cov = build_covariance(ctx_two_mode, grids, weights=np.array([[1.0, -0.3]]))
+    assert cov.sigma.shape == (1, cov.dim, cov.dim)
+    expect = per_mode[0] + 0.09 * per_mode[1]
+    assert np.abs(cov.sigma[0] - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert np.array_equal(cov.sigma, cov.sigma.mT)
+    for name in ("eta", "mu"):
+        blk = block(cov, name, name)
+        assert np.array_equal(blk[:, 1:, 1:], blk[:, :-1, :-1])
+    assert np.all(block(cov, "nu", "nu") == 0.0) and np.all(block(cov, "nu", "mu") == 0.0)
+
+
+def test_channels_order_and_split_modes(ctx_two_mode):
+    # channels keep the order of their rows, whatever their modes' order
+    grids = _channel_grids(ctx_two_mode)
+    per_mode = build_covariance(ctx_two_mode, grids).sigma
+    cov = build_covariance(ctx_two_mode, grids, weights=np.array([[0.0, 2.0], [1.0, 0.0]]))
+    assert np.array_equal(cov.sigma[0], 4.0 * per_mode[1])
+    assert np.array_equal(cov.sigma[1], per_mode[0])
+
+
+def test_identity_weights_give_each_mode_its_own_covariance(ctx_two_mode):
+    # with every coupling direction distinct, each channel's matrix is its
+    # mode's, bit for bit: each block is the mode's kernel value itself
+    grids = _channel_grids(ctx_two_mode)
+    cov = build_covariance(ctx_two_mode, grids, weights=np.eye(2))
+    assert cov.sigma.tobytes() == build_covariance(ctx_two_mode, grids).sigma.tobytes()
+    hbar, hb = ctx_two_mode.hbar, ctx_two_mode.hbar_beta
+    lag_idx = np.arange(grids.n_t)[:, None] - np.arange(grids.n_t)[None, :]
+    k_t = k_complex(ctx_two_mode, lag_idx * grids.dt, 0.0)
+    theta = (lag_idx > 0).astype(float) + 0.5 * (lag_idx == 0)
+    l_idx = np.arange(grids.n_tau)
+    abs_dtau = np.abs(l_idx[:, None] - l_idx[None, :]) * grids.dtau
+    eta_mu = hbar * k_complex(ctx_two_mode, grids.t[:, None], hb - grids.tau[None, :])
+    expect = {("eta", "eta"): hbar * k_t.real, ("eta", "nu"): 2j * theta * k_t.imag,
+              ("eta", "mu"): eta_mu, ("mu", "mu"): hbar * k_complex(ctx_two_mode, 0.0,
+                                                                    abs_dtau).real}
+    for (fa, fb), want in expect.items():
+        got = block(cov, fa, fb)
+        assert np.ascontiguousarray(got).tobytes() == want.astype(complex).tobytes()
+        mirror = block(cov, fb, fa)
+        assert np.ascontiguousarray(mirror).tobytes() == want.astype(complex).mT.copy().tobytes()
+
+
 @pytest.mark.parametrize("masses", [(1.0, 1.0), (1.0, 2.5)], ids=["unit", "1-2.5"])
 def test_site_covariance_from_modes_matches_dense_reference(masses):
     # sigma_site = (S (x) I) blockdiag(sigma_lam) (S (x) I)^T with S the site weights
