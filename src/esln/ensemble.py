@@ -61,11 +61,8 @@ ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
 
 @dataclass(frozen=True)
 class Pipeline:
-    """All derived objects a run needs, built once from the config.
-
-    The noise lives on the coupling channels: ``system`` has one coupling G_k
-    per channel, and ``cov`` and ``factor`` hold one matrix per channel.
-    """
+    """All derived objects a run needs, built once from the config; the noise
+    lives on the coupling channels."""
 
     config: RunConfig
     modes: NormalModes
