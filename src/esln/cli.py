@@ -96,8 +96,8 @@ def _load(args) -> RunConfig:
             raise ValidationError("--seed", "must be >= 0")
         cfg = cfg.with_overrides(master_seed=args.seed)
     if getattr(args, "n_traj", None) is not None:
-        if args.n_traj < 2:
-            raise ValidationError("--n-traj", "must be >= 2")
+        if args.n_traj < 3:
+            raise ValidationError("--n-traj", "must be >= 3")
         cfg = cfg.with_overrides(n_traj=args.n_traj)
     return cfg
 

@@ -148,7 +148,7 @@ def parse_config(document) -> RunConfig:
     grids = TimeGrids(t_f=t_f, n_t=n_t, hbar_beta=hbar * beta, n_tau=n_tau)
 
     ens_node = dict(_expect_map(_take(doc, "ensemble", "config"), "ensemble"))
-    n_traj = _integer(_take(ens_node, "n_traj", "ensemble"), "ensemble.n_traj", minimum=2)
+    n_traj = _integer(_take(ens_node, "n_traj", "ensemble"), "ensemble.n_traj", minimum=3)
     master_seed = _integer(_take(ens_node, "master_seed", "ensemble"),
                            "ensemble.master_seed", minimum=0)
     _no_extras(ens_node, "ensemble")

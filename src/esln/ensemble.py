@@ -4,12 +4,18 @@ One estimator: trajectories stay unnormalized through real time, and every
 output is scaled once by 1 / Tr <rho_bar(hbar*beta)>, the noise-averaged
 partition function.  By linearity of the noise average this is exact.
 
+Trajectories run in antithetic pairs: one draw w gives the fields z of one
+trajectory and -z of its partner.  w and -w have the same law, so the pair
+mean is an exact, unbiased sample in which the odd orders of the noise
+cancel; the statistics are taken over pair means.  A run of an odd number of
+trajectories runs one more, to whole pairs.
+
 The determinism unit is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
-index), one row per trajectory, and takes its (mean, M2) statistics in two
-passes; block partials are then folded in block order with Chan's merge.  All
-of it depends only on block indices, so results are bit-identical for any
-worker count, and a checkpoint taken between blocks resumes to the same bits.
+index), one row per pair, and takes its (mean, M2) statistics in two passes;
+block partials are then folded in block order with Chan's merge.  All of it
+depends only on block indices, so results are bit-identical for any worker
+count, and a checkpoint taken between blocks resumes to the same bits.
 
 The compute unit is the chunk: up to CHUNK_BLOCKS consecutive full blocks,
 whose rows are synthesized, quenched and evolved together, so each numpy call
@@ -51,7 +57,7 @@ BATCH_SIZE = 256            # trajectories per block, the unit of keying, reduct
 CHUNK_BLOCKS = 2            # full blocks per compute chunk, at most
 FAILURE_FRACTION = 0.01
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
-DOCUMENT_SCHEMA = "esln-result/3"
+DOCUMENT_SCHEMA = "esln-result/4"
 # the config sections that fix a run's numbers: documents and checkpoints echo these alone
 ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
 
@@ -153,9 +159,43 @@ def _pairwise_stats(values: np.ndarray) -> _Stats:
 
 @dataclass
 class _BatchResult:
-    series: _Stats          # (n_t, d, d) trajectory statistics; (1, d, d) without real time
-    zfac: _Stats            # scalar z-factor statistics
-    n_failed: int
+    """The statistics of one block's pair means, or the fold of several blocks'."""
+
+    series: _Stats          # (n_t, d, d); (1, d, d) without real time
+    zfac: _Stats            # scalar z-factor
+    residuals: _Stats       # (n_t, k), see _residuals
+    n_failed: int           # trajectories, two per failed pair
+
+    @classmethod
+    def empty(cls, n_t: int, d: int) -> "_BatchResult":
+        return cls(_Stats.empty((n_t, d, d)), _Stats.empty(()),
+                   _Stats.empty((n_t, d * (d + 1) // 2 + 1)), 0)
+
+    def merge(self, other: "_BatchResult") -> "_BatchResult":
+        return _BatchResult(self.series.merge(other.series), self.zfac.merge(other.zfac),
+                            self.residuals.merge(other.residuals),
+                            self.n_failed + other.n_failed)
+
+
+def _residuals(values: np.ndarray) -> np.ndarray:
+    """Each of the (B, n_t, d, d) ``values``' deviations from a Hermitian,
+    trace-preserving average, (B, n_t, k): v_ij - conj(v_ji) for i <= j, then
+    Tr v(t) - Tr v(0).  The noise average of each is exactly 0."""
+    d = values.shape[-1]
+    out = np.empty(values.shape[:2] + (d * (d + 1) // 2 + 1,), dtype=complex)
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    for k, (i, j) in enumerate(upper):      # basic slices: fancy indexing is 3x slower
+        np.subtract(values[..., i, j], values[..., j, i].conj(), out=out[..., k])
+    trace = values[..., 0, 0].copy()
+    for i in range(1, d):
+        trace += values[..., i, i]
+    np.subtract(trace, trace[:, :1], out=out[..., -1])
+    return out
+
+
+def _trajectories(n_traj: int) -> int:
+    """How many trajectories a run of ``n_traj`` runs: whole pairs."""
+    return n_traj + n_traj % 2
 
 
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: range,
@@ -164,16 +204,21 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: 
     _BatchResult per block, in block order.
 
     Block b holds trajectories b * BATCH_SIZE onwards, up to BATCH_SIZE of
-    them and none past ``cfg.n_traj``; its noise is one draw from the stream
-    keyed by (``cfg.master_seed``, b).  The blocks' rows are synthesized,
-    quenched and evolved together, then each block is reduced on its own, so
-    a failed row counts against its block alone.  Without real time the
-    series is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
+    them and none past the run's whole pairs.  Its n trajectories are n / 2
+    antithetic pairs, drawn in one call from the stream keyed by
+    (``cfg.master_seed``, b), one row per pair.  The chunk synthesizes the
+    fields z of its rows once and propagates the legs [z; -z] together.  Each
+    block is then reduced on its own over its pair means, so a pair fails if
+    either leg fails, and it counts against its block alone.  Without real
+    time the series is the single t = 0 entry, the unnormalized
+    rho_bar(hbar*beta).
     """
     grids = cfg.grids
-    sizes = [min(BATCH_SIZE, cfg.n_traj - b * BATCH_SIZE) for b in blocks]
-    eta, nu, mu = synthesize(factor, np.concatenate(
-        [draw_normal(factor, derive_seed(cfg.master_seed, b), n) for b, n in zip(blocks, sizes)]))
+    n_run = _trajectories(cfg.n_traj)
+    pairs = [min(BATCH_SIZE, n_run - b * BATCH_SIZE) // 2 for b in blocks]
+    # the draws and their synthesis are not kept: only the legs live on
+    eta, nu, mu = (np.concatenate([f, -f]) for f in synthesize(factor, np.concatenate(
+        [draw_normal(factor, derive_seed(cfg.master_seed, b), p) for b, p in zip(blocks, pairs)])))
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
     traces = np.trace(rho_end, axis1=1, axis2=2)
@@ -184,15 +229,19 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: 
         failed |= div_real
     else:
         series = rho_end[:, None]
-    results, lo = [], 0
-    for n in sizes:
-        rows = slice(lo, lo + n)
-        ok = ~failed[rows]
-        values = series[rows] if ok.all() else series[rows][ok]
+    results, lo, n = [], 0, sum(pairs)
+    for p in pairs:
+        plus, minus = slice(lo, lo + p), slice(n + lo, n + lo + p)
+        ok = ~(failed[plus] | failed[minus])
+        values = 0.5 * (series[plus] + series[minus])
+        if not ok.all():
+            values = values[ok]
+        zfac = 0.5 * (traces[plus] + traces[minus]) / system.dim
         results.append(_BatchResult(series=_pairwise_stats(values),
-                                    zfac=_pairwise_stats(traces[rows][ok] / system.dim),
-                                    n_failed=n - int(ok.sum())))
-        lo += n
+                                    zfac=_pairwise_stats(zfac[ok]),
+                                    residuals=_pairwise_stats(_residuals(values)),
+                                    n_failed=2 * (p - int(ok.sum()))))
+        lo += p
     return results
 
 
@@ -295,12 +344,15 @@ class EnsembleResult:
     mean_rho: np.ndarray        # (n_t, d, d) complex
     se_re: np.ndarray           # (n_t, d, d)
     se_im: np.ndarray           # (n_t, d, d)
-    n_traj: int
-    n_ok: int
+    n_traj: int                 # trajectories run, whole pairs
+    n_ok: int                   # trajectories, two per completed pair
     n_failed: int
     master_seed: int
     z_factor_mean: complex
     z_factor_se: float
+    # statistics of the pair means' residuals (see _residuals), scaled like
+    # mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|; not part of the document
+    residuals: _Stats
     config_echo: dict = field(default_factory=dict)
 
     @property
@@ -343,20 +395,22 @@ class HermiticityReport:
 
 
 def hermiticity_trace_report(result: EnsembleResult) -> HermiticityReport:
+    """z-scores of the residuals' means in units of their own standard errors.
+
+    The residuals are taken per pair mean (see _residuals), because the
+    entries of one pair mean are correlated, some of them perfectly: adding
+    up the separate errors of rho_ij and rho_ji would misstate the error of
+    rho_ij - conj(rho_ji).  Real and imaginary parts are scored apart.
+    """
+    res = result.residuals
+    se_re, se_im = res.se()
+    z = np.maximum(_safe_ratio(np.abs(res.mean.real), se_re),
+                   _safe_ratio(np.abs(res.mean.imag), se_im))
     mean = result.mean_rho
-    ser, sei = result.se_re, result.se_im
-    anti = mean - np.conj(np.swapaxes(mean, -1, -2))
-    scale_re = np.sqrt(ser ** 2 + np.swapaxes(ser, -1, -2) ** 2)
-    scale_im = np.sqrt(sei ** 2 + np.swapaxes(sei, -1, -2) ** 2)
-    herm_z = _safe_ratio(np.abs(anti.real), scale_re)
-    herm_z = np.maximum(herm_z, _safe_ratio(np.abs(anti.imag), scale_im))
-    trace_dev = np.abs(np.einsum("tii->t", mean) - 1.0)
-    trace_scale = np.sqrt(np.einsum("tii->t", ser ** 2) + np.einsum("tii->t", sei ** 2))
-    trace_z = _safe_ratio(trace_dev, trace_scale)
     hermitized = 0.5 * (mean + np.conj(np.swapaxes(mean, -1, -2)))
     min_eig = min(float(np.linalg.eigvalsh(h).min()) for h in hermitized)
-    return HermiticityReport(max_hermiticity_z=float(herm_z.max()),
-                             max_trace_z=float(trace_z.max()),
+    return HermiticityReport(max_hermiticity_z=float(z[:, :-1].max()),
+                             max_trace_z=float(z[:, -1].max()),
                              min_eigenvalue=min_eig,
                              n_ok=result.n_ok)
 
@@ -394,14 +448,15 @@ def _layout(pipe: Pipeline) -> dict:
 
 
 def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
-                      series: _Stats, zfac: _Stats, n_failed: int):
+                      acc: _BatchResult):
     doc = {"schema": DOCUMENT_SCHEMA + "+checkpoint",
            "config": cfg_echo,
            "layout": layout,
            "next_batch": next_batch,
-           "n_failed": n_failed,
-           "series": _stats_to_doc(series),
-           "z_factor": _stats_to_doc(zfac)}
+           "n_failed": acc.n_failed,
+           "series": _stats_to_doc(acc.series),
+           "z_factor": _stats_to_doc(acc.zfac),
+           "residuals": _stats_to_doc(acc.residuals)}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -411,11 +466,13 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_traj: int, shape: tuple):
-    """(next batch, series, z-factor, failure count) from ``path``; a torn or
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int,
+                     empty: _BatchResult):
+    """(next batch, folded statistics) from ``path``, for a run of ``n_run``
+    trajectories whose statistics have the shapes of ``empty``; a torn or
     malformed checkpoint, one of another run, or one whose counts do not add
     up to its batches raises ValidationError."""
-    n_batches = -(-n_traj // BATCH_SIZE)
+    n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -428,18 +485,22 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_traj: int, shape
             raise ValidationError("checkpoint", "checkpoint was written with a different noise "
                                                 "factor, batch size or esln version")
         next_batch, n_failed = doc["next_batch"], int(doc["n_failed"])
-        series, zfac = _stats_from_doc(doc["series"], shape), _stats_from_doc(doc["z_factor"], ())
+        series, zfac, residuals = (
+            _stats_from_doc(doc[key], st.mean.shape) for key, st in
+            (("series", empty.series), ("z_factor", empty.zfac), ("residuals", empty.residuals)))
     except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if type(next_batch) is not int or not 0 <= next_batch <= n_batches:
         raise ValidationError("checkpoint", f"next_batch {next_batch!r} is not in [0, {n_batches}]")
-    if series.n != zfac.n:
-        raise ValidationError("checkpoint", f"series.n {series.n} is not z_factor.n {zfac.n}")
-    n_run = min(next_batch * BATCH_SIZE, n_traj)
-    if series.n + n_failed != n_run:
-        raise ValidationError("checkpoint", f"series.n {series.n} + n_failed {n_failed} is not "
-                                            f"the {n_run} trajectories of {next_batch} batches")
-    return next_batch, series, zfac, n_failed
+    if not series.n == zfac.n == residuals.n:
+        raise ValidationError("checkpoint", f"series.n {series.n}, z_factor.n {zfac.n} and "
+                                            f"residuals.n {residuals.n} differ")
+    n_done = min(next_batch * BATCH_SIZE, n_run)
+    if 2 * series.n + n_failed != n_done:
+        raise ValidationError("checkpoint", f"2 * series.n {series.n} + n_failed {n_failed} is "
+                                            f"not the {n_done} trajectories of {next_batch} "
+                                            f"batches")
+    return next_batch, _BatchResult(series, zfac, residuals, n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +527,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
                  real_time: bool = True) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
+    The trajectories run in antithetic pairs, an odd ``n_traj`` rounded up
+    to whole pairs, and the standard errors are those of the pair means.
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
@@ -497,54 +560,50 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         else build_pipeline(cfg)
     cfg_echo = {key: val for key, val in emit_config(cfg).items() if key in ECHOED_SECTIONS}
     layout = _layout(pipe) if checkpoint_path else None
-    n_batches = -(-cfg.n_traj // BATCH_SIZE)
-    d = cfg.system.dim
+    n_run = _trajectories(cfg.n_traj)
+    n_batches = -(-n_run // BATCH_SIZE)
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
-    series_acc = _Stats.empty((times.size, d, d))
-    zfac_acc = _Stats.empty(())
-    n_failed = 0
+    acc = _BatchResult.empty(times.size, cfg.system.dim)
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
-        start_batch, series_acc, zfac_acc, n_failed = _read_checkpoint(
-            checkpoint_path, cfg_echo, layout, cfg.n_traj, series_acc.mean.shape)
+        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, acc)
 
     # _run_batch is looked up now, so a replacement set on the module reaches
     # the workers too
     done_batches = start_batch
     try:
-        with _batch_results(_run_batch, pipe, cfg, _chunks(start_batch, cfg.n_traj, workers),
+        with _batch_results(_run_batch, pipe, cfg, _chunks(start_batch, n_run, workers),
                             workers, real_time) as outs:
             for out in outs:
-                series_acc = series_acc.merge(out.series)
-                zfac_acc = zfac_acc.merge(out.zfac)
-                n_failed += out.n_failed
+                acc = acc.merge(out)
                 done_batches += 1
                 if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
                                         or done_batches == n_batches):
-                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
-                                      series_acc, zfac_acc, n_failed)
+                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc)
     except BrokenProcessPool as exc:
         raise WorkerLost(f"a worker process died; batch {done_batches} and later "
                          f"were not merged") from exc
 
-    n_ok = series_acc.n
-    if n_failed > FAILURE_FRACTION * cfg.n_traj:
+    if acc.n_failed > FAILURE_FRACTION * n_run:
         raise TooManyFailures(
-            f"{n_failed} of {cfg.n_traj} trajectories diverged "
+            f"{acc.n_failed} of {n_run} trajectories diverged "
             f"(> {FAILURE_FRACTION:.0%})")
-    if n_ok < 2:
-        raise TooManyFailures("fewer than two trajectories completed")
-    _check_finite(series_acc, zfac_acc)
+    if acc.series.n < 2:
+        raise TooManyFailures("fewer than two pairs of trajectories completed")
+    _check_finite(acc.series, acc.zfac)
 
-    scale = 1.0 / np.trace(series_acc.mean[0])
-    mean = series_acc.mean * scale
-    se_re, se_im = (se * abs(scale) for se in series_acc.se())
-    zf_se_re, zf_se_im = zfac_acc.se()
+    series, res = acc.series, acc.residuals
+    scale = 1.0 / np.trace(series.mean[0])
+    se_re, se_im = (se * abs(scale) for se in series.se())
+    zf_se_re, zf_se_im = acc.zfac.se()
     return EnsembleResult(
-        times=times, mean_rho=mean, se_re=se_re, se_im=se_im,
-        n_traj=cfg.n_traj, n_ok=n_ok, n_failed=n_failed,
-        master_seed=cfg.master_seed, z_factor_mean=complex(zfac_acc.mean),
-        z_factor_se=float(np.hypot(zf_se_re, zf_se_im)), config_echo=cfg_echo)
+        times=times, mean_rho=series.mean * scale, se_re=se_re, se_im=se_im,
+        n_traj=n_run, n_ok=2 * series.n, n_failed=acc.n_failed,
+        master_seed=cfg.master_seed, z_factor_mean=complex(acc.zfac.mean),
+        z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
+        residuals=_Stats(res.n, res.mean * abs(scale), res.m2_re * abs(scale) ** 2,
+                         res.m2_im * abs(scale) ** 2),
+        config_echo=cfg_echo)
 
 
 # ---------------------------------------------------------------------------

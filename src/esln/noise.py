@@ -36,10 +36,11 @@ a_k a_k^T = sigma_k, so the pseudo-covariance holds by construction while
 Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
 sigma_k; no matrix spans two channels.
 
-One function makes every w: ``draw_normal`` reads n rows, one per trajectory,
-from the Philox stream of a key.  A run keys one stream per block of 256
-trajectories, ``derive_seed(master_seed, block)``, and the Monte Carlo checks
-one per block of samples, ``derive_seed(seed, block)``.
+One function makes every w: ``draw_normal`` reads n rows from the Philox
+stream of a key.  A run keys one stream per block of 256 trajectories,
+``derive_seed(master_seed, block)``, and draws one row per antithetic pair of
+them; the Monte Carlo checks key one per block of samples,
+``derive_seed(seed, block)``.
 """
 
 from __future__ import annotations
@@ -221,6 +222,15 @@ def takagi(sym: np.ndarray):
     vectors, including inside degenerate clusters (their pair partners live in
     the mirrored negative-s subspace).  This stays accurate where SVD-based
     constructions lose the pairing between near-degenerate singular subspaces.
+
+    ``eigh`` returns each eigenvector with a sign that can depend on the BLAS
+    thread count, and a column's sign picks another noise sample.  So every
+    column is oriented by one rule: its first entry whose |Re| is at least
+    half the column's largest |Re| is made positive (by |Im| instead where
+    the real part is at rounding level, below 1e-8 of the largest |entry|).
+    A real sign per column keeps U diag(s) U^T.  The half-size threshold
+    stops an entry and its mirror image, of equal size and opposite sign,
+    from deciding by rounding which one leads.
     Returns (s, U) with s descending; truncation happens in ``factorize``.
     """
     n = sym.shape[0]
@@ -232,6 +242,10 @@ def takagi(sym: np.ndarray):
     order = np.argsort(evals)[::-1][:n]       # the +s half of the ± spectrum
     s = np.maximum(evals[order], 0.0)
     u = evecs[:n, order] + 1j * evecs[n:, order]
+    part = np.where(np.abs(u.real).max(axis=0) > 1e-8 * np.abs(u).max(axis=0), u.real, u.imag)
+    size = np.abs(part)
+    lead = np.argmax(size >= 0.5 * size.max(axis=0), axis=0)
+    u *= np.where(part[lead, np.arange(n)] < 0.0, -1.0, 1.0)
     return s, u
 
 
@@ -266,8 +280,8 @@ def derive_seed(master_seed: int, index: int) -> int:
 def draw_normal(factor: NoiseFactor, seed: int, n: int) -> np.ndarray:
     """Real standard normals w (n, rank) of the Philox stream keyed by ``seed``.
 
-    Row j, trajectory j's draw, is the j-th rank-long block of the stream, so
-    n rows are a prefix of any longer draw from the same key.
+    Row j is the j-th rank-long block of the stream, so n rows are a prefix
+    of any longer draw from the same key.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     return rng.standard_normal((n, factor.rank))

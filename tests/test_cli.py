@@ -43,7 +43,7 @@ def test_run_outputs_are_byte_identical_across_workers(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert csv1.read_bytes() == csv2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["schema"] == "esln-result/3"
+    assert doc["schema"] == "esln-result/4"
     assert doc["version"] == esln.__version__
     assert doc["n_ok"] == 128
 

@@ -184,7 +184,7 @@ def _documents(draw):
                    "hbar": draw(_POSITIVE), "beta": draw(_POSITIVE)},
         "bath": {"masses": arrays["masses"].tolist(), "lambda": lam.tolist()},
         "grids": {"t_f": draw(_POSITIVE), "n_t": n_t, "n_tau": n_tau},
-        "ensemble": {"n_traj": draw(st.integers(2, 10 ** 6)),
+        "ensemble": {"n_traj": draw(st.integers(3, 10 ** 6)),
                      "master_seed": draw(st.integers(0, 2 ** 63))},
     }
     if arrays["drives"]:

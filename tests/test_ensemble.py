@@ -16,14 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import esln
 from esln import ensemble
-from esln import (build_pipeline, coupling_channels, diagonalize_bath, exact_reduced_dynamics,
-                  factorize, hermiticity_trace_report, k_complex, mode_couplings, parse_config,
-                  run_ensemble, TruncatedBath, write_csv, write_document)
+from esln import (build_covariance, build_pipeline, coupling_channels, diagonalize_bath,
+                  exact_reduced_dynamics, factorize, hermiticity_trace_report, k_complex,
+                  mode_couplings, parse_config, run_ensemble, TruncatedBath, write_csv,
+                  write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _Stats,
                            compare_series, document_bytes, read_csv, result_document)
 from esln.cli import main
 from esln.errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
-from esln.noise import NoiseCovariance
+from esln.noise import NoiseCovariance, draw_normal, synthesize
 
 from conftest import small_doc
 
@@ -138,19 +139,24 @@ def test_stats_fold_under_any_batch_split(data, n, t, d, seed, offset, spread):
 
 
 def test_run_draws_each_batch_in_one_call(monkeypatch):
-    # one draw per batch, keyed by (master_seed, batch index), one row per trajectory
+    # one draw per batch, keyed by (master_seed, batch index), one row per pair
+    # of trajectories: the 5-trajectory last batch draws ceil(5 / 2) = 3 rows,
+    # the first 3 rows of a full batch's draw from the same key
     cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE + 5, master_seed=9))
     real_draw = ensemble.draw_normal
-    calls = []
+    calls, rows = [], []
 
     def counted(factor, seed, n):
         calls.append((seed, n))
-        return real_draw(factor, seed, n)
+        rows.append(real_draw(factor, seed, n))
+        return rows[-1]
 
     monkeypatch.setattr(ensemble, "draw_normal", counted)
     run_ensemble(cfg, workers=1)
-    assert calls == [(ensemble.derive_seed(9, b), n)
-                     for b, n in enumerate((ensemble.BATCH_SIZE, ensemble.BATCH_SIZE, 5))]
+    half = ensemble.BATCH_SIZE // 2
+    assert calls == [(ensemble.derive_seed(9, b), n) for b, n in enumerate((half, half, 3))]
+    full = real_draw(build_pipeline(cfg).factor, ensemble.derive_seed(9, 2), half)
+    assert np.array_equal(rows[2], full[:3])
 
 
 def test_zero_coupling_is_deterministic_unitary():
@@ -258,33 +264,116 @@ def _same_result(a, b) -> bool:
     return a.n_failed == b.n_failed and all(
         x.n == y.n and all(np.array_equal(getattr(x, f), getattr(y, f))
                            for f in ("mean", "m2_re", "m2_im"))
-        for x, y in ((a.series, b.series), (a.zfac, b.zfac)))
+        for x, y in ((a.series, b.series), (a.zfac, b.zfac), (a.residuals, b.residuals)))
 
 
 def test_a_failed_row_counts_against_its_own_block(monkeypatch):
-    # a chunk's blocks equal the same blocks run alone, bit for bit; a row of
-    # the second block that diverges fails that block only
+    # a chunk's blocks equal the same blocks run alone, bit for bit; a leg of
+    # the second block's pair 7 that diverges, in either phase and on either
+    # leg, fails that pair: it counts 2 against that block only, and every
+    # other pair reaches the reduction with the bits it had
     cfg = _driven_61x21(2 * ensemble.BATCH_SIZE)
     pipe = build_pipeline(cfg)
     args = (pipe.system, pipe.factor, cfg)
+    reduced = []
+    real_stats = ensemble._pairwise_stats
+    monkeypatch.setattr(ensemble, "_pairwise_stats",
+                        lambda values: reduced.append(values) or real_stats(values))
     clean = ensemble._run_batch(*args, range(0, 2), True)
+    clean_inputs = list(reduced)
     alone = [ensemble._run_batch(*args, range(b, b + 1), True)[0] for b in (0, 1)]
     assert all(_same_result(c, a) for c, a in zip(clean, alone))
-    real_evolve = ensemble.evolve_batch
-    bad_row = ensemble.BATCH_SIZE + 7
+    half = ensemble.BATCH_SIZE // 2
+    for phase in ("equilibrate_batch", "evolve_batch"):
+        real_phase = getattr(ensemble, phase)
+        for leg in (0, 1):
+            # the chunk's rows are the + legs of both blocks' pairs, then their - legs
+            bad_row = leg * ensemble.BATCH_SIZE + half + 7
 
-    def one_row_diverges(*evolve_args):
+            def one_row_diverges(*phase_args, real_phase=real_phase, bad_row=bad_row):
+                out, diverged = real_phase(*phase_args)
+                out[bad_row] = np.nan
+                diverged[bad_row] = True
+                return out, diverged
+
+            reduced.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ensemble, phase, one_row_diverges)
+                first, second = ensemble._run_batch(*args, range(0, 2), True)
+            assert _same_result(first, clean[0])
+            assert second.n_failed == 2
+            assert second.series.n == second.zfac.n == second.residuals.n == half - 1
+            assert np.isfinite(second.series.mean).all() and np.isfinite(second.series.m2_re).all()
+            # block 1's series, z-factor and residuals: its clean pairs without pair 7
+            assert len(reduced) == len(clean_inputs) == 6
+            for got, ref in zip(reduced[3:], clean_inputs[3:]):
+                assert np.array_equal(got, np.delete(ref, 7, axis=0))
+
+
+def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
+    # each chunk propagates [z; -z]: the second half of every field is the
+    # first half negated, bit for bit, and the first half is synthesized from
+    # the block's ceil(n / 2) rows
+    cfg = parse_config(small_doc(n_traj=ensemble.BATCH_SIZE + 5, master_seed=3))
+    pipe = build_pipeline(cfg)
+    fields = []
+    real_equilibrate, real_evolve = ensemble.equilibrate_batch, ensemble.evolve_batch
+
+    def equilibrate(system, mu, *rest):
+        fields.append(("mu", mu))
+        return real_equilibrate(system, mu, *rest)
+
+    def evolve(system, eta, nu, *rest):
+        fields.extend((("eta", eta), ("nu", nu)))
+        return real_evolve(system, eta, nu, *rest)
+
+    monkeypatch.setattr(ensemble, "equilibrate_batch", equilibrate)
+    monkeypatch.setattr(ensemble, "evolve_batch", evolve)
+    run_ensemble(cfg, pipeline=pipe)
+    assert [len(f) for _, f in fields] == [ensemble.BATCH_SIZE] * 3 + [6] * 3
+    for _, f in fields:
+        n = len(f) // 2
+        assert np.array_equal(f[n:], -f[:n])
+    for block, n in enumerate((ensemble.BATCH_SIZE // 2, 3)):       # a chunk each
+        w = draw_normal(pipe.factor, ensemble.derive_seed(3, block), n)
+        synthesized = dict(zip(("eta", "nu", "mu"), synthesize(pipe.factor, w)))
+        for name, f in fields[3 * block:3 * block + 3]:
+            assert np.array_equal(f[:n], synthesized[name])
+
+
+def test_document_counts_add_up_to_the_trajectories_run(monkeypatch):
+    # an odd n_traj runs whole pairs, 3 * 256 + 17 = 785 runs 786, and a
+    # diverged leg counts its pair's two trajectories as failed: the first row
+    # of each of the run's three chunks fails here
+    cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE + 17))
+    real_evolve = ensemble.evolve_batch
+
+    def first_row_diverges(*evolve_args):
         series, diverged = real_evolve(*evolve_args)
-        series[bad_row] = np.nan
-        diverged[bad_row] = True
+        series[0] = np.nan
+        diverged[0] = True
         return series, diverged
 
-    monkeypatch.setattr(ensemble, "evolve_batch", one_row_diverges)
-    first, second = ensemble._run_batch(*args, range(0, 2), True)
-    assert _same_result(first, clean[0])
-    assert second.n_failed == 1
-    assert second.series.n == second.zfac.n == ensemble.BATCH_SIZE - 1
-    assert np.isfinite(second.series.mean).all() and np.isfinite(second.series.m2_re).all()
+    monkeypatch.setattr(ensemble, "evolve_batch", first_row_diverges)
+    doc = result_document(run_ensemble(cfg))
+    assert doc["config"]["ensemble"]["n_traj"] == 785
+    assert doc["n_traj"] == 786
+    assert doc["n_failed"] == 2 * 3
+    assert doc["n_ok"] + doc["n_failed"] == doc["n_traj"]
+
+
+def test_at_least_two_pairs_run():
+    # n_traj = 3 is the least a config takes, and it runs two pairs; a library
+    # call that asks for one pair only is refused after it ran
+    with pytest.raises(ValidationError) as err:
+        parse_config(small_doc(n_traj=2))
+    assert err.value.path == "ensemble.n_traj"
+    cfg = parse_config(small_doc(n_traj=3))
+    res = run_ensemble(cfg)
+    assert (res.n_traj, res.n_ok, res.n_failed) == (4, 4, 0)
+    for n_traj in (1, 2):
+        with pytest.raises(TooManyFailures, match="fewer than two pairs"):
+            run_ensemble(cfg.with_overrides(n_traj=n_traj))
 
 
 def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
@@ -327,6 +416,34 @@ def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
     out = tmp_path / "out.json"
     assert main(["run", "--config", str(cfg_path), "--output", str(out)]) == 3
     assert not out.exists()
+
+
+def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
+    # the entries of one pair mean are correlated, so the report takes the
+    # errors of rho - rho^dag and of Tr rho(t) - Tr rho(0) from their values
+    # per pair mean, not from the separate errors of the entries
+    cfg = _driven_61x21(ensemble.BATCH_SIZE)
+    reduced = []
+    real_stats = ensemble._pairwise_stats
+    monkeypatch.setattr(ensemble, "_pairwise_stats",
+                        lambda values: reduced.append(values) or real_stats(values))
+    report = hermiticity_trace_report(run_ensemble(cfg))
+    v = reduced[0]                                      # the one block's pair means
+
+    def worst_z(residual):
+        zs = []
+        for part in (residual.real, residual.imag):
+            mean = part.mean(axis=0)
+            se = part.std(axis=0, ddof=1) / np.sqrt(len(part))
+            moved = np.abs(mean) > 1e-12                # exact zeros score 0
+            zs.append((np.abs(mean[moved]) / se[moved]).max(initial=0.0))
+        return max(zs)
+
+    trace = np.einsum("ptii->pt", v)
+    assert report.max_hermiticity_z == pytest.approx(
+        worst_z(v - np.conj(np.swapaxes(v, -1, -2))), rel=1e-6)
+    assert report.max_trace_z == pytest.approx(worst_z(trace - trace[:, :1]), rel=1e-6)
+    assert report.max_hermiticity_z > 0.0 and report.max_trace_z > 0.0
 
 
 def test_stderr_shrinks_with_more_trajectories():
@@ -423,6 +540,32 @@ def test_mixed_channels_match_oracle():
     res = run_ensemble(cfg, pipeline=pipe)
     exact = exact_reduced_dynamics(cfg.system, pipe.modes, g, TruncatedBath(7), cfg.grids)
     z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
+    assert z.max() < 5.0, z.max()
+
+
+def test_merged_channel_matches_one_channel_per_mode():
+    # sites coupling through sigma_z with opposite signs: two modes in one
+    # channel, g_1 = W g_0 with W near -2.  A run through the merged channel
+    # (covariance sum_lam W^2 sigma_lam) must agree with a run through one
+    # channel per mode (each mode's own coupling and covariance).  A merged
+    # covariance of sum_lam W sigma_lam, which flips mode 1's sign, lies
+    # about 30 standard errors off here
+    doc = small_doc(n_traj=2048, master_seed=43)
+    doc["system"]["couplings"] = [[[0.8, 0.0], [0.0, -0.8]], [[-0.4, 0.0], [0.0, 0.4]]]
+    doc["bath"] = {"masses": [1.0, 1.0], "lambda": [[2.0, -0.8], [-0.8, 2.5]]}
+    doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 21}
+    cfg = parse_config(doc)
+    merged = build_pipeline(cfg)
+    g = mode_couplings(merged.modes, cfg.bath, cfg.system)
+    _, weights = coupling_channels(g)
+    assert weights.shape == (1, 2) and weights[0, 1] < -1.5
+    cov = build_covariance(merged.ctx, cfg.grids)
+    per_mode = dataclasses.replace(
+        merged, system=dataclasses.replace(cfg.system, couplings=tuple(g)), cov=cov,
+        factor=factorize(cov))
+    a = run_ensemble(cfg, pipeline=merged)
+    b = run_ensemble(cfg.with_overrides(master_seed=44), pipeline=per_mode)
+    z = np.abs(a.mean_rho - b.mean_rho) / np.sqrt(a.stderr_rho ** 2 + b.stderr_rho ** 2 + 1e-300)
     assert z.max() < 5.0, z.max()
 
 

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import esln
 from esln import (BathSpec, KernelContext, TimeGrids, build_covariance, diagonalize_bath,
                   factorize, hs_identity_check, takagi, verify_empirical)
 from esln import noise
@@ -11,7 +18,7 @@ from esln.noise import (SV_TRUNCATION, NoiseCovariance, NoiseFactor, derive_seed
                         synthesize)
 
 from conftest import (coth, dense_site_covariance, k_complex_printed_split, site_covariance,
-                      site_factor)
+                      site_factor, small_doc)
 
 
 def block(cov, field_a, field_b):
@@ -431,3 +438,28 @@ def test_draw_normal_matches_sample_chain(ctx_two_mode):
         start = cov.field_slice(name).start
         for b, lam, k in np.ndindex(arr.shape):
             assert arr[b, lam, k] == z[lam][start + k, b]
+
+
+def test_takagi_factor_does_not_depend_on_blas_threads(tmp_path):
+    # eigh returns eigenvector signs that depend on the BLAS thread count, and
+    # a flipped column draws another sample; on this grid 48 of the factor's
+    # 100 columns flipped between 1 and 2 threads before takagi oriented each
+    # column by one sign rule.  Now the factors agree to rounding.
+    doc = small_doc()
+    doc["grids"] = {"t_f": 4.0, "n_t": 41, "n_tau": 21}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    script = ("import sys, numpy as np, esln\n"
+              "a, = esln.build_pipeline(esln.load_config(sys.argv[1])).factor.a\n"
+              "np.save(sys.argv[2], a)\n")
+    factors = []
+    for threads in (1, 2):
+        out = tmp_path / f"a{threads}.npy"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(Path(esln.__file__).resolve().parent.parent))
+        subprocess.run([sys.executable, "-c", script, str(config), str(out)], env=env,
+                       check=True, timeout=120)
+        factors.append(np.load(out))
+    one, two = factors
+    assert one.shape == two.shape
+    assert np.abs(one - two).max() <= 1e-9 * np.abs(one).max()
