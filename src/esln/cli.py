@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None,
                      help="output CSV path; either flag replaces the config's output")
     run.add_argument("--checkpoint", default=None,
-                     help=f"checkpoint file, written every {ens.CHECKPOINT_EVERY} batches "
+                     help=f"checkpoint file, written every {ens.CHECKPOINT_EVERY} blocks "
                           "and after the last; resumed when present")
 
     eq = sub.add_parser("equilibrate", help="imaginary-time phase only")

@@ -10,20 +10,15 @@ mean is an exact, unbiased sample in which the odd orders of the noise
 cancel; the statistics are taken over pair means.  A run of an odd number of
 trajectories runs one more, to whole pairs.
 
-The determinism unit is the block of BATCH_SIZE trajectories.  Each block
+The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
-index), one row per pair, and takes its (mean, M2) statistics in two passes;
-block partials are then folded in block order with Chan's merge.  All of it
-depends only on block indices, so results are bit-identical for any worker
-count, and a checkpoint taken between blocks resumes to the same bits.
+index), one row per pair, propagates all its trajectories together and takes
+its (mean, M2) statistics in two passes; block partials are then folded in
+block order with Chan's merge.  All of it depends only on block indices, so
+results are bit-identical for any worker count, and a checkpoint taken
+between blocks resumes to the same bits.
 
-The compute unit is the chunk: up to CHUNK_BLOCKS consecutive full blocks,
-whose rows are synthesized, quenched and evolved together, so each numpy call
-spreads its overhead over more trajectories.  A full block's rows round the
-same in a chunk as alone.  A short last block's few rows do not (they round
-differently inside a wider matrix product), so it always runs alone.
-
-One worker runs the chunks on the calling thread.  More run them on that
+One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
 once; the calling process only merges and checkpoints.
 """
@@ -33,9 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -53,8 +50,7 @@ from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
                     draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
 
-BATCH_SIZE = 256            # trajectories per block, the unit of keying, reduction and merge
-CHUNK_BLOCKS = 2            # full blocks per compute chunk, at most
+BATCH_SIZE = 512            # trajectories per block, the one unit of work
 FAILURE_FRACTION = 0.01
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
 DOCUMENT_SCHEMA = "esln-result/4"
@@ -198,29 +194,27 @@ def _trajectories(n_traj: int) -> int:
     return n_traj + n_traj % 2
 
 
-def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: range,
-               real_time: bool) -> list:
-    """Draw, quench and (with ``real_time``) evolve the chunk ``blocks``; one
-    _BatchResult per block, in block order.
+def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
+               real_time: bool) -> _BatchResult:
+    """Draw, quench and (with ``real_time``) evolve block ``block``, and
+    reduce it over its pair means.
 
-    Block b holds trajectories b * BATCH_SIZE onwards, up to BATCH_SIZE of
-    them and none past the run's whole pairs.  Its n trajectories are n / 2
+    The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
+    of them and none past the run's whole pairs.  Its n trajectories are n / 2
     antithetic pairs, drawn in one call from the stream keyed by
-    (``cfg.master_seed``, b), one row per pair.  The chunk synthesizes the
-    fields z of its rows once and propagates the legs [z; -z] together.  Each
-    block is then reduced on its own over its pair means, so a pair fails if
-    either leg fails, and it counts against its block alone.  Without real
-    time the series is the single t = 0 entry, the unnormalized
-    rho_bar(hbar*beta).
+    (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
+    rows are synthesized once, and the legs [z; -z] propagate together.  A
+    pair fails if either leg fails.  Without real time the series is the
+    single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
     grids = cfg.grids
-    n_run = _trajectories(cfg.n_traj)
-    pairs = [min(BATCH_SIZE, n_run - b * BATCH_SIZE) // 2 for b in blocks]
+    n = min(BATCH_SIZE, _trajectories(cfg.n_traj) - block * BATCH_SIZE) // 2
     # the draws and their synthesis are not kept: only the legs live on
-    eta, nu, mu = (np.concatenate([f, -f]) for f in synthesize(factor, np.concatenate(
-        [draw_normal(factor, derive_seed(cfg.master_seed, b), p) for b, p in zip(blocks, pairs)])))
+    eta, nu, mu = (np.concatenate([f, -f]) for f in synthesize(
+        factor, draw_normal(factor, derive_seed(cfg.master_seed, block), n)))
 
     rho_end, div_imag = equilibrate_batch(system, mu, grids)
+    del mu                  # spent: not held through the real-time phase
     traces = np.trace(rho_end, axis1=1, axis2=2)
     degenerate = np.abs(traces) < 1e-300
     failed = div_imag | degenerate
@@ -229,50 +223,37 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, blocks: 
         failed |= div_real
     else:
         series = rho_end[:, None]
-    results, lo, n = [], 0, sum(pairs)
-    for p in pairs:
-        plus, minus = slice(lo, lo + p), slice(n + lo, n + lo + p)
-        ok = ~(failed[plus] | failed[minus])
-        values = 0.5 * (series[plus] + series[minus])
-        if not ok.all():
-            values = values[ok]
-        zfac = 0.5 * (traces[plus] + traces[minus]) / system.dim
-        results.append(_BatchResult(series=_pairwise_stats(values),
-                                    zfac=_pairwise_stats(zfac[ok]),
-                                    residuals=_pairwise_stats(_residuals(values)),
-                                    n_failed=2 * (p - int(ok.sum()))))
-        lo += p
-    return results
+    ok = ~(failed[:n] | failed[n:])
+    values = 0.5 * (series[:n] + series[n:])
+    if not ok.all():
+        values = values[ok]
+    zfac = 0.5 * (traces[:n] + traces[n:]) / system.dim
+    return _BatchResult(series=_pairwise_stats(values), zfac=_pairwise_stats(zfac[ok]),
+                        residuals=_pairwise_stats(_residuals(values)),
+                        n_failed=2 * (n - int(ok.sum())))
 
 
-def _chunks(start: int, n_traj: int, workers: int) -> list:
-    """The compute chunks of blocks ``start`` onwards, as ranges of blocks.
-
-    Full blocks go CHUNK_BLOCKS at a time, or fewer, so that no chunk holds
-    more than a worker's share of them, ceil(full blocks left / workers); a
-    short last block is a chunk of its own.
-    """
-    n_full = n_traj // BATCH_SIZE
-    width = max(1, min(CHUNK_BLOCKS, -(-(n_full - start) // workers)))
-    chunks = [range(b, min(b + width, n_full)) for b in range(start, n_full, width)]
-    if n_traj % BATCH_SIZE and start <= n_full:
-        chunks.append(range(n_full, n_full + 1))
-    return chunks
-
-
-# the arguments every chunk of a pooled run shares, set once in each worker process
+# the arguments every block of a pooled run shares, set once in each worker process
 _worker_args: tuple = ()
+
+
+def _exit_with_parent():
+    """End this worker process as soon as the process that started it is gone,
+    so that a run killed from outside leaves no worker behind."""
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
 
 
 def _init_worker(path: str):
     global _worker_args
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     with open(path, "rb") as fh:
         _worker_args = pickle.load(fh)
 
 
-def _worker_chunk(blocks: range) -> list:
+def _worker_block(block: int) -> _BatchResult:
     run_batch, system, factor, cfg, real_time = _worker_args
-    return run_batch(system, factor, cfg, blocks, real_time)
+    return run_batch(system, factor, cfg, block, real_time)
 
 
 @contextmanager
@@ -297,38 +278,36 @@ def _blas_threads_sleep_at_once():
 
 
 @contextmanager
-def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, chunks: list,
+def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range,
                    workers: int, real_time: bool):
-    """An iterator over ``run_batch``'s per-block results for ``chunks``, in
-    block order.
+    """An iterator over ``run_batch``'s results for ``blocks``, in block order.
 
-    One worker runs the chunks on the calling thread.  More run them on
-    min(workers, len(chunks)) spawned processes (spawned, not forked, since
+    One worker runs the blocks on the calling thread.  More run them on
+    min(workers, len(blocks)) spawned processes (spawned, not forked, since
     this process may already run BLAS threads), whose BLAS threads sleep
     between calls.  Each reads what ``run_batch`` reads, once, from a file.
     Passed as initializer arguments, that payload would go down each worker's
     start-up pipe, and a worker that dies while starting (re-running a script
     that has no main guard, say) would leave this process blocked on a payload
     larger than the pipe buffer; read from a file, the pool breaks instead.
-    On leaving the block the pool is shut down, its queued chunks cancelled
+    On leaving the block the pool is shut down, its queued blocks cancelled
     and its processes joined.
     """
-    if workers == 1 or not chunks:
-        yield (out for blocks in chunks
-               for out in run_batch(pipe.system, pipe.factor, cfg, blocks, real_time))
+    if workers == 1 or not blocks:
+        yield (run_batch(pipe.system, pipe.factor, cfg, b, real_time) for b in blocks)
         return
     with tempfile.TemporaryDirectory(prefix="esln-") as tmp:
         args_path = os.path.join(tmp, "batch-args.pickle")
         with open(args_path, "wb") as fh:
             pickle.dump((run_batch, pipe.system, pipe.factor, cfg, real_time), fh,
                         protocol=pickle.HIGHEST_PROTOCOL)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(blocks)),
                                    mp_context=multiprocessing.get_context("spawn"),
                                    initializer=_init_worker, initargs=(args_path,))
         try:
             with _blas_threads_sleep_at_once():     # the workers start inside map's submits
-                outs = pool.map(_worker_chunk, chunks)
-            yield (out for chunk_outs in outs for out in chunk_outs)
+                outs = pool.map(_worker_block, blocks)
+            yield outs
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -532,10 +511,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
-    least 1) cannot change any output bit.  The work runs in chunks of up to
-    CHUNK_BLOCKS full blocks, none wider than a worker's share of the full
-    blocks left; a short last block runs alone.  ``workers`` = 1 runs the
-    chunks on the calling thread; more run them on min(workers, chunks)
+    least 1) cannot change any output bit.  ``workers`` = 1 runs the blocks
+    on the calling thread; more run them on min(workers, blocks left)
     spawned worker processes, which take about 0.5 s to start.  Each worker
     imports the caller's main module, so a script that calls this needs an
     ``if __name__ == "__main__":`` guard.  A worker that dies raises
@@ -572,7 +549,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     # the workers too
     done_batches = start_batch
     try:
-        with _batch_results(_run_batch, pipe, cfg, _chunks(start_batch, n_run, workers),
+        with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
                             workers, real_time) as outs:
             for out in outs:
                 acc = acc.merge(out)
@@ -660,7 +637,11 @@ def write_csv(result: EnsembleResult, path: str):
 
 
 def read_csv(path: str):
-    """Read the CSV schema back into (times, mean, se_re, se_im)."""
+    """Read the CSV schema back into (times, mean, se_re, se_im).
+
+    A non-numeric field, a row or col outside [0, d) (d is the largest row
+    plus one), or a (t, row, col) entry that is missing or repeated raises
+    ValidationError."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -670,15 +651,25 @@ def read_csv(path: str):
             parts = line.strip().split(",")
             if len(parts) != 7:
                 raise ValidationError(path, f"malformed CSV row {line.strip()!r}")
-            rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
-                         float(parts[3]), float(parts[4]), float(parts[5]),
-                         float(parts[6])))
+            try:
+                rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
+                             *(float(x) for x in parts[3:])))
+            except ValueError:
+                raise ValidationError(path, f"non-numeric field in CSV row "
+                                            f"{line.strip()!r}") from None
     if not rows:
         raise ValidationError(path, "empty CSV")
     d = max(r[1] for r in rows) + 1
+    bad = next((r for r in rows if not (0 <= r[1] < d and 0 <= r[2] < d)), None)
+    if bad is not None:
+        raise ValidationError(path, f"row {bad[1]}, col {bad[2]} at t = {bad[0]!r} "
+                                    f"is outside [0, {d})")
     times = sorted({r[0] for r in rows})
     t_index = {t: i for i, t in enumerate(times)}
     n_t = len(times)
+    if len({r[:3] for r in rows}) != len(rows) or len(rows) != n_t * d * d:
+        raise ValidationError(path, f"{len(rows)} rows do not hold each (t, row, col) of "
+                                    f"{n_t} times and d = {d} exactly once")
     mean = np.zeros((n_t, d, d), complex)
     se_re = np.zeros((n_t, d, d))
     se_im = np.zeros((n_t, d, d))

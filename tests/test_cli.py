@@ -118,6 +118,43 @@ def test_compare_fails_on_wrong_reference(tmp_path):
     assert main(["compare", str(ens_csv), str(orc_csv)]) == 4
 
 
+def _good_csv(tmp_path) -> list:
+    times = np.linspace(0.0, 1.0, 3)
+    mean = np.arange(12).reshape(3, 2, 2) * (1.0 + 0.5j)
+    lines = list(esln.ensemble.csv_lines(times, mean, np.ones((3, 2, 2)), np.ones((3, 2, 2))))
+    (tmp_path / "good.csv").write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def _with_field(line: str, k: int, value: str) -> str:
+    parts = line.split(",")
+    parts[k] = value
+    return ",".join(parts)
+
+
+_BAD_CSVS = {
+    "non-numeric-value": lambda lines: lines[:3] + [_with_field(lines[3], 3, "abc")] + lines[4:],
+    "non-numeric-col": lambda lines: lines[:3] + [_with_field(lines[3], 2, "x")] + lines[4:],
+    "col-past-d": lambda lines: lines[:4] + [_with_field(lines[4], 2, "2")] + lines[5:],
+    "negative-row": lambda lines: lines[:4] + [_with_field(lines[4], 1, "-1")] + lines[5:],
+    "missing-entry": lambda lines: lines[:5] + lines[6:],
+    "duplicate-entry": lambda lines: lines[:5] + [lines[4]] + lines[6:],
+}
+
+
+@pytest.mark.parametrize("damage", _BAD_CSVS.values(), ids=_BAD_CSVS.keys())
+def test_compare_refuses_a_malformed_csv(tmp_path, capsys, damage):
+    # a field that is no number, an index outside [0, d), or a (t, row, col)
+    # entry missing or repeated is a configuration error (exit 2), not a traceback
+    good = _good_csv(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(damage(good)) + "\n")
+    assert main(["compare", str(tmp_path / "good.csv"), str(tmp_path / "good.csv")]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(bad), str(tmp_path / "good.csv")]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     doc = tiny_doc()
     doc["grids"]["n_t"] = 1

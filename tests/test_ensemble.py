@@ -2,6 +2,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -40,32 +42,30 @@ class Killed(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class _Logged:
-    """Runs the real chunk after appending ``record(block)`` for each of its
-    blocks to the file ``log``."""
+    """Runs the real block after appending ``record(block)`` to the file ``log``."""
 
     log: str
     record: object = str
 
-    def __call__(self, system, factor, run_cfg, blocks, real_time):
+    def __call__(self, system, factor, run_cfg, block, real_time):
         with open(self.log, "a", encoding="utf-8") as fh:
-            for block in blocks:
-                fh.write(f"{self.record(block)}\n")
-        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
+            fh.write(f"{self.record(block)}\n")
+        return _real_run_batch(system, factor, run_cfg, block, real_time)
 
     def lines(self) -> list:
         return Path(self.log).read_text().split() if os.path.exists(self.log) else []
 
 
-def _slow_first(system, factor, run_cfg, blocks, real_time):
-    if 0 in blocks:
+def _slow_first(system, factor, run_cfg, block, real_time):
+    if block == 0:
         time.sleep(0.2)
-    return _real_run_batch(system, factor, run_cfg, blocks, real_time)
+    return _real_run_batch(system, factor, run_cfg, block, real_time)
 
 
-def _killed_at_batch_2(system, factor, run_cfg, blocks, real_time):
-    if 2 in blocks:
+def _killed_at_batch_2(system, factor, run_cfg, block, real_time):
+    if block == 2:
         raise Killed
-    return _real_run_batch(system, factor, run_cfg, blocks, real_time)
+    return _real_run_batch(system, factor, run_cfg, block, real_time)
 
 
 def _blas_timeout(batch):
@@ -83,8 +83,8 @@ class _DiesAtBatch2:
 
     checkpoint: str
 
-    def __call__(self, system, factor, run_cfg, blocks, real_time):
-        if 2 in blocks:
+    def __call__(self, system, factor, run_cfg, block, real_time):
+        if block == 2:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 try:
@@ -94,7 +94,7 @@ class _DiesAtBatch2:
                     pass
                 time.sleep(0.01)
             os._exit(1)
-        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
+        return _real_run_batch(system, factor, run_cfg, block, real_time)
 
 
 def test_pairwise_stats_match_two_pass():
@@ -204,23 +204,6 @@ def test_batches_merge_in_batch_order(monkeypatch):
     assert document_bytes(result_document(run_ensemble(cfg, workers=3))) == ref
 
 
-@settings(max_examples=200)
-@given(n_full=st.integers(0, 12), short=st.integers(0, ensemble.BATCH_SIZE - 1),
-       workers=st.integers(1, 8), data=st.data())
-def test_chunks_cover_each_block_once_grouping_only_full_blocks(n_full, short, workers, data):
-    # the chunks run blocks start onwards, each once and in order; only full
-    # blocks share a chunk, and none holds more than a worker's share of them
-    n_traj = n_full * ensemble.BATCH_SIZE + short
-    n_blocks = n_full + (short > 0)
-    start = data.draw(st.integers(0, n_blocks))
-    chunks = ensemble._chunks(start, n_traj, workers)
-    assert [b for chunk in chunks for b in chunk] == list(range(start, n_blocks))
-    assert all(chunk.step == 1 and 1 <= len(chunk) <= ensemble.CHUNK_BLOCKS for chunk in chunks)
-    assert all(chunk.stop <= n_full for chunk in chunks if len(chunk) > 1)
-    share = -(-(n_full - start) // workers)
-    assert all(len(chunk) <= max(share, 1) for chunk in chunks)
-
-
 def _driven_61x21(n_traj):
     doc = small_doc(n_traj=n_traj, master_seed=13)
     doc["grids"] = {"t_f": 4.0, "n_t": 61, "n_tau": 21}
@@ -230,65 +213,40 @@ def _driven_61x21(n_traj):
     return parse_config(doc)
 
 
-def test_chunk_width_and_workers_never_change_bits(monkeypatch):
-    # full blocks round the same in a chunk of any width as alone; the one-row
-    # last block, which would round otherwise inside a wider product, runs alone
-    cfg = _driven_61x21(5 * ensemble.BATCH_SIZE + 1)
+def test_each_block_runs_once_whatever_the_worker_count(tmp_path, monkeypatch):
+    # _run_batch receives each block 0 ... n - 1 exactly once, a short last
+    # block included, and the bytes do not depend on the worker count
+    cfg = _driven_61x21(3 * ensemble.BATCH_SIZE + 1)
     pipe = build_pipeline(cfg)
     docs = set()
-    for width in (1, 2, 3, 4):
-        monkeypatch.setattr(ensemble, "CHUNK_BLOCKS", width)
-        for workers in (1, 2, 3):
-            res = run_ensemble(cfg, workers=workers, pipeline=pipe)
-            docs.add(document_bytes(result_document(res)))
+    for workers in (1, 3):
+        seen = _Logged(str(tmp_path / f"blocks-{workers}.txt"))
+        monkeypatch.setattr(ensemble, "_run_batch", seen)
+        res = run_ensemble(cfg, workers=workers, pipeline=pipe)
+        assert sorted(int(block) for block in seen.lines()) == [0, 1, 2, 3]
+        docs.add(document_bytes(result_document(res)))
     assert len(docs) == 1
 
 
-def test_short_last_block_runs_alone(monkeypatch):
-    seen = []
-
-    def recorded(system, factor, run_cfg, blocks, real_time):
-        seen.append(blocks)
-        return _real_run_batch(system, factor, run_cfg, blocks, real_time)
-
-    monkeypatch.setattr(ensemble, "CHUNK_BLOCKS", 4)
-    monkeypatch.setattr(ensemble, "_run_batch", recorded)
-    run_ensemble(_driven_61x21(ensemble.BATCH_SIZE + 1))
-    assert seen == [range(0, 1), range(1, 2)]
-    seen.clear()
-    run_ensemble(_driven_61x21(3 * ensemble.BATCH_SIZE + 1))
-    assert seen == [range(0, 3), range(3, 4)]
-
-
-def _same_result(a, b) -> bool:
-    return a.n_failed == b.n_failed and all(
-        x.n == y.n and all(np.array_equal(getattr(x, f), getattr(y, f))
-                           for f in ("mean", "m2_re", "m2_im"))
-        for x, y in ((a.series, b.series), (a.zfac, b.zfac), (a.residuals, b.residuals)))
-
-
 def test_a_failed_row_counts_against_its_own_block(monkeypatch):
-    # a chunk's blocks equal the same blocks run alone, bit for bit; a leg of
-    # the second block's pair 7 that diverges, in either phase and on either
-    # leg, fails that pair: it counts 2 against that block only, and every
-    # other pair reaches the reduction with the bits it had
-    cfg = _driven_61x21(2 * ensemble.BATCH_SIZE)
+    # a leg of pair 7 that diverges, in either phase and on either leg, fails
+    # that pair: it counts 2 against the block, and every other pair reaches
+    # the reduction with the bits it had
+    cfg = _driven_61x21(ensemble.BATCH_SIZE)
     pipe = build_pipeline(cfg)
     args = (pipe.system, pipe.factor, cfg)
     reduced = []
     real_stats = ensemble._pairwise_stats
     monkeypatch.setattr(ensemble, "_pairwise_stats",
                         lambda values: reduced.append(values) or real_stats(values))
-    clean = ensemble._run_batch(*args, range(0, 2), True)
+    ensemble._run_batch(*args, 0, True)
     clean_inputs = list(reduced)
-    alone = [ensemble._run_batch(*args, range(b, b + 1), True)[0] for b in (0, 1)]
-    assert all(_same_result(c, a) for c, a in zip(clean, alone))
     half = ensemble.BATCH_SIZE // 2
     for phase in ("equilibrate_batch", "evolve_batch"):
         real_phase = getattr(ensemble, phase)
         for leg in (0, 1):
-            # the chunk's rows are the + legs of both blocks' pairs, then their - legs
-            bad_row = leg * ensemble.BATCH_SIZE + half + 7
+            # the block's rows are the + legs of its pairs, then their - legs
+            bad_row = leg * half + 7
 
             def one_row_diverges(*phase_args, real_phase=real_phase, bad_row=bad_row):
                 out, diverged = real_phase(*phase_args)
@@ -299,19 +257,18 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             reduced.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ensemble, phase, one_row_diverges)
-                first, second = ensemble._run_batch(*args, range(0, 2), True)
-            assert _same_result(first, clean[0])
-            assert second.n_failed == 2
-            assert second.series.n == second.zfac.n == second.residuals.n == half - 1
-            assert np.isfinite(second.series.mean).all() and np.isfinite(second.series.m2_re).all()
-            # block 1's series, z-factor and residuals: its clean pairs without pair 7
-            assert len(reduced) == len(clean_inputs) == 6
-            for got, ref in zip(reduced[3:], clean_inputs[3:]):
+                out = ensemble._run_batch(*args, 0, True)
+            assert out.n_failed == 2
+            assert out.series.n == out.zfac.n == out.residuals.n == half - 1
+            assert np.isfinite(out.series.mean).all() and np.isfinite(out.series.m2_re).all()
+            # the series, z-factor and residuals: the clean pairs without pair 7
+            assert len(reduced) == len(clean_inputs) == 3
+            for got, ref in zip(reduced, clean_inputs):
                 assert np.array_equal(got, np.delete(ref, 7, axis=0))
 
 
 def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
-    # each chunk propagates [z; -z]: the second half of every field is the
+    # each block propagates [z; -z]: the second half of every field is the
     # first half negated, bit for bit, and the first half is synthesized from
     # the block's ceil(n / 2) rows
     cfg = parse_config(small_doc(n_traj=ensemble.BATCH_SIZE + 5, master_seed=3))
@@ -334,7 +291,7 @@ def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
     for _, f in fields:
         n = len(f) // 2
         assert np.array_equal(f[n:], -f[:n])
-    for block, n in enumerate((ensemble.BATCH_SIZE // 2, 3)):       # a chunk each
+    for block, n in enumerate((ensemble.BATCH_SIZE // 2, 3)):
         w = draw_normal(pipe.factor, ensemble.derive_seed(3, block), n)
         synthesized = dict(zip(("eta", "nu", "mu"), synthesize(pipe.factor, w)))
         for name, f in fields[3 * block:3 * block + 3]:
@@ -342,9 +299,9 @@ def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
 
 
 def test_document_counts_add_up_to_the_trajectories_run(monkeypatch):
-    # an odd n_traj runs whole pairs, 3 * 256 + 17 = 785 runs 786, and a
+    # an odd n_traj runs whole pairs, 3 * 512 + 17 = 1553 runs 1554, and a
     # diverged leg counts its pair's two trajectories as failed: the first row
-    # of each of the run's three chunks fails here
+    # of each of the run's four blocks fails here
     cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE + 17))
     real_evolve = ensemble.evolve_batch
 
@@ -356,9 +313,9 @@ def test_document_counts_add_up_to_the_trajectories_run(monkeypatch):
 
     monkeypatch.setattr(ensemble, "evolve_batch", first_row_diverges)
     doc = result_document(run_ensemble(cfg))
-    assert doc["config"]["ensemble"]["n_traj"] == 785
-    assert doc["n_traj"] == 786
-    assert doc["n_failed"] == 2 * 3
+    assert doc["config"]["ensemble"]["n_traj"] == 3 * ensemble.BATCH_SIZE + 17
+    assert doc["n_traj"] == 3 * ensemble.BATCH_SIZE + 18
+    assert doc["n_failed"] == 2 * 4
     assert doc["n_ok"] + doc["n_failed"] == doc["n_traj"]
 
 
@@ -382,9 +339,9 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     real_batch = ensemble._run_batch
     threads = []
 
-    def recorded(system, factor, run_cfg, blocks, real_time):
-        threads.extend([threading.current_thread()] * len(blocks))
-        return real_batch(system, factor, run_cfg, blocks, real_time)
+    def recorded(system, factor, run_cfg, block, real_time):
+        threads.append(threading.current_thread())
+        return real_batch(system, factor, run_cfg, block, real_time)
 
     monkeypatch.setattr(ensemble, "_run_batch", recorded)
     run_ensemble(cfg, workers=1)
@@ -403,10 +360,9 @@ def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
     real_batch = ensemble._run_batch
 
     def corrupted(*args):
-        outs = real_batch(*args)
-        for out in outs:
-            corrupt(out)
-        return outs
+        out = real_batch(*args)
+        corrupt(out)
+        return out
 
     monkeypatch.setattr(ensemble, "_run_batch", corrupted)
     with pytest.raises(NumericalError, match=message):
@@ -646,7 +602,7 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     assert np.array_equal(first.mean_rho, ref.mean_rho)
     assert ckpt.exists()
     data = json.loads(ckpt.read_text())
-    assert data["next_batch"] == 3          # written after the last of 3 batches too
+    assert data["next_batch"] == 2          # written after the last of 2 batches too
 
     # a rerun picks up the finished run's checkpoint, runs no batch, and lands
     # on the same bits as the uninterrupted run (a mid-run resume is
@@ -712,6 +668,44 @@ def test_pool_leaves_no_processes(monkeypatch):
     with pytest.raises(Killed):
         run_ensemble(cfg, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def _live_in_session(sid: int) -> list:
+    """The pids of the processes of session ``sid`` that have not exited."""
+    out = subprocess.run(["ps", "-e", "-o", "pid=,sid=,stat="], capture_output=True,
+                         text=True, check=True).stdout
+    return [int(pid) for pid, s, stat in (line.split() for line in out.splitlines())
+            if int(s) == sid and not stat.startswith("Z")]
+
+
+@pytest.mark.skipif(shutil.which("ps") is None, reason="needs ps to list a session")
+def test_killed_run_leaves_no_worker(tmp_path):
+    # a pooled `esln run` killed with SIGKILL (as an out-of-memory kill would
+    # end it) takes its workers and the resource tracker with it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_doc(n_traj=10 ** 6)))
+    env = dict(os.environ, PYTHONPATH=str(Path(esln.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "esln.cli", "run", "--config", str(cfg),
+                             "--workers", "2", "--output", str(tmp_path / "out.json")],
+                            env=env, start_new_session=True, stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_in_session(proc.pid)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(_live_in_session(proc.pid)) >= 3, "the two workers never started"
+        time.sleep(1.0)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while _live_in_session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_in_session(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_pool_starts_one_process_per_remaining_batch(tmp_path, monkeypatch):
@@ -800,8 +794,9 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     run_ensemble(cfg, checkpoint_path=str(ckpt))
     written = json.loads(ckpt.read_text())
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
-    for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128),
-                       ("version", "0.1.0"), ("version", "0.4.0"), (None, None)):
+    for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
+                       ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
+                       (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
