@@ -13,10 +13,10 @@ trajectories runs one more, to whole pairs.
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
 index), one row per pair, propagates all its trajectories together and takes
-its (mean, M2) statistics in two passes; block partials are then folded in
-block order with Chan's merge.  All of it depends only on block indices, so
-results are bit-identical for any worker count, and a checkpoint taken
-between blocks resumes to the same bits.
+the (mean, M2) statistics of one row per completed pair in two passes; block
+partials are then folded in block order with Chan's merge.  All of it depends
+only on block indices, so results are bit-identical for any worker count, and
+a checkpoint taken between blocks resumes to the same bits.
 
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
@@ -153,32 +153,20 @@ def _pairwise_stats(values: np.ndarray) -> _Stats:
 # ---------------------------------------------------------------------------
 # batch execution
 
-@dataclass
-class _BatchResult:
-    """The statistics of one block's pair means, or the fold of several blocks'."""
-
-    series: _Stats          # (n_t, d, d); (1, d, d) without real time
-    zfac: _Stats            # scalar z-factor
-    residuals: _Stats       # (n_t, k), see _residuals
-    n_failed: int           # trajectories, two per failed pair
-
-    @classmethod
-    def empty(cls, n_t: int, d: int) -> "_BatchResult":
-        return cls(_Stats.empty((n_t, d, d)), _Stats.empty(()),
-                   _Stats.empty((n_t, d * (d + 1) // 2 + 1)), 0)
-
-    def merge(self, other: "_BatchResult") -> "_BatchResult":
-        return _BatchResult(self.series.merge(other.series), self.zfac.merge(other.zfac),
-                            self.residuals.merge(other.residuals),
-                            self.n_failed + other.n_failed)
+def _row_layout(n_t: int, d: int) -> tuple:
+    """(columns, shape) of each part of a pair row, in row order: the pair
+    mean's series (n_t, d, d), its z-factor Tr / d, and its residuals (n_t, k)
+    of _residuals.  The last part ends the row."""
+    m, k = n_t * d * d, d * (d + 1) // 2 + 1
+    return ((slice(0, m), (n_t, d, d)), (slice(m, m + 1), ()),
+            (slice(m + 1, m + 1 + n_t * k), (n_t, k)))
 
 
-def _residuals(values: np.ndarray) -> np.ndarray:
-    """Each of the (B, n_t, d, d) ``values``' deviations from a Hermitian,
-    trace-preserving average, (B, n_t, k): v_ij - conj(v_ji) for i <= j, then
-    Tr v(t) - Tr v(0).  The noise average of each is exactly 0."""
+def _residuals(values: np.ndarray, out: np.ndarray):
+    """Write to the (B, n_t, k) ``out`` the (B, n_t, d, d) ``values``'
+    deviations from a Hermitian, trace-preserving average: v_ij - conj(v_ji)
+    for i <= j, then Tr v(t) - Tr v(0).  The noise average of each is 0."""
     d = values.shape[-1]
-    out = np.empty(values.shape[:2] + (d * (d + 1) // 2 + 1,), dtype=complex)
     upper = [(i, j) for i in range(d) for j in range(i, d)]
     for k, (i, j) in enumerate(upper):      # basic slices: fancy indexing is 3x slower
         np.subtract(values[..., i, j], values[..., j, i].conj(), out=out[..., k])
@@ -186,7 +174,6 @@ def _residuals(values: np.ndarray) -> np.ndarray:
     for i in range(1, d):
         trace += values[..., i, i]
     np.subtract(trace, trace[:, :1], out=out[..., -1])
-    return out
 
 
 def _trajectories(n_traj: int) -> int:
@@ -195,17 +182,17 @@ def _trajectories(n_traj: int) -> int:
 
 
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
-               real_time: bool) -> _BatchResult:
+               real_time: bool) -> _Stats:
     """Draw, quench and (with ``real_time``) evolve block ``block``, and
-    reduce it over its pair means.
+    reduce it to the statistics of its completed pairs' rows (_row_layout).
 
     The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
     of them and none past the run's whole pairs.  Its n trajectories are n / 2
     antithetic pairs, drawn in one call from the stream keyed by
     (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
     rows are synthesized once, and the legs [z; -z] propagate together.  A
-    pair fails if either leg fails.  Without real time the series is the
-    single t = 0 entry, the unnormalized rho_bar(hbar*beta).
+    pair fails if either leg fails, and its row is dropped.  Without real time
+    the series is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
     """
     grids = cfg.grids
     n = min(BATCH_SIZE, _trajectories(cfg.n_traj) - block * BATCH_SIZE) // 2
@@ -223,14 +210,16 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
         failed |= div_real
     else:
         series = rho_end[:, None]
+    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape) = _row_layout(series.shape[1], system.dim)
+    rows = np.empty((n, r_cols.stop), complex)
+    values = rows[:, s_cols].reshape(n, *s_shape)       # views of the rows
+    np.add(series[:n], series[n:], out=values)
+    values *= 0.5
+    rows[:, z_cols.start] = 0.5 * (traces[:n] + traces[n:]) / system.dim
+    del series, eta, nu     # spent: not held through the reduction
+    _residuals(values, rows[:, r_cols].reshape(n, *r_shape))
     ok = ~(failed[:n] | failed[n:])
-    values = 0.5 * (series[:n] + series[n:])
-    if not ok.all():
-        values = values[ok]
-    zfac = 0.5 * (traces[:n] + traces[n:]) / system.dim
-    return _BatchResult(series=_pairwise_stats(values), zfac=_pairwise_stats(zfac[ok]),
-                        residuals=_pairwise_stats(_residuals(values)),
-                        n_failed=2 * (n - int(ok.sum())))
+    return _pairwise_stats(rows if ok.all() else rows[ok])
 
 
 # the arguments every block of a pooled run shares, set once in each worker process
@@ -251,7 +240,7 @@ def _init_worker(path: str):
         _worker_args = pickle.load(fh)
 
 
-def _worker_block(block: int) -> _BatchResult:
+def _worker_block(block: int) -> _Stats:
     run_batch, system, factor, cfg, real_time = _worker_args
     return run_batch(system, factor, cfg, block, real_time)
 
@@ -404,38 +393,38 @@ def _safe_ratio(num, den):
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _stats_to_doc(st: _Stats) -> dict:
-    return {"n": st.n,
-            "mean_re": st.mean.real.tolist(), "mean_im": st.mean.imag.tolist(),
-            "m2_re": st.m2_re.tolist(), "m2_im": st.m2_im.tolist()}
-
-
-def _stats_from_doc(doc: dict, shape: tuple) -> _Stats:
-    re, im, m2_re, m2_im = (np.array(doc[key], dtype=float)
-                            for key in ("mean_re", "mean_im", "m2_re", "m2_im"))
-    if {re.shape, im.shape, m2_re.shape, m2_im.shape} != {shape}:
-        raise ValueError(f"statistics are not of shape {shape}")
-    return _Stats(int(doc["n"]), re + 1j * im, m2_re, m2_im)
+def _count(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a non-negative int (a bool is not), else ValueError."""
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} {value!r} is not a non-negative integer")
+    return value
 
 
 def _layout(pipe: Pipeline) -> dict:
     """What fixes each trajectory's bits besides the config: the batch size,
-    the mode factors, bit for bit, and the package version (the propagator's
-    rounding and the keying of the noise streams change between versions)."""
+    the per-channel noise factors, bit for bit, and the package version (the
+    propagator's rounding and the noise streams' keying change with it)."""
     digest = hashlib.sha256(b"".join(a.tobytes() for a in pipe.factor.a)).hexdigest()
     return {"batch_size": BATCH_SIZE, "factor_sha256": digest, "version": __version__}
 
 
+def _n_failed(acc: _Stats, blocks: int, n_run: int) -> int:
+    """Failed trajectories of the first ``blocks`` blocks of a run of ``n_run``:
+    those of no pair in ``acc``, since a failed pair counts against its block."""
+    return min(blocks * BATCH_SIZE, n_run) - 2 * acc.n
+
+
 def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
-                      acc: _BatchResult):
+                      acc: _Stats, n_run: int):
     doc = {"schema": DOCUMENT_SCHEMA + "+checkpoint",
            "config": cfg_echo,
            "layout": layout,
            "next_batch": next_batch,
-           "n_failed": acc.n_failed,
-           "series": _stats_to_doc(acc.series),
-           "z_factor": _stats_to_doc(acc.zfac),
-           "residuals": _stats_to_doc(acc.residuals)}
+           "n_failed": _n_failed(acc, next_batch, n_run),
+           "pairs": {"n": acc.n, "mean_re": acc.mean.real.tolist(),
+                     "mean_im": acc.mean.imag.tolist(), "m2_re": acc.m2_re.tolist(),
+                     "m2_im": acc.m2_im.tolist()}}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -445,12 +434,11 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int,
-                     empty: _BatchResult):
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width: int):
     """(next batch, folded statistics) from ``path``, for a run of ``n_run``
-    trajectories whose statistics have the shapes of ``empty``; a torn or
-    malformed checkpoint, one of another run, or one whose counts do not add
-    up to its batches raises ValidationError."""
+    trajectories whose pair rows have ``width`` columns; a torn or malformed
+    checkpoint, one of another run, or one whose counts do not add up to its
+    batches raises ValidationError."""
     n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
@@ -463,39 +451,41 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int,
         if doc.get("layout") != layout:
             raise ValidationError("checkpoint", "checkpoint was written with a different noise "
                                                 "factor, batch size or esln version")
-        next_batch, n_failed = doc["next_batch"], int(doc["n_failed"])
-        series, zfac, residuals = (
-            _stats_from_doc(doc[key], st.mean.shape) for key, st in
-            (("series", empty.series), ("z_factor", empty.zfac), ("residuals", empty.residuals)))
+        next_batch, n_failed = _count(doc, "next_batch"), _count(doc, "n_failed")
+        pairs = doc["pairs"]
+        stats = np.array([pairs[key] for key in ("mean_re", "mean_im", "m2_re", "m2_im")],
+                         dtype=float)
+        if stats.shape != (4, width) or not np.isfinite(stats).all() or (stats[2:] < 0).any():
+            raise ValueError(f"pair statistics are not {width} finite values each, M2 >= 0")
+        re, im, m2_re, m2_im = stats
+        acc = _Stats(_count(pairs, "n"), re + 1j * im, m2_re, m2_im)
     except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
-    if type(next_batch) is not int or not 0 <= next_batch <= n_batches:
-        raise ValidationError("checkpoint", f"next_batch {next_batch!r} is not in [0, {n_batches}]")
-    if not series.n == zfac.n == residuals.n:
-        raise ValidationError("checkpoint", f"series.n {series.n}, z_factor.n {zfac.n} and "
-                                            f"residuals.n {residuals.n} differ")
-    n_done = min(next_batch * BATCH_SIZE, n_run)
-    if 2 * series.n + n_failed != n_done:
-        raise ValidationError("checkpoint", f"2 * series.n {series.n} + n_failed {n_failed} is "
-                                            f"not the {n_done} trajectories of {next_batch} "
-                                            f"batches")
-    return next_batch, _BatchResult(series, zfac, residuals, n_failed)
+    if next_batch > n_batches:
+        raise ValidationError("checkpoint", f"next_batch {next_batch} is not in [0, {n_batches}]")
+    if _n_failed(acc, next_batch, n_run) != n_failed:
+        raise ValidationError("checkpoint", f"2 * pairs.n {acc.n} + n_failed {n_failed} is not "
+                                            f"the trajectories of {next_batch} batches")
+    return next_batch, acc
 
 
 # ---------------------------------------------------------------------------
 # the ensemble run
 
-def _check_finite(series: _Stats, zfac: _Stats):
-    """Raise NumericalError, naming the first bad time index, unless every
-    folded mean and M2 is finite and Tr mean[0] is finite and nonzero."""
-    finite = (np.isfinite(series.mean) & np.isfinite(series.m2_re)
-              & np.isfinite(series.m2_im)).all(axis=(1, 2))
+def _check_finite(acc: _Stats, parts: tuple):
+    """Raise NumericalError, naming the z-factor or the time index of the first
+    bad column, unless every folded mean and M2 of the pair rows is finite and
+    Tr mean[0] is finite and nonzero; ``parts`` is the rows' _row_layout."""
+    (series, shape), (zfac, _), (residuals, _) = parts
+    finite = np.isfinite(acc.mean) & np.isfinite(acc.m2_re) & np.isfinite(acc.m2_im)
     if not finite.all():
+        col = int(np.argmin(finite))
+        if col == zfac.start:
+            raise NumericalError("non-finite z-factor mean or variance")
+        cols = series if col < zfac.start else residuals     # both lead with time
         raise NumericalError(f"non-finite ensemble mean or variance at time index "
-                             f"{int(np.argmin(finite))}")
-    if not (np.isfinite(zfac.mean) and np.isfinite(zfac.m2_re) and np.isfinite(zfac.m2_im)):
-        raise NumericalError("non-finite z-factor mean or variance")
-    trace = np.trace(series.mean[0])
+                             f"{(col - cols.start) * shape[0] // (cols.stop - cols.start)}")
+    trace = np.trace(acc.mean[series].reshape(shape)[0])
     if trace == 0 or not np.isfinite(trace):
         raise NumericalError(f"averaged partition function Tr rho_bar(hbar*beta) = {trace} "
                              f"at time index 0")
@@ -540,10 +530,12 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     n_run = _trajectories(cfg.n_traj)
     n_batches = -(-n_run // BATCH_SIZE)
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
-    acc = _BatchResult.empty(times.size, cfg.system.dim)
+    parts = _row_layout(times.size, cfg.system.dim)
+    width = parts[-1][0].stop
+    acc = _Stats.empty((width,))
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
-        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, acc)
+        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width)
 
     # _run_batch is looked up now, so a replacement set on the module reaches
     # the workers too
@@ -556,27 +548,31 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
                 done_batches += 1
                 if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
                                         or done_batches == n_batches):
-                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc)
+                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc,
+                                      n_run)
     except BrokenProcessPool as exc:
         raise WorkerLost(f"a worker process died; batch {done_batches} and later "
                          f"were not merged") from exc
 
-    if acc.n_failed > FAILURE_FRACTION * n_run:
+    n_failed = _n_failed(acc, done_batches, n_run)
+    if n_failed > FAILURE_FRACTION * n_run:
         raise TooManyFailures(
-            f"{acc.n_failed} of {n_run} trajectories diverged "
+            f"{n_failed} of {n_run} trajectories diverged "
             f"(> {FAILURE_FRACTION:.0%})")
-    if acc.series.n < 2:
+    if acc.n < 2:
         raise TooManyFailures("fewer than two pairs of trajectories completed")
-    _check_finite(acc.series, acc.zfac)
+    _check_finite(acc, parts)
 
-    series, res = acc.series, acc.residuals
+    series, zfac, res = (_Stats(acc.n, *(a[cols].reshape(shape) for a in (acc.mean, acc.m2_re,
+                                                                          acc.m2_im)))
+                         for cols, shape in parts)
     scale = 1.0 / np.trace(series.mean[0])
     se_re, se_im = (se * abs(scale) for se in series.se())
-    zf_se_re, zf_se_im = acc.zfac.se()
+    zf_se_re, zf_se_im = zfac.se()
     return EnsembleResult(
         times=times, mean_rho=series.mean * scale, se_re=se_re, se_im=se_im,
-        n_traj=n_run, n_ok=2 * series.n, n_failed=acc.n_failed,
-        master_seed=cfg.master_seed, z_factor_mean=complex(acc.zfac.mean),
+        n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
+        master_seed=cfg.master_seed, z_factor_mean=complex(zfac.mean),
         z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
         residuals=_Stats(res.n, res.mean * abs(scale), res.m2_re * abs(scale) ** 2,
                          res.m2_im * abs(scale) ** 2),
@@ -639,9 +635,9 @@ def write_csv(result: EnsembleResult, path: str):
 def read_csv(path: str):
     """Read the CSV schema back into (times, mean, se_re, se_im).
 
-    A non-numeric field, a row or col outside [0, d) (d is the largest row
-    plus one), or a (t, row, col) entry that is missing or repeated raises
-    ValidationError."""
+    A non-numeric or non-finite field, a row or col outside [0, d) (d is the
+    largest row plus one), or a (t, row, col) entry that is missing or
+    repeated raises ValidationError."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -654,8 +650,10 @@ def read_csv(path: str):
             try:
                 rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
                              *(float(x) for x in parts[3:])))
+                if not np.isfinite(rows[-1]).all():
+                    raise ValueError
             except ValueError:
-                raise ValidationError(path, f"non-numeric field in CSV row "
+                raise ValidationError(path, f"non-numeric or non-finite field in CSV row "
                                             f"{line.strip()!r}") from None
     if not rows:
         raise ValidationError(path, "empty CSV")

@@ -37,9 +37,9 @@ Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
 sigma_k; no matrix spans two channels.
 
 One function makes every w: ``draw_normal`` reads n rows from the Philox
-stream of a key.  A run keys one stream per block of 256 trajectories,
+stream of a key.  A run keys one stream per block of 512 trajectories,
 ``derive_seed(master_seed, block)``, and draws one row per antithetic pair of
-them; the Monte Carlo checks key one per block of samples,
+them, 256 rows; the Monte Carlo checks key one per block of samples,
 ``derive_seed(seed, block)``.
 """
 

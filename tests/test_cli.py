@@ -139,13 +139,16 @@ _BAD_CSVS = {
     "negative-row": lambda lines: lines[:4] + [_with_field(lines[4], 1, "-1")] + lines[5:],
     "missing-entry": lambda lines: lines[:5] + lines[6:],
     "duplicate-entry": lambda lines: lines[:5] + [lines[4]] + lines[6:],
+    "nan-mean": lambda lines: lines[:3] + [_with_field(lines[3], 3, "nan")] + lines[4:],
+    "inf-se": lambda lines: lines[:3] + [_with_field(lines[3], 5, "inf")] + lines[4:],
 }
 
 
 @pytest.mark.parametrize("damage", _BAD_CSVS.values(), ids=_BAD_CSVS.keys())
 def test_compare_refuses_a_malformed_csv(tmp_path, capsys, damage):
-    # a field that is no number, an index outside [0, d), or a (t, row, col)
-    # entry missing or repeated is a configuration error (exit 2), not a traceback
+    # a field that is no finite number, an index outside [0, d), or a
+    # (t, row, col) entry missing or repeated is a configuration error (exit 2),
+    # not a traceback or a z-score of nan
     good = _good_csv(tmp_path)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(damage(good)) + "\n")

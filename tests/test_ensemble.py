@@ -34,6 +34,7 @@ from conftest import small_doc
 # are pickled by name into spawned processes, which see no monkeypatch and no
 # list of this process, so what they record goes through a file.
 _real_run_batch = ensemble._run_batch
+_real_evolve_batch = ensemble.evolve_batch
 
 
 class Killed(Exception):
@@ -66,6 +67,14 @@ def _killed_at_batch_2(system, factor, run_cfg, block, real_time):
     if block == 2:
         raise Killed
     return _real_run_batch(system, factor, run_cfg, block, real_time)
+
+
+def _first_row_diverges(*evolve_args):
+    """evolve_batch, but the first row of each block diverges."""
+    series, diverged = _real_evolve_batch(*evolve_args)
+    series[0] = np.nan
+    diverged[0] = True
+    return series, diverged
 
 
 def _blas_timeout(batch):
@@ -258,13 +267,12 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ensemble, phase, one_row_diverges)
                 out = ensemble._run_batch(*args, 0, True)
-            assert out.n_failed == 2
-            assert out.series.n == out.zfac.n == out.residuals.n == half - 1
-            assert np.isfinite(out.series.mean).all() and np.isfinite(out.series.m2_re).all()
-            # the series, z-factor and residuals: the clean pairs without pair 7
-            assert len(reduced) == len(clean_inputs) == 3
-            for got, ref in zip(reduced, clean_inputs):
-                assert np.array_equal(got, np.delete(ref, 7, axis=0))
+            assert out.n == half - 1            # 2 * (half - out.n) == 2 failed
+            assert np.isfinite(out.mean).all() and np.isfinite(out.m2_re).all()
+            # one row per pair, its series, z-factor and residuals: the clean
+            # pairs' rows without pair 7
+            assert len(reduced) == len(clean_inputs) == 1
+            assert np.array_equal(reduced[0], np.delete(clean_inputs[0], 7, axis=0))
 
 
 def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
@@ -303,15 +311,7 @@ def test_document_counts_add_up_to_the_trajectories_run(monkeypatch):
     # diverged leg counts its pair's two trajectories as failed: the first row
     # of each of the run's four blocks fails here
     cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE + 17))
-    real_evolve = ensemble.evolve_batch
-
-    def first_row_diverges(*evolve_args):
-        series, diverged = real_evolve(*evolve_args)
-        series[0] = np.nan
-        diverged[0] = True
-        return series, diverged
-
-    monkeypatch.setattr(ensemble, "evolve_batch", first_row_diverges)
+    monkeypatch.setattr(ensemble, "evolve_batch", _first_row_diverges)
     doc = result_document(run_ensemble(cfg))
     assert doc["config"]["ensemble"]["n_traj"] == 3 * ensemble.BATCH_SIZE + 17
     assert doc["n_traj"] == 3 * ensemble.BATCH_SIZE + 18
@@ -348,13 +348,19 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     assert threads == [threading.main_thread()] * 3
 
 
+# the columns of a pair row on the 11-point grid below, d = 2
+_SERIES, _ZFAC, _RESIDUALS = (cols for cols, _ in ensemble._row_layout(11, 2))
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda out: out.series.m2_re.__setitem__((5, 0, 1), np.inf), "time index 5"),
-    (lambda out: out.series.mean.__setitem__(0, 0.0), "time index 0"),
-    (lambda out: setattr(out.zfac, "mean", np.complex128(np.nan)), "z-factor"),
-], ids=["series_m2_inf", "zero_partition_function", "zfac_mean_nan"])
+    (lambda out: out.m2_re.__setitem__(_SERIES.start + 5 * 4 + 1, np.inf), "time index 5"),
+    (lambda out: out.mean.__setitem__(slice(0, 4), 0.0), "time index 0"),
+    (lambda out: out.mean.__setitem__(_ZFAC.start, np.nan), "z-factor"),
+    (lambda out: out.m2_im.__setitem__(_RESIDUALS.start + 7 * 4 + 3, np.inf), "time index 7"),
+], ids=["series_m2_inf", "zero_partition_function", "zfac_mean_nan", "residual_m2_inf"])
 def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
-    # one batch (n_traj <= BATCH_SIZE) so no merge arithmetic touches the bad value
+    # one batch (n_traj <= BATCH_SIZE) so no merge arithmetic touches the bad
+    # value; the message names the time index of a series or residual column
     doc = small_doc(n_traj=64)
     doc["grids"] = {"t_f": 0.5, "n_t": 11, "n_tau": 9}
     real_batch = ensemble._run_batch
@@ -384,7 +390,8 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
     monkeypatch.setattr(ensemble, "_pairwise_stats",
                         lambda values: reduced.append(values) or real_stats(values))
     report = hermiticity_trace_report(run_ensemble(cfg))
-    v = reduced[0]                                      # the one block's pair means
+    cols, shape = ensemble._row_layout(61, 2)[0]
+    v = reduced[0][:, cols].reshape(-1, *shape)         # the one block's pair means
 
     def worst_z(residual):
         zs = []
@@ -613,13 +620,19 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     assert resumed.n_ok == ref.n_ok
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
+@pytest.mark.parametrize("workers, evolve", [(1, _real_evolve_batch), (2, _real_evolve_batch),
+                                             (1, _first_row_diverges)],
+                         ids=["1", "2", "failed-pairs"])
+def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers, evolve):
     # a run killed in its third of four batches resumes from the checkpoint
-    # after batch 2, runs exactly batches 2 and 3, and writes the same bytes
+    # after batch 2, runs exactly batches 2 and 3, and writes the same bytes;
+    # with a failed pair in every block, the failures of batches 0 and 1 come
+    # back from the checkpoint's pair count
     monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(ensemble, "evolve_batch", evolve)
     cfg = parse_config(small_doc(n_traj=4 * ensemble.BATCH_SIZE, master_seed=21))
-    ref = document_bytes(result_document(run_ensemble(cfg, workers=workers)))
+    uninterrupted = run_ensemble(cfg, workers=workers)
+    ref = document_bytes(result_document(uninterrupted))
     counted = _Logged(str(tmp_path / "ran.txt"))
 
     ckpt = tmp_path / "state.json"
@@ -631,6 +644,8 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers):
     resumed = run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
     ran = [int(batch) for batch in counted.lines()]
     assert sorted(ran) == [2, 3]
+    assert resumed.n_failed == uninterrupted.n_failed == (8 if evolve is _first_row_diverges
+                                                           else 0)
     assert document_bytes(result_document(resumed)) == ref
 
 
@@ -796,7 +811,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
-                       (None, None)):
+                       ("version", "0.7.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -820,17 +835,23 @@ def _edit(change):
 _DAMAGES = {
     "truncated": lambda text: text[:len(text) // 2],
     "not-an-object": lambda text: "[]",
-    "no-series": _edit(lambda data: data.pop("series")),
-    "three-rows": _edit(lambda data: data["series"].update(
-        {key: rows[:3] for key, rows in data["series"].items() if key != "n"})),
+    "no-series": _edit(lambda data: data.pop("pairs")),       # the record holding it
+    "three-rows": _edit(lambda data: data["pairs"].update(
+        {key: rows[:3] for key, rows in data["pairs"].items() if key != "n"})),
     "next-batch-negative": _edit(lambda data: data.update(next_batch=-5)),
     "next-batch-past-end": _edit(lambda data: data.update(next_batch=99)),
     "next-batch-string": _edit(lambda data: data.update(next_batch="2")),
-    "series-n-not-z-factor-n": _edit(lambda data: (data["series"].update(n=5),
+    "counts-short-of-batches": _edit(lambda data: (data["pairs"].update(n=5),
                                                    data.update(n_failed=2))),
-    "counts-short-of-batches": _edit(lambda data: (data["series"].update(n=5),
-                                                   data["z_factor"].update(n=5),
-                                                   data.update(n_failed=2))),
+    # 600 trajectories: 2 * 299.5 + 2 and 2 * -1 + 602 add up, but are no counts
+    "n-fractional": _edit(lambda data: (data["pairs"].update(n=299.5),
+                                        data.update(n_failed=2))),
+    "n-negative": _edit(lambda data: (data["pairs"].update(n=-1), data.update(n_failed=602))),
+    "n-failed-bool": _edit(lambda data: data.update(n_failed=False)),
+    # a negative M2 would put NaN standard errors into the document, a NaN
+    # mean would end the run as a numerical failure
+    "m2-negative": _edit(lambda data: data["pairs"]["m2_re"].__setitem__(5, -1.0)),
+    "mean-nan": _edit(lambda data: data["pairs"]["mean_im"].__setitem__(5, float("nan"))),
 }
 
 
