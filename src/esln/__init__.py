@@ -11,7 +11,7 @@ validates the whole chain.
 """
 
 # Set before the submodules load: ensemble records it in a checkpoint's layout.
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .config import RunConfig, emit_config, load_config, parse_config
 from .ensemble import (EnsembleResult, HermiticityReport, Pipeline, build_pipeline,

@@ -235,6 +235,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not 0 < args.threshold < np.inf:
+        raise ValidationError("--threshold", "must be finite and positive")
     max_z, _ = ens.compare_series(args.series_a, args.series_b)
     print(f"max z-score = {max_z:.3f} (threshold {args.threshold:g})")
     if max_z >= args.threshold:

@@ -8,6 +8,7 @@ document are errors; every validation failure names the offending field path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,8 @@ def _no_extras(node: dict, path: str):
 def _scalar(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, "expected a number")
+    if not abs(value) <= sys.float_info.max:    # NaN, Infinity, or an int past the floats
+        raise ValidationError(path, "must be finite")
     return float(value)
 
 
@@ -80,7 +83,7 @@ def _integer(value, path, minimum=None) -> int:
 def _entry(value, path) -> complex:
     """A matrix entry: plain real or [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_scalar(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_scalar(value[0], f"{path}[0]"), _scalar(value[1], f"{path}[1]"))
     raise ValidationError(path, "expected a real number or an [re, im] pair")

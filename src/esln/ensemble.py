@@ -13,10 +13,10 @@ trajectories runs one more, to whole pairs.
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
 index), one row per pair, propagates all its trajectories together and takes
-the (mean, M2) statistics of one row per completed pair in two passes; block
-partials are then folded in block order with Chan's merge.  All of it depends
-only on block indices, so results are bit-identical for any worker count, and
-a checkpoint taken between blocks resumes to the same bits.
+the (mean, M2) of the real view of one row per completed pair in two passes;
+block partials are then folded in block order with Chan's merge.  All of it
+depends only on block indices, so results are bit-identical for any worker
+count, and a checkpoint taken between blocks resumes to the same bits.
 
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
@@ -97,18 +97,19 @@ def _built_for(pipe: Pipeline, cfg: RunConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# streaming statistics (Chan's parallel mean/M2 merge, complex-valued)
+# streaming statistics (Chan's parallel mean/M2 merge)
 
 @dataclass
 class _Stats:
+    """Count, mean and M2 of real columns; a complex column is two, re then im."""
+
     n: int
-    mean: np.ndarray        # complex
-    m2_re: np.ndarray       # real
-    m2_im: np.ndarray       # real
+    mean: np.ndarray
+    m2: np.ndarray
 
     @classmethod
     def empty(cls, shape) -> "_Stats":
-        return cls(0, np.zeros(shape, complex), np.zeros(shape), np.zeros(shape))
+        return cls(0, np.zeros(shape), np.zeros(shape))
 
     def merge(self, other: "_Stats") -> "_Stats":
         if self.n == 0:
@@ -117,13 +118,11 @@ class _Stats:
             return self
         return _chan(self, other)
 
-    def se(self):
-        """Standard error of the mean, (re, im) parts."""
+    def se(self) -> np.ndarray:
+        """Standard error of the mean."""
         if self.n < 2:
-            z = np.zeros_like(self.m2_re)
-            return z, z.copy()
-        f = 1.0 / (self.n * (self.n - 1))
-        return np.sqrt(self.m2_re * f), np.sqrt(self.m2_im * f)
+            return np.zeros_like(self.m2)
+        return np.sqrt(self.m2 * (1.0 / (self.n * (self.n - 1))))
 
 
 def _chan(a: _Stats, b: _Stats) -> _Stats:
@@ -131,23 +130,22 @@ def _chan(a: _Stats, b: _Stats) -> _Stats:
     n = a.n + b.n
     delta = b.mean - a.mean
     corr = a.n * b.n / n
-    return _Stats(n, a.mean + delta * (b.n / n),
-                  a.m2_re + b.m2_re + delta.real ** 2 * corr,
-                  a.m2_im + b.m2_im + delta.imag ** 2 * corr)
+    return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr)
 
 
 def _pairwise_stats(values: np.ndarray) -> _Stats:
-    """(mean, M2) of complex values along axis 0, in two passes.
+    """(mean, M2) of real values along axis 0, in two passes.
 
     The mean is taken relative to the first row, so identical rows give a mean
-    equal to that row and an M2 of exactly 0.
+    equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
+    numpy's complex mean does, so a complex array's real view keeps its bits.
     """
     k = values.shape[0]
     if k == 0:
         return _Stats.empty(values.shape[1:])
-    mean = values[0] + (values - values[0]).mean(axis=0)
+    mean = values[0] + (values - values[0]).sum(axis=0) * (1.0 / k)
     dev = values - mean
-    return _Stats(k, mean, (dev.real ** 2).sum(axis=0), (dev.imag ** 2).sum(axis=0))
+    return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def _trajectories(n_traj: int) -> int:
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
                real_time: bool) -> _Stats:
     """Draw, quench and (with ``real_time``) evolve block ``block``, and
-    reduce it to the statistics of its completed pairs' rows (_row_layout).
+    reduce its completed pairs' rows (_row_layout), viewed as reals, to _Stats.
 
     The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
     of them and none past the run's whole pairs.  Its n trajectories are n / 2
@@ -219,7 +217,7 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     del series, eta, nu     # spent: not held through the reduction
     _residuals(values, rows[:, r_cols].reshape(n, *r_shape))
     ok = ~(failed[:n] | failed[n:])
-    return _pairwise_stats(rows if ok.all() else rows[ok])
+    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float))
 
 
 # the arguments every block of a pooled run shares, set once in each worker process
@@ -318,8 +316,8 @@ class EnsembleResult:
     master_seed: int
     z_factor_mean: complex
     z_factor_se: float
-    # statistics of the pair means' residuals (see _residuals), scaled like
-    # mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|; not part of the document
+    # statistics of the pair means' residuals (see _residuals), (n_t, k, re/im),
+    # scaled like mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|; not in the document
     residuals: _Stats
     config_echo: dict = field(default_factory=dict)
 
@@ -371,9 +369,7 @@ def hermiticity_trace_report(result: EnsembleResult) -> HermiticityReport:
     rho_ij - conj(rho_ji).  Real and imaginary parts are scored apart.
     """
     res = result.residuals
-    se_re, se_im = res.se()
-    z = np.maximum(_safe_ratio(np.abs(res.mean.real), se_re),
-                   _safe_ratio(np.abs(res.mean.imag), se_im))
+    z = _safe_ratio(np.abs(res.mean), res.se()).max(axis=-1)
     mean = result.mean_rho
     hermitized = 0.5 * (mean + np.conj(np.swapaxes(mean, -1, -2)))
     min_eig = min(float(np.linalg.eigvalsh(h).min()) for h in hermitized)
@@ -422,9 +418,7 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
            "layout": layout,
            "next_batch": next_batch,
            "n_failed": _n_failed(acc, next_batch, n_run),
-           "pairs": {"n": acc.n, "mean_re": acc.mean.real.tolist(),
-                     "mean_im": acc.mean.imag.tolist(), "m2_re": acc.m2_re.tolist(),
-                     "m2_im": acc.m2_im.tolist()}}
+           "pairs": {"n": acc.n, "mean": acc.mean.tolist(), "m2": acc.m2.tolist()}}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -436,9 +430,9 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
 
 def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width: int):
     """(next batch, folded statistics) from ``path``, for a run of ``n_run``
-    trajectories whose pair rows have ``width`` columns; a torn or malformed
-    checkpoint, one of another run, or one whose counts do not add up to its
-    batches raises ValidationError."""
+    trajectories whose pair rows have ``width`` complex columns; a torn or
+    malformed checkpoint, one of another run, or one whose counts do not add
+    up to its batches raises ValidationError."""
     n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
@@ -453,12 +447,10 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width:
                                                 "factor, batch size or esln version")
         next_batch, n_failed = _count(doc, "next_batch"), _count(doc, "n_failed")
         pairs = doc["pairs"]
-        stats = np.array([pairs[key] for key in ("mean_re", "mean_im", "m2_re", "m2_im")],
-                         dtype=float)
-        if stats.shape != (4, width) or not np.isfinite(stats).all() or (stats[2:] < 0).any():
-            raise ValueError(f"pair statistics are not {width} finite values each, M2 >= 0")
-        re, im, m2_re, m2_im = stats
-        acc = _Stats(_count(pairs, "n"), re + 1j * im, m2_re, m2_im)
+        stats = np.array([pairs["mean"], pairs["m2"]], dtype=float)
+        if stats.shape != (2, 2 * width) or not np.isfinite(stats).all() or (stats[1] < 0).any():
+            raise ValueError(f"pair statistics are not {2 * width} finite values each, M2 >= 0")
+        acc = _Stats(_count(pairs, "n"), *stats)
     except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if next_batch > n_batches:
@@ -477,15 +469,15 @@ def _check_finite(acc: _Stats, parts: tuple):
     bad column, unless every folded mean and M2 of the pair rows is finite and
     Tr mean[0] is finite and nonzero; ``parts`` is the rows' _row_layout."""
     (series, shape), (zfac, _), (residuals, _) = parts
-    finite = np.isfinite(acc.mean) & np.isfinite(acc.m2_re) & np.isfinite(acc.m2_im)
+    finite = np.isfinite(acc.mean) & np.isfinite(acc.m2)
     if not finite.all():
-        col = int(np.argmin(finite))
+        col = int(np.argmin(finite)) // 2
         if col == zfac.start:
             raise NumericalError("non-finite z-factor mean or variance")
         cols = series if col < zfac.start else residuals     # both lead with time
         raise NumericalError(f"non-finite ensemble mean or variance at time index "
                              f"{(col - cols.start) * shape[0] // (cols.stop - cols.start)}")
-    trace = np.trace(acc.mean[series].reshape(shape)[0])
+    trace = np.trace(acc.mean.view(complex)[series].reshape(shape)[0])
     if trace == 0 or not np.isfinite(trace):
         raise NumericalError(f"averaged partition function Tr rho_bar(hbar*beta) = {trace} "
                              f"at time index 0")
@@ -532,7 +524,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
     parts = _row_layout(times.size, cfg.system.dim)
     width = parts[-1][0].stop
-    acc = _Stats.empty((width,))
+    acc = _Stats.empty((2 * width,))
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
         start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width)
@@ -563,19 +555,19 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         raise TooManyFailures("fewer than two pairs of trajectories completed")
     _check_finite(acc, parts)
 
-    series, zfac, res = (_Stats(acc.n, *(a[cols].reshape(shape) for a in (acc.mean, acc.m2_re,
-                                                                          acc.m2_im)))
-                         for cols, shape in parts)
-    scale = 1.0 / np.trace(series.mean[0])
-    se_re, se_im = (se * abs(scale) for se in series.se())
-    zf_se_re, zf_se_im = zfac.se()
+    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape) = parts
+    mean, se = acc.mean.view(complex), acc.se().reshape(width, 2)
+    series = mean[s_cols].reshape(s_shape)
+    scale = 1.0 / np.trace(series[0])
+    se_re, se_im = (se[s_cols, part].reshape(s_shape) * abs(scale) for part in (0, 1))
+    res_mean, res_m2 = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2)
+                        for a in (acc.mean, acc.m2))
     return EnsembleResult(
-        times=times, mean_rho=series.mean * scale, se_re=se_re, se_im=se_im,
+        times=times, mean_rho=series * scale, se_re=se_re, se_im=se_im,
         n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
-        master_seed=cfg.master_seed, z_factor_mean=complex(zfac.mean),
-        z_factor_se=float(np.hypot(zf_se_re, zf_se_im)),
-        residuals=_Stats(res.n, res.mean * abs(scale), res.m2_re * abs(scale) ** 2,
-                         res.m2_im * abs(scale) ** 2),
+        master_seed=cfg.master_seed, z_factor_mean=complex(mean[z_cols.start]),
+        z_factor_se=float(np.hypot(*se[z_cols.start])),
+        residuals=_Stats(acc.n, res_mean * abs(scale), res_m2 * abs(scale) ** 2),
         config_echo=cfg_echo)
 
 

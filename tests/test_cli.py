@@ -118,6 +118,18 @@ def test_compare_fails_on_wrong_reference(tmp_path):
     assert main(["compare", str(ens_csv), str(orc_csv)]) == 4
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_compare_refuses_a_threshold_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                      threshold):
+    # a NaN or infinite threshold would pass any pair of series, a negative
+    # one would fail any
+    _good_csv(tmp_path)
+    good = str(tmp_path / "good.csv")
+    assert main(["compare", good, good, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert "--threshold" in captured.err and "PASS" not in captured.out
+
+
 def _good_csv(tmp_path) -> list:
     times = np.linspace(0.0, 1.0, 3)
     mean = np.arange(12).reshape(3, 2, 2) * (1.0 + 0.5j)
@@ -172,6 +184,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["equilibrate", "--config", good, "--workers", "0"]) == 2
     assert main(["verify-noise", "--config", good, "--samples", "10"]) == 2
     assert main(["oracle", "--config", good, "--n-levels", "1"]) == 2
+
+
+def test_non_finite_config_number_exits_2(tmp_path, capsys):
+    doc = tiny_doc()
+    doc["grids"]["t_f"] = float("nan")
+    cfg = write_cfg(tmp_path, doc)
+    assert '"t_f": NaN' in Path(cfg).read_text()          # the literal json writes
+    assert main(["run", "--config", cfg]) == 2
+    assert "grids.t_f" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -58,6 +58,40 @@ def test_non_positive_mass_names_field(mass):
     assert "must be positive" in str(err.value)
 
 
+def _set_h0_pair(doc, value):
+    doc["system"]["h0"][1][1] = [0.0, value]
+
+
+def _set_amplitude(doc, value):
+    amps = [0.0] * doc["grids"]["n_t"]
+    amps[3] = value
+    doc["system"]["drives"] = [{"matrix": [[0, 1], [1, 0]], "amplitudes": amps}]
+
+
+_NON_FINITE_FIELDS = {
+    "grids.t_f": lambda doc, v: doc["grids"].update(t_f=v),
+    "system.beta": lambda doc, v: doc["system"].update(beta=v),
+    "bath.lambda[0][0]": lambda doc, v: doc["bath"].update({"lambda": [[v]]}),
+    "system.h0[0][1]": lambda doc, v: doc["system"]["h0"][0].__setitem__(1, v),
+    "system.h0[1][1][1]": _set_h0_pair,
+    "bath.masses[0]": lambda doc, v: doc["bath"].update(masses=[v]),
+    "system.drives[0].amplitudes[3]": _set_amplitude,
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-float"])
+@pytest.mark.parametrize("field", _NON_FINITE_FIELDS)
+def test_non_finite_numbers_name_the_field(field, value):
+    # JSON parsers take NaN and Infinity; a config refuses them where they stand
+    doc = small_doc()
+    _NON_FINITE_FIELDS[field](doc, value)
+    with pytest.raises(ValidationError) as err:
+        parse_config(doc)
+    assert err.value.path == field
+    assert "must be finite" in str(err.value)
+
+
 def test_single_point_grid_rejected():
     doc = small_doc()
     doc["grids"]["n_t"] = 1

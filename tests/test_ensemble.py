@@ -109,11 +109,26 @@ class _DiesAtBatch2:
 def test_pairwise_stats_match_two_pass():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((37, 4)) + 1j * rng.standard_normal((37, 4))
-    st = _pairwise_stats(vals)
+    st = _pairwise_stats(vals.view(float))
     assert st.n == 37
-    assert np.abs(st.mean - vals.mean(axis=0)).max() < 1e-12
-    var_re = vals.real.var(axis=0, ddof=1)
-    assert np.abs(st.m2_re / 36 - var_re).max() < 1e-12
+    assert np.abs(st.mean.view(complex) - vals.mean(axis=0)).max() < 1e-12
+    var = vals.view(float).var(axis=0, ddof=1)      # real and imaginary parts
+    assert np.abs(st.m2 / 36 - var).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [37, 255, 256])
+def test_real_view_stats_keep_the_bits_of_the_complex_two_pass(k):
+    # the real view of complex rows gives, bit for bit, the complex mean and
+    # the M2 of the real and imaginary parts that the complex reduction gave
+    rng = np.random.default_rng(k)
+    vals = 0.3 + rng.standard_normal((k, 50)) + 1j * rng.standard_normal((k, 50))
+    mean = vals[0] + (vals - vals[0]).mean(axis=0)
+    dev = vals - mean
+    st = _pairwise_stats(vals.view(float))
+    assert st.n == k
+    assert np.array_equal(st.mean.view(complex), mean)
+    assert np.array_equal(st.m2[0::2], (dev.real ** 2).sum(axis=0))
+    assert np.array_equal(st.m2[1::2], (dev.imag ** 2).sum(axis=0))
 
 
 def _fold(values, cuts):
@@ -135,16 +150,17 @@ def test_stats_fold_under_any_batch_split(data, n, t, d, seed, offset, spread):
     rng = np.random.default_rng(seed)
     shape = (n, t, d, d)
     values = offset + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    folded, whole = _fold(values, cuts), _pairwise_stats(values)
+    folded, whole = _fold(values.view(float), cuts), _pairwise_stats(values.view(float))
     assert folded.n == whole.n == n
     scale = np.abs(values).max()
-    assert np.abs(folded.mean - whole.mean).max() <= 1e-12 * scale
-    for got, ref in ((folded.m2_re, whole.m2_re), (folded.m2_im, whole.m2_im)):
+    assert np.abs(folded.mean.view(complex) - whole.mean.view(complex)).max() <= 1e-12 * scale
+    for part in (0, 1):                 # real parts, then imaginary parts
+        got, ref = folded.m2[..., part::2], whole.m2[..., part::2]
         assert np.abs(got - ref).max() <= 1e-12 * max(ref.max(), scale ** 2)
     same = np.broadcast_to(values[0], shape).copy()
-    folded = _fold(same, cuts)
-    assert np.array_equal(folded.mean, values[0])
-    assert np.all(folded.m2_re == 0.0) and np.all(folded.m2_im == 0.0)
+    folded = _fold(same.view(float), cuts)
+    assert np.array_equal(folded.mean, values[0].view(float))
+    assert np.all(folded.m2 == 0.0)
 
 
 def test_run_draws_each_batch_in_one_call(monkeypatch):
@@ -268,7 +284,7 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
                 patch.setattr(ensemble, phase, one_row_diverges)
                 out = ensemble._run_batch(*args, 0, True)
             assert out.n == half - 1            # 2 * (half - out.n) == 2 failed
-            assert np.isfinite(out.mean).all() and np.isfinite(out.m2_re).all()
+            assert np.isfinite(out.mean).all() and np.isfinite(out.m2).all()
             # one row per pair, its series, z-factor and residuals: the clean
             # pairs' rows without pair 7
             assert len(reduced) == len(clean_inputs) == 1
@@ -348,15 +364,17 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     assert threads == [threading.main_thread()] * 3
 
 
-# the columns of a pair row on the 11-point grid below, d = 2
+# the complex columns of a pair row on the 11-point grid below, d = 2; the
+# statistics hold the real part of column c at 2 * c and its imaginary part next
 _SERIES, _ZFAC, _RESIDUALS = (cols for cols, _ in ensemble._row_layout(11, 2))
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda out: out.m2_re.__setitem__(_SERIES.start + 5 * 4 + 1, np.inf), "time index 5"),
-    (lambda out: out.mean.__setitem__(slice(0, 4), 0.0), "time index 0"),
-    (lambda out: out.mean.__setitem__(_ZFAC.start, np.nan), "z-factor"),
-    (lambda out: out.m2_im.__setitem__(_RESIDUALS.start + 7 * 4 + 3, np.inf), "time index 7"),
+    (lambda out: out.m2.__setitem__(2 * (_SERIES.start + 5 * 4 + 1), np.inf), "time index 5"),
+    (lambda out: out.mean.__setitem__(slice(0, 2 * 4), 0.0), "time index 0"),
+    (lambda out: out.mean.__setitem__(2 * _ZFAC.start, np.nan), "z-factor"),
+    (lambda out: out.m2.__setitem__(2 * (_RESIDUALS.start + 7 * 4 + 3) + 1, np.inf),
+     "time index 7"),
 ], ids=["series_m2_inf", "zero_partition_function", "zfac_mean_nan", "residual_m2_inf"])
 def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
     # one batch (n_traj <= BATCH_SIZE) so no merge arithmetic touches the bad
@@ -391,7 +409,7 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
                         lambda values: reduced.append(values) or real_stats(values))
     report = hermiticity_trace_report(run_ensemble(cfg))
     cols, shape = ensemble._row_layout(61, 2)[0]
-    v = reduced[0][:, cols].reshape(-1, *shape)         # the one block's pair means
+    v = reduced[0].view(complex)[:, cols].reshape(-1, *shape)   # the block's pair means
 
     def worst_z(residual):
         zs = []
@@ -811,7 +829,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
-                       ("version", "0.7.0"), (None, None)):
+                       ("version", "0.7.0"), ("version", "0.8.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -850,8 +868,8 @@ _DAMAGES = {
     "n-failed-bool": _edit(lambda data: data.update(n_failed=False)),
     # a negative M2 would put NaN standard errors into the document, a NaN
     # mean would end the run as a numerical failure
-    "m2-negative": _edit(lambda data: data["pairs"]["m2_re"].__setitem__(5, -1.0)),
-    "mean-nan": _edit(lambda data: data["pairs"]["mean_im"].__setitem__(5, float("nan"))),
+    "m2-negative": _edit(lambda data: data["pairs"]["m2"].__setitem__(10, -1.0)),
+    "mean-nan": _edit(lambda data: data["pairs"]["mean"].__setitem__(11, float("nan"))),
 }
 
 
