@@ -24,11 +24,12 @@ from .noise import (NoiseCovariance, NoiseFactor, TimeGrids, build_covariance,
                     factorize, hs_identity_check, takagi, verify_empirical)
 from .oracle import TruncatedBath, build_total_hamiltonian, exact_reduced_dynamics
 from .propagate import equilibrate_batch, evolve_batch
+from .workspace import Workspace
 
 __all__ = [
     "BathSpec", "Drive", "EnsembleResult", "HermiticityReport", "KernelContext",
     "NoiseCovariance", "NoiseFactor", "NormalModes", "Pipeline", "RunConfig",
-    "SystemSpec", "TimeGrids", "TruncatedBath", "build_covariance", "build_pipeline",
+    "SystemSpec", "TimeGrids", "TruncatedBath", "Workspace", "build_covariance", "build_pipeline",
     "build_total_hamiltonian", "compare_series", "coupling_channels", "diagonalize_bath",
     "emit_config", "equilibrate_batch", "evolve_batch", "exact_reduced_dynamics",
     "factorize", "hermiticity_trace_report", "hs_identity_check", "k_complex",

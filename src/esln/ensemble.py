@@ -20,7 +20,12 @@ count, and a checkpoint taken between blocks resumes to the same bits.
 
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
-once; the calling process only merges and checkpoints.
+once; the calling process only merges and checkpoints.  Each process that runs
+blocks makes one Workspace for the run and passes it to every block: a block's
+draws, fields, legs, propagation windows, series, pair rows and deviations are
+made once, in memory that arrays of disjoint lifetimes share
+(BLOCK_SHARED_MEMORY), and every later block writes over them with the same
+arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -49,8 +54,18 @@ from .model import (NormalModes, SystemSpec, coupling_channels, diagonalize_bath
 from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
                     draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
+from .workspace import Workspace
 
 BATCH_SIZE = 512            # trajectories per block, the one unit of work
+# The arrays of a block that share memory, by the names their functions give
+# them (Workspace): each uses the memory of an array spent before it is made.
+# The draws are spent once copied to the complex draws, and these and the fields
+# once the legs are made; the generators once the series is complete, and the
+# series once the pair rows hold it.  A block's resident set then stays below
+# the set-up peak of the workloads that run blocks in-process.
+BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators", "fields": "fields+-",
+                       "mu legs": "series", "pair means": "fields+-", "rows": "generators",
+                       "deviations": "series"}
 FAILURE_FRACTION = 0.01
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
 DOCUMENT_SCHEMA = "esln-result/4"
@@ -133,18 +148,20 @@ def _chan(a: _Stats, b: _Stats) -> _Stats:
     return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr)
 
 
-def _pairwise_stats(values: np.ndarray) -> _Stats:
+def _pairwise_stats(values: np.ndarray, work: Workspace | None = None) -> _Stats:
     """(mean, M2) of real values along axis 0, in two passes.
 
     The mean is taken relative to the first row, so identical rows give a mean
     equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
     numpy's complex mean does, so a complex array's real view keeps its bits.
+    The deviations are ``work``'s "deviations" (a new workspace by default).
     """
     k = values.shape[0]
     if k == 0:
         return _Stats.empty(values.shape[1:])
-    mean = values[0] + (values - values[0]).sum(axis=0) * (1.0 / k)
-    dev = values - mean
+    dev = (Workspace() if work is None else work).array("deviations", values.shape, float)
+    mean = values[0] + np.subtract(values, values[0], out=dev).sum(axis=0) * (1.0 / k)
+    np.subtract(values, mean, out=dev)
     return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0))
 
 
@@ -167,11 +184,13 @@ def _residuals(values: np.ndarray, out: np.ndarray):
     d = values.shape[-1]
     upper = [(i, j) for i in range(d) for j in range(i, d)]
     for k, (i, j) in enumerate(upper):      # basic slices: fancy indexing is 3x slower
-        np.subtract(values[..., i, j], values[..., j, i].conj(), out=out[..., k])
-    trace = values[..., 0, 0].copy()
+        np.conj(values[..., j, i], out=out[..., k])
+        np.subtract(values[..., i, j], out[..., k], out=out[..., k])
+    trace = out[..., -1]
+    trace[...] = values[..., 0, 0]
     for i in range(1, d):
         trace += values[..., i, i]
-    np.subtract(trace, trace[:, :1], out=out[..., -1])
+    np.subtract(trace, trace[:, :1].copy(), out=trace)
 
 
 def _trajectories(n_traj: int) -> int:
@@ -179,8 +198,20 @@ def _trajectories(n_traj: int) -> int:
     return n_traj + n_traj % 2
 
 
+def _legs(fields, work: Workspace) -> list:
+    """The legs [z; -z] of each of the (n, ...) fields z, (2n, ...), in
+    ``work``'s "eta legs", "nu legs" and "mu legs"."""
+    out = []
+    for name, z in zip(("eta legs", "nu legs", "mu legs"), fields):
+        legs = work.array(name, (2 * len(z),) + z.shape[1:])
+        legs[:len(z)] = z
+        np.negative(z, out=legs[len(z):])
+        out.append(legs)
+    return out
+
+
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
-               real_time: bool) -> _Stats:
+               real_time: bool, work: Workspace | None = None) -> _Stats:
     """Draw, quench and (with ``real_time``) evolve block ``block``, and
     reduce its completed pairs' rows (_row_layout), viewed as reals, to _Stats.
 
@@ -190,37 +221,47 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
     rows are synthesized once, and the legs [z; -z] propagate together.  A
     pair fails if either leg fails, and its row is dropped.  Without real time
-    the series is the single t = 0 entry, the unnormalized rho_bar(hbar*beta).
+    only the imaginary-time fields are synthesized, and the series is the
+    single t = 0 entry, the unnormalized rho_bar(hbar*beta).  Every large
+    array lives in ``work`` (a new workspace by default), which a run passes
+    to all its blocks; nothing of one block carries into the next.
     """
+    work = Workspace(BLOCK_SHARED_MEMORY) if work is None else work
     grids = cfg.grids
     n = min(BATCH_SIZE, _trajectories(cfg.n_traj) - block * BATCH_SIZE) // 2
-    # the draws and their synthesis are not kept: only the legs live on
-    eta, nu, mu = (np.concatenate([f, -f]) for f in synthesize(
-        factor, draw_normal(factor, derive_seed(cfg.master_seed, block), n)))
-
-    rho_end, div_imag = equilibrate_batch(system, mu, grids)
-    del mu                  # spent: not held through the real-time phase
+    if not real_time:       # the factor's mu rows alone, the same draws
+        factor = replace(factor, a=tuple(a[2 * factor.n_t:] for a in factor.a), n_t=0)
+    # Spent arrays are deleted as they go: memory that the first block outgrows
+    # is freed only with its last view.
+    w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
+    eta, nu, mu = _legs(synthesize(factor, w, work=work), work)
+    rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
+    del w, mu
     traces = np.trace(rho_end, axis1=1, axis2=2)
     degenerate = np.abs(traces) < 1e-300
     failed = div_imag | degenerate
     if real_time:
-        series, div_real = evolve_batch(system, eta, nu, grids, rho_end)
+        series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
         failed |= div_real
     else:
         series = rho_end[:, None]
     (s_cols, s_shape), (z_cols, _), (r_cols, r_shape) = _row_layout(series.shape[1], system.dim)
-    rows = np.empty((n, r_cols.stop), complex)
-    values = rows[:, s_cols].reshape(n, *s_shape)       # views of the rows
-    np.add(series[:n], series[n:], out=values)
-    values *= 0.5
+    # the pair means are made apart from the rows: numpy copies an operand that
+    # may overlap the output, and the parts of one row interleave
+    means = work.array("pair means", (n,) + s_shape)
+    np.add(series[:n], series[n:], out=means)
+    means *= 0.5
+    rows = work.array("rows", (n, r_cols.stop))
+    rows[:, s_cols] = means.reshape(n, -1)
     rows[:, z_cols.start] = 0.5 * (traces[:n] + traces[n:]) / system.dim
-    del series, eta, nu     # spent: not held through the reduction
-    _residuals(values, rows[:, r_cols].reshape(n, *r_shape))
+    _residuals(means, rows[:, r_cols].reshape(n, *r_shape))
+    del series, means, eta, nu
     ok = ~(failed[:n] | failed[n:])
-    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float))
+    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work)
 
 
-# the arguments every block of a pooled run shares, set once in each worker process
+# the arguments every block of a pooled run shares, its Workspace last, set once in
+# each worker process
 _worker_args: tuple = ()
 
 
@@ -235,12 +276,12 @@ def _init_worker(path: str):
     global _worker_args
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     with open(path, "rb") as fh:
-        _worker_args = pickle.load(fh)
+        _worker_args = pickle.load(fh) + (Workspace(BLOCK_SHARED_MEMORY),)
 
 
 def _worker_block(block: int) -> _Stats:
-    run_batch, system, factor, cfg, real_time = _worker_args
-    return run_batch(system, factor, cfg, block, real_time)
+    run_batch, system, factor, cfg, real_time, work = _worker_args
+    return run_batch(system, factor, cfg, block, real_time, work)
 
 
 @contextmanager
@@ -273,6 +314,8 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range,
     min(workers, len(blocks)) spawned processes (spawned, not forked, since
     this process may already run BLAS threads), whose BLAS threads sleep
     between calls.  Each reads what ``run_batch`` reads, once, from a file.
+    Each process running blocks makes one Workspace for all of them, and it
+    is dropped when the run ends.
     Passed as initializer arguments, that payload would go down each worker's
     start-up pipe, and a worker that dies while starting (re-running a script
     that has no main guard, say) would leave this process blocked on a payload
@@ -281,7 +324,8 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range,
     and its processes joined.
     """
     if workers == 1 or not blocks:
-        yield (run_batch(pipe.system, pipe.factor, cfg, b, real_time) for b in blocks)
+        work = Workspace(BLOCK_SHARED_MEMORY)
+        yield (run_batch(pipe.system, pipe.factor, cfg, b, real_time, work) for b in blocks)
         return
     with tempfile.TemporaryDirectory(prefix="esln-") as tmp:
         args_path = os.path.join(tmp, "batch-args.pickle")

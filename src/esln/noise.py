@@ -52,6 +52,7 @@ import numpy as np
 from .errors import CapExceeded, FactorizationFailure
 from .kernels import KernelContext, site_kernel  # noqa: F401 (hooked by bench/tracing.py)
 from .kernels import k_complex as _mode_values   # name hooked by bench/tracing.py
+from .workspace import Workspace
 
 DEFAULT_DIM_CAP = 6000
 FACTOR_REL_TOL = 1e-8
@@ -277,23 +278,33 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def draw_normal(factor: NoiseFactor, seed: int, n: int) -> np.ndarray:
+def draw_normal(factor: NoiseFactor, seed: int, n: int,
+                work: Workspace | None = None) -> np.ndarray:
     """Real standard normals w (n, rank) of the Philox stream keyed by ``seed``.
 
     Row j is the j-th rank-long block of the stream, so n rows are a prefix
-    of any longer draw from the same key.
+    of any longer draw from the same key.  They are written to ``work``'s
+    "draws" (a new workspace by default).
     """
+    work = Workspace() if work is None else work
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return rng.standard_normal((n, factor.rank))
+    return rng.standard_normal(out=work.array("draws", (n, factor.rank), float))
 
 
-def synthesize(factor: NoiseFactor, w: np.ndarray):
+def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None):
     """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
-    channel k's are w_k @ a_k^T, with w_k the next p_k columns of w."""
-    z = np.empty((w.shape[0], len(factor.a), factor.dim), dtype=complex)
+    channel k's are w_k @ a_k^T, with w_k the next p_k columns of w.
+
+    The fields are views of ``work``'s "fields" (a new workspace by default);
+    its "complex draws", a complex copy of w, spare the product a cast copy.
+    """
+    work = Workspace() if work is None else work
+    wc = work.array("complex draws", w.shape)
+    wc[...] = w
+    z = work.array("fields", (w.shape[0], len(factor.a), factor.dim))
     start = 0
     for k, a in enumerate(factor.a):
-        z[:, k] = w[:, start:start + a.shape[1]] @ a.T
+        np.matmul(wc[:, start:start + a.shape[1]], a.T, out=z[:, k])
         start += a.shape[1]
     n_t = factor.n_t
     return z[..., :n_t], z[..., n_t:2 * n_t], z[..., 2 * n_t:]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -27,8 +28,11 @@ from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _
 from esln.cli import main
 from esln.errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from esln.noise import NoiseCovariance, draw_normal, synthesize
+from esln.workspace import Workspace
 
 from conftest import small_doc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Stand-ins for ensemble._run_batch live at module level: at workers > 1 they
 # are pickled by name into spawned processes, which see no monkeypatch and no
@@ -48,30 +52,30 @@ class _Logged:
     log: str
     record: object = str
 
-    def __call__(self, system, factor, run_cfg, block, real_time):
+    def __call__(self, system, factor, run_cfg, block, real_time, work=None):
         with open(self.log, "a", encoding="utf-8") as fh:
             fh.write(f"{self.record(block)}\n")
-        return _real_run_batch(system, factor, run_cfg, block, real_time)
+        return _real_run_batch(system, factor, run_cfg, block, real_time, work)
 
     def lines(self) -> list:
         return Path(self.log).read_text().split() if os.path.exists(self.log) else []
 
 
-def _slow_first(system, factor, run_cfg, block, real_time):
+def _slow_first(system, factor, run_cfg, block, real_time, work=None):
     if block == 0:
         time.sleep(0.2)
-    return _real_run_batch(system, factor, run_cfg, block, real_time)
+    return _real_run_batch(system, factor, run_cfg, block, real_time, work)
 
 
-def _killed_at_batch_2(system, factor, run_cfg, block, real_time):
+def _killed_at_batch_2(system, factor, run_cfg, block, real_time, work=None):
     if block == 2:
         raise Killed
-    return _real_run_batch(system, factor, run_cfg, block, real_time)
+    return _real_run_batch(system, factor, run_cfg, block, real_time, work)
 
 
-def _first_row_diverges(*evolve_args):
+def _first_row_diverges(*evolve_args, **evolve_kwargs):
     """evolve_batch, but the first row of each block diverges."""
-    series, diverged = _real_evolve_batch(*evolve_args)
+    series, diverged = _real_evolve_batch(*evolve_args, **evolve_kwargs)
     series[0] = np.nan
     diverged[0] = True
     return series, diverged
@@ -92,7 +96,7 @@ class _DiesAtBatch2:
 
     checkpoint: str
 
-    def __call__(self, system, factor, run_cfg, block, real_time):
+    def __call__(self, system, factor, run_cfg, block, real_time, work=None):
         if block == 2:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
@@ -103,7 +107,7 @@ class _DiesAtBatch2:
                     pass
                 time.sleep(0.01)
             os._exit(1)
-        return _real_run_batch(system, factor, run_cfg, block, real_time)
+        return _real_run_batch(system, factor, run_cfg, block, real_time, work)
 
 
 def test_pairwise_stats_match_two_pass():
@@ -171,10 +175,11 @@ def test_run_draws_each_batch_in_one_call(monkeypatch):
     real_draw = ensemble.draw_normal
     calls, rows = [], []
 
-    def counted(factor, seed, n):
+    def counted(factor, seed, n, **kwargs):
         calls.append((seed, n))
-        rows.append(real_draw(factor, seed, n))
-        return rows[-1]
+        w = real_draw(factor, seed, n, **kwargs)
+        rows.append(w.copy())           # the next block reuses the memory of w
+        return w
 
     monkeypatch.setattr(ensemble, "draw_normal", counted)
     run_ensemble(cfg, workers=1)
@@ -263,7 +268,8 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
     reduced = []
     real_stats = ensemble._pairwise_stats
     monkeypatch.setattr(ensemble, "_pairwise_stats",
-                        lambda values: reduced.append(values) or real_stats(values))
+                        lambda values, work: reduced.append(values.copy())
+                        or real_stats(values, work))
     ensemble._run_batch(*args, 0, True)
     clean_inputs = list(reduced)
     half = ensemble.BATCH_SIZE // 2
@@ -273,8 +279,8 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             # the block's rows are the + legs of its pairs, then their - legs
             bad_row = leg * half + 7
 
-            def one_row_diverges(*phase_args, real_phase=real_phase, bad_row=bad_row):
-                out, diverged = real_phase(*phase_args)
+            def one_row_diverges(*phase_args, real_phase=real_phase, bad_row=bad_row, **kwargs):
+                out, diverged = real_phase(*phase_args, **kwargs)
                 out[bad_row] = np.nan
                 diverged[bad_row] = True
                 return out, diverged
@@ -291,6 +297,46 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             assert np.array_equal(reduced[0], np.delete(clean_inputs[0], 7, axis=0))
 
 
+@pytest.mark.parametrize("real_time, evolve", [(True, _real_evolve_batch),
+                                               (True, _first_row_diverges),
+                                               (False, _real_evolve_batch)],
+                         ids=["real-time", "failed-pair", "imaginary-time"])
+def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, real_time, evolve):
+    # one workspace runs blocks 0, 1 and 2, the short last block and block 0
+    # again, as a run's blocks do; each gives the bits of arrays of its own
+    monkeypatch.setattr(ensemble, "evolve_batch", evolve)
+    cfg = _driven_61x21(3 * ensemble.BATCH_SIZE + 10)
+    pipe = build_pipeline(cfg)
+    args = (pipe.system, pipe.factor, cfg)
+    work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
+    for block in (0, 1, 2, 3, 0):
+        reused = ensemble._run_batch(*args, block, real_time, work)
+        fresh = ensemble._run_batch(*args, block, real_time)
+        pairs = 5 if block == 3 else ensemble.BATCH_SIZE // 2
+        assert reused.n == fresh.n == pairs - (evolve is _first_row_diverges)
+        assert np.array_equal(reused.mean, fresh.mean) and np.array_equal(reused.m2, fresh.m2)
+
+
+def test_a_block_allocates_nothing_large_once_the_run_arrays_exist():
+    # after the first block of a quick_demo run, a block makes no array larger
+    # than a small fraction of one generator window (2.1 MiB here), and the
+    # workspace keeps the memory it had
+    cfg = parse_config(json.loads((CONFIGS / "quick_demo.json").read_text()))
+    pipe = build_pipeline(cfg)
+    args = (pipe.system, pipe.factor, cfg)
+    work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
+    ensemble._run_batch(*args, 0, True, work)
+    memory = {name: m.ctypes.data for name, m in work._memory.items()}
+    tracemalloc.start()
+    try:
+        ensemble._run_batch(*args, 1, True, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert {name: m.ctypes.data for name, m in work._memory.items()} == memory
+
+
 def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
     # each block propagates [z; -z]: the second half of every field is the
     # first half negated, bit for bit, and the first half is synthesized from
@@ -300,13 +346,13 @@ def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
     fields = []
     real_equilibrate, real_evolve = ensemble.equilibrate_batch, ensemble.evolve_batch
 
-    def equilibrate(system, mu, *rest):
-        fields.append(("mu", mu))
-        return real_equilibrate(system, mu, *rest)
+    def equilibrate(system, mu, *rest, **kwargs):
+        fields.append(("mu", mu.copy()))        # the next block reuses the legs' memory
+        return real_equilibrate(system, mu, *rest, **kwargs)
 
-    def evolve(system, eta, nu, *rest):
-        fields.extend((("eta", eta), ("nu", nu)))
-        return real_evolve(system, eta, nu, *rest)
+    def evolve(system, eta, nu, *rest, **kwargs):
+        fields.extend((("eta", eta.copy()), ("nu", nu.copy())))
+        return real_evolve(system, eta, nu, *rest, **kwargs)
 
     monkeypatch.setattr(ensemble, "equilibrate_batch", equilibrate)
     monkeypatch.setattr(ensemble, "evolve_batch", evolve)
@@ -355,9 +401,9 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     real_batch = ensemble._run_batch
     threads = []
 
-    def recorded(system, factor, run_cfg, block, real_time):
+    def recorded(system, factor, run_cfg, block, real_time, work=None):
         threads.append(threading.current_thread())
-        return real_batch(system, factor, run_cfg, block, real_time)
+        return real_batch(system, factor, run_cfg, block, real_time, work)
 
     monkeypatch.setattr(ensemble, "_run_batch", recorded)
     run_ensemble(cfg, workers=1)
@@ -406,7 +452,8 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
     reduced = []
     real_stats = ensemble._pairwise_stats
     monkeypatch.setattr(ensemble, "_pairwise_stats",
-                        lambda values: reduced.append(values) or real_stats(values))
+                        lambda values, work: reduced.append(values.copy())
+                        or real_stats(values, work))
     report = hermiticity_trace_report(run_ensemble(cfg))
     cols, shape = ensemble._row_layout(61, 2)[0]
     v = reduced[0].view(complex)[:, cols].reshape(-1, *shape)   # the block's pair means
