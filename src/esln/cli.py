@@ -139,6 +139,8 @@ def _cmd_run(args) -> int:
         print(line)
     print(f"n_ok = {result.n_ok}, n_failed = {result.n_failed}, "
           f"worst stderr = {result.stderr_rho.max():.3e}")
+    print(f"controls: {result.n_controls} used, "
+          f"{result.variance_removed_tf:.1%} of the worst t_f variance removed")
     if not out_doc and not out_csv:
         sys.stdout.write(ens.document_bytes(ens.result_document(result)).decode())
     return EXIT_OK

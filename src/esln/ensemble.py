@@ -10,13 +10,29 @@ mean is an exact, unbiased sample in which the odd orders of the noise
 cancel; the statistics are taken over pair means.  A run of an odd number of
 trajectories runs one more, to whole pairs.
 
+The leading fluctuation of a pair mean is then a quadratic form in w, and
+second-order control variates remove most of it.  The controls are
+q_kl = w_k w_l - delta_kl (k <= l) over the draws of the CONTROL_COLUMNS
+Takagi columns of largest norm, p = K (K + 1) / 2 = 36 of them, each of noise
+average 0; they end each pair's row.  Every column y of the pair rows is
+regressed on them once the run has completed PAIRS_PER_CONTROL pairs per
+control: the estimate is y_bar - beta^T q_bar with beta = C_qq^-1 C_qy, and
+its standard error that of a least-squares intercept on n - p - 1 degrees of
+freedom (_estimate).  With fewer pairs the estimate is the plain pair mean and
+its standard error, bit for bit.  The errors of mean_rho are the numerator's
+over |Tr|; with the controls they also carry the trace's own error
+(_ratio_errors).
+
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
 index), one row per pair, propagates all its trajectories together and takes
-the (mean, M2) of the real view of one row per completed pair in two passes;
-block partials are then folded in block order with Chan's merge.  All of it
-depends only on block indices, so results are bit-identical for any worker
-count, and a checkpoint taken between blocks resumes to the same bits.
+the (mean, M2) of the real view of one row per completed pair in two passes,
+and the co-moments of the controls with every column by a matrix product;
+block partials are then folded in block order with Chan's merge, and the
+calling process solves for beta once, after the fold.  All of it depends only
+on block indices and on the completed pair count, so results are
+bit-identical for any worker count, and a checkpoint taken between blocks
+resumes to the same bits.
 
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
@@ -67,6 +83,13 @@ BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators", "fields
                        "mu legs": "series", "pair means": "fields+-", "rows": "generators",
                        "deviations": "series"}
 FAILURE_FRACTION = 0.01
+CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the controls
+PAIRS_PER_CONTROL = 20      # the controls apply from 20 completed pairs per control on
+# Multiply-adds of one slice of a block's co-moment product: OpenBLAS runs a
+# product this small on the calling thread.  In a pool with a worker on every
+# core, a product spread over helper threads waits for the scheduler to free a
+# core for them; on `driven` at --workers 2 that cost a quarter of the run.
+ONE_THREAD_PRODUCT = 4 * 65536
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
 DOCUMENT_SCHEMA = "esln-result/4"
 # the config sections that fix a run's numbers: documents and checkpoints echo these alone
@@ -116,15 +139,18 @@ def _built_for(pipe: Pipeline, cfg: RunConfig) -> bool:
 
 @dataclass
 class _Stats:
-    """Count, mean and M2 of real columns; a complex column is two, re then im."""
+    """Count, mean and M2 of real columns, a complex column being two, re then
+    im, and the co-moments ``cross`` (p, columns) of the last p columns, the
+    controls, with every column."""
 
     n: int
     mean: np.ndarray
     m2: np.ndarray
+    cross: np.ndarray
 
     @classmethod
-    def empty(cls, shape) -> "_Stats":
-        return cls(0, np.zeros(shape), np.zeros(shape))
+    def empty(cls, shape, p: int = 0) -> "_Stats":
+        return cls(0, np.zeros(shape), np.zeros(shape), np.zeros((p,) + tuple(shape)))
 
     def merge(self, other: "_Stats") -> "_Stats":
         if self.n == 0:
@@ -141,40 +167,111 @@ class _Stats:
 
 
 def _chan(a: _Stats, b: _Stats) -> _Stats:
-    """Chan's merge of two nonempty partials."""
+    """Chan's merge of two nonempty partials.  The co-moments gain
+    delta_q delta * n_a n_b / n, whose control block is symmetric bit for bit."""
     n = a.n + b.n
     delta = b.mean - a.mean
     corr = a.n * b.n / n
-    return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr)
+    cross = np.multiply.outer(delta.reshape(-1)[delta.size - len(a.cross):], delta)
+    cross *= corr
+    cross += a.cross
+    cross += b.cross
+    return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr, cross)
 
 
-def _pairwise_stats(values: np.ndarray, work: Workspace | None = None) -> _Stats:
-    """(mean, M2) of real values along axis 0, in two passes.
+def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 0) -> _Stats:
+    """(mean, M2) of real values along axis 0, in two passes, and the
+    co-moments of the last p columns, the controls, with every column.
 
     The mean is taken relative to the first row, so identical rows give a mean
     equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
     numpy's complex mean does, so a complex array's real view keeps its bits.
-    The deviations are ``work``'s "deviations" (a new workspace by default).
+    The co-moments are a matrix product of the deviations, made in column
+    slices of ONE_THREAD_PRODUCT multiply-adds at most, and their control
+    block is made symmetric from its upper triangle.  The deviations are
+    ``work``'s "deviations" (a new workspace by default).
     """
     k = values.shape[0]
     if k == 0:
-        return _Stats.empty(values.shape[1:])
+        return _Stats.empty(values.shape[1:], p)
     dev = (Workspace() if work is None else work).array("deviations", values.shape, float)
     mean = values[0] + np.subtract(values, values[0], out=dev).sum(axis=0) * (1.0 / k)
     np.subtract(values, mean, out=dev)
-    return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0))
+    flat = dev.reshape(k, -1)
+    controls, cross = flat[:, flat.shape[1] - p:].T, np.empty((p, flat.shape[1]))
+    step = ONE_THREAD_PRODUCT // max(p * k, 1)     # 28 columns for a full block
+    for start in range(0, flat.shape[1], step):
+        np.matmul(controls, flat[:, start:start + step], out=cross[:, start:start + step])
+    block = cross[:, cross.shape[1] - p:]
+    lower = np.tril_indices(p, -1)
+    block[lower] = block.T[lower]
+    return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0),
+                  cross.reshape((p,) + values.shape[1:]))
+
+
+def _estimate(acc: _Stats) -> tuple:
+    """(mean, se, controls used) of the folded rows' real columns.
+
+    From PAIRS_PER_CONTROL completed pairs per control on, each column y is
+    regressed on the p controls q, whose noise average is 0:
+    beta = C_qq^-1 C_qy, the mean is y_bar - beta^T q_bar, and the residual M2
+    is M2 - beta^T C_qy, clamped at 0.  The standard error is that of the
+    least-squares intercept, sqrt(M2_res / (n - p - 1) * (1 / n + q_bar^T
+    C_qq^-1 q_bar)).  Below that the controls are not used, and the mean and
+    standard error are the plain fold's, bit for bit.  The rule reads the
+    completed pair count alone.
+    """
+    n, p = acc.n, len(acc.cross)
+    if p == 0 or n < PAIRS_PER_CONTROL * p:
+        return acc.mean, acc.se(), 0
+    q = slice(acc.mean.size - p, None)
+    c_qq, q_bar = acc.cross[:, q], acc.mean[q]
+    beta = np.linalg.solve(c_qq, acc.cross)
+    m2 = np.maximum(acc.m2 - np.einsum("ij,ij->j", beta, acc.cross), 0.0)
+    leverage = 1.0 / n + q_bar @ np.linalg.solve(c_qq, q_bar)
+    return acc.mean - q_bar @ beta, np.sqrt(m2 * (leverage / (n - p - 1))), p
 
 
 # ---------------------------------------------------------------------------
 # batch execution
 
-def _row_layout(n_t: int, d: int) -> tuple:
+def _row_layout(n_t: int, d: int, k_controls: int) -> tuple:
     """(columns, shape) of each part of a pair row, in row order: the pair
-    mean's series (n_t, d, d), its z-factor Tr / d, and its residuals (n_t, k)
-    of _residuals.  The last part ends the row."""
+    mean's series (n_t, d, d), its z-factor Tr / d, its residuals (n_t, k)
+    of _residuals, and the (p,) controls of ``k_controls`` draws (_controls).
+    The controls are reals, stored in ceil(p / 2) columns: they end the row,
+    and a zero before them pads an odd p.  The last part ends the row."""
     m, k = n_t * d * d, d * (d + 1) // 2 + 1
+    r, p = m + 1 + n_t * k, k_controls * (k_controls + 1) // 2
     return ((slice(0, m), (n_t, d, d)), (slice(m, m + 1), ()),
-            (slice(m + 1, m + 1 + n_t * k), (n_t, k)))
+            (slice(m + 1, r), (n_t, k)), (slice(r, r + (p + 1) // 2), (p,)))
+
+
+def _control_columns(factor: NoiseFactor) -> np.ndarray:
+    """The draws of the controls, in draw order: the CONTROL_COLUMNS Takagi
+    columns of largest norm across all channels, a rule of the factor alone.
+    A channel's columns come in descending singular value, so only its first
+    CONTROL_COLUMNS are compared; equal norms go to the earlier column."""
+    norms, columns, start = [np.zeros(0)], [np.zeros(0, int)], 0
+    for a in factor.a:
+        k = min(CONTROL_COLUMNS, a.shape[1])
+        norms.append(np.linalg.norm(a[:, :k], axis=0))
+        columns.append(start + np.arange(k))
+        start += a.shape[1]
+    top = np.argsort(-np.concatenate(norms), kind="stable")[:CONTROL_COLUMNS]
+    return np.sort(np.concatenate(columns)[top])
+
+
+def _controls(w: np.ndarray, out: np.ndarray):
+    """Write to the (B, p) ``out`` the controls of the (B, K) draws ``w``,
+    q_kl = w_k w_l - delta_kl for k <= l, in row order of the upper triangle.
+    The noise average of each is 0."""
+    start = 0
+    for k in range(w.shape[1]):
+        stop = start + w.shape[1] - k
+        np.multiply(w[:, k:k + 1], w[:, k:], out=out[:, start:stop])
+        out[:, start] -= 1.0
+        start = stop
 
 
 def _residuals(values: np.ndarray, out: np.ndarray):
@@ -220,20 +317,23 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     antithetic pairs, drawn in one call from the stream keyed by
     (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
     rows are synthesized once, and the legs [z; -z] propagate together.  A
-    pair fails if either leg fails, and its row is dropped.  Without real time
-    only the imaginary-time fields are synthesized, and the series is the
-    single t = 0 entry, the unnormalized rho_bar(hbar*beta).  Every large
-    array lives in ``work`` (a new workspace by default), which a run passes
-    to all its blocks; nothing of one block carries into the next.
+    pair fails if either leg fails, and its row, its controls with it, is
+    dropped.  Without real time only the imaginary-time fields are
+    synthesized, and the series is the single t = 0 entry, the unnormalized
+    rho_bar(hbar*beta).  Every large array lives in ``work`` (a new workspace
+    by default), which a run passes to all its blocks; nothing of one block
+    carries into the next.
     """
     work = Workspace(BLOCK_SHARED_MEMORY) if work is None else work
     grids = cfg.grids
     n = min(BATCH_SIZE, _trajectories(cfg.n_traj) - block * BATCH_SIZE) // 2
+    columns = _control_columns(factor)
     if not real_time:       # the factor's mu rows alone, the same draws
         factor = replace(factor, a=tuple(a[2 * factor.n_t:] for a in factor.a), n_t=0)
     # Spent arrays are deleted as they go: memory that the first block outgrows
     # is freed only with its last view.
     w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
+    drawn = w[:, columns]           # a copy: the series takes the draws' memory
     eta, nu, mu = _legs(synthesize(factor, w, work=work), work)
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
     del w, mu
@@ -245,19 +345,23 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
         failed |= div_real
     else:
         series = rho_end[:, None]
-    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape) = _row_layout(series.shape[1], system.dim)
+    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = _row_layout(
+        series.shape[1], system.dim, len(columns))
     # the pair means are made apart from the rows: numpy copies an operand that
     # may overlap the output, and the parts of one row interleave
     means = work.array("pair means", (n,) + s_shape)
     np.add(series[:n], series[n:], out=means)
     means *= 0.5
-    rows = work.array("rows", (n, r_cols.stop))
+    rows = work.array("rows", (n, c_cols.stop))
     rows[:, s_cols] = means.reshape(n, -1)
     rows[:, z_cols.start] = 0.5 * (traces[:n] + traces[n:]) / system.dim
     _residuals(means, rows[:, r_cols].reshape(n, *r_shape))
+    controls = rows[:, c_cols].view(float)
+    controls[:, :controls.shape[1] - p] = 0.0
+    _controls(drawn, controls[:, controls.shape[1] - p:])
     del series, means, eta, nu
     ok = ~(failed[:n] | failed[n:])
-    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work)
+    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work, p)
 
 
 # the arguments every block of a pooled run shares, its Workspace last, set once in
@@ -360,9 +464,15 @@ class EnsembleResult:
     master_seed: int
     z_factor_mean: complex
     z_factor_se: float
-    # statistics of the pair means' residuals (see _residuals), (n_t, k, re/im),
-    # scaled like mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|; not in the document
-    residuals: _Stats
+    # mean and standard error of the pair means' residuals (see _residuals),
+    # (n_t, k, re/im), scaled like mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|
+    residual_mean: np.ndarray
+    residual_se: np.ndarray
+    # the controls in the estimate, 0 below PAIRS_PER_CONTROL pairs per control,
+    # and the share of the worst t_f element's variance they removed: neither
+    # is in the document
+    n_controls: int
+    variance_removed_tf: float
     config_echo: dict = field(default_factory=dict)
 
     @property
@@ -412,8 +522,7 @@ def hermiticity_trace_report(result: EnsembleResult) -> HermiticityReport:
     up the separate errors of rho_ij and rho_ji would misstate the error of
     rho_ij - conj(rho_ji).  Real and imaginary parts are scored apart.
     """
-    res = result.residuals
-    z = _safe_ratio(np.abs(res.mean), res.se()).max(axis=-1)
+    z = _safe_ratio(np.abs(result.residual_mean), result.residual_se).max(axis=-1)
     mean = result.mean_rho
     hermitized = 0.5 * (mean + np.conj(np.swapaxes(mean, -1, -2)))
     min_eig = min(float(np.linalg.eigvalsh(h).min()) for h in hermitized)
@@ -462,21 +571,23 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
            "layout": layout,
            "next_batch": next_batch,
            "n_failed": _n_failed(acc, next_batch, n_run),
-           "pairs": {"n": acc.n, "mean": acc.mean.tolist(), "m2": acc.m2.tolist()}}
+           "pairs": {"n": acc.n, "mean": acc.mean.tolist(), "m2": acc.m2.tolist(),
+                     "cross": acc.cross.tolist()}}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # encoded in one call: json.dump's many small writes take twice as long
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())       # on disk before it takes the final name
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width: int):
+def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width: int,
+                     p: int):
     """(next batch, folded statistics) from ``path``, for a run of ``n_run``
-    trajectories whose pair rows have ``width`` complex columns; a torn or
-    malformed checkpoint, one of another run, or one whose counts do not add
-    up to its batches raises ValidationError."""
+    trajectories whose pair rows have ``width`` complex columns and end in ``p``
+    controls; a torn or malformed checkpoint, one of another run, or one whose
+    counts do not add up to its batches raises ValidationError."""
     n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
@@ -494,7 +605,13 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width:
         stats = np.array([pairs["mean"], pairs["m2"]], dtype=float)
         if stats.shape != (2, 2 * width) or not np.isfinite(stats).all() or (stats[1] < 0).any():
             raise ValueError(f"pair statistics are not {2 * width} finite values each, M2 >= 0")
-        acc = _Stats(_count(pairs, "n"), *stats)
+        cross = np.array(pairs["cross"] or np.zeros((0, 2 * width)), dtype=float)
+        if cross.shape != (p, 2 * width) or not np.isfinite(cross).all():
+            raise ValueError(f"control co-moments are not {p} rows of {2 * width} finite values")
+        block = cross[:, 2 * width - p:]
+        if not np.array_equal(block, block.T):
+            raise ValueError("the controls' own co-moments are not symmetric")
+        acc = _Stats(_count(pairs, "n"), *stats, cross)
     except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if next_batch > n_batches:
@@ -511,8 +628,9 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width:
 def _check_finite(acc: _Stats, parts: tuple):
     """Raise NumericalError, naming the z-factor or the time index of the first
     bad column, unless every folded mean and M2 of the pair rows is finite and
-    Tr mean[0] is finite and nonzero; ``parts`` is the rows' _row_layout."""
-    (series, shape), (zfac, _), (residuals, _) = parts
+    Tr mean[0] is finite and nonzero; ``parts`` is the rows' _row_layout (the
+    controls, finite draws, are never the first bad column)."""
+    (series, shape), (zfac, _), (residuals, _), _ = parts
     finite = np.isfinite(acc.mean) & np.isfinite(acc.m2)
     if not finite.all():
         col = int(np.argmin(finite)) // 2
@@ -527,6 +645,25 @@ def _check_finite(acc: _Stats, parts: tuple):
                              f"at time index 0")
 
 
+def _ratio_errors(se: np.ndarray, mean_rho: np.ndarray, scale: complex, parts: tuple,
+                  with_trace: bool) -> tuple:
+    """(se_re, se_im) of mean_rho = N / D, D = Tr N(0) = d * z-factor, from the
+    pair rows' standard errors ``se`` (width, re/im) and ``scale`` = 1 / D.
+
+    Each is the numerator's error over |D|.  ``with_trace`` adds
+    |mean_rho| se(D) / |D|, which makes it a bound on the ratio's linearised
+    error whatever the correlation of N and D.  The controls shrink the
+    numerator's spread far more than the trace's at early times, so without
+    that term their errors would understate the ratio's.
+    """
+    (s_cols, s_shape), (z_cols, _), _, _ = parts
+    errors = (se[s_cols, part].reshape(s_shape) for part in (0, 1))
+    if with_trace:
+        trace_part = np.abs(mean_rho) * (mean_rho.shape[-1] * np.hypot(*se[z_cols.start]))
+        errors = (e + trace_part for e in errors)
+    return tuple(e * abs(scale) for e in errors)
+
+
 def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
                  pipeline: Pipeline | None = None,
                  real_time: bool = True) -> EnsembleResult:
@@ -534,6 +671,9 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
 
     The trajectories run in antithetic pairs, an odd ``n_traj`` rounded up
     to whole pairs, and the standard errors are those of the pair means.
+    From PAIRS_PER_CONTROL completed pairs per control on, the pair means are
+    corrected by the second-order control variates (_estimate), and the
+    result's ``n_controls`` says how many were used.
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
@@ -566,12 +706,13 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     n_run = _trajectories(cfg.n_traj)
     n_batches = -(-n_run // BATCH_SIZE)
     times = cfg.grids.t if real_time else cfg.grids.t[:1]
-    parts = _row_layout(times.size, cfg.system.dim)
-    width = parts[-1][0].stop
-    acc = _Stats.empty((2 * width,))
+    parts = _row_layout(times.size, cfg.system.dim, len(_control_columns(pipe.factor)))
+    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = parts
+    width = c_cols.stop
+    acc = _Stats.empty((2 * width,), p)
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
-        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width)
+        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width, p)
 
     # _run_batch is looked up now, so a replacement set on the module reaches
     # the workers too
@@ -599,19 +740,24 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         raise TooManyFailures("fewer than two pairs of trajectories completed")
     _check_finite(acc, parts)
 
-    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape) = parts
-    mean, se = acc.mean.view(complex), acc.se().reshape(width, 2)
+    mean, se, n_controls = _estimate(acc)
+    mean, se = mean.view(complex), se.reshape(width, 2)
     series = mean[s_cols].reshape(s_shape)
     scale = 1.0 / np.trace(series[0])
-    se_re, se_im = (se[s_cols, part].reshape(s_shape) * abs(scale) for part in (0, 1))
-    res_mean, res_m2 = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2)
-                        for a in (acc.mean, acc.m2))
+    mean_rho = series * scale
+    se_re, se_im = _ratio_errors(se, mean_rho, scale, parts, n_controls > 0)
+    worst_tf = np.hypot(se_re, se_im)[-1].max()
+    plain_tf = np.hypot(*_ratio_errors(acc.se().reshape(width, 2), mean_rho, scale, parts,
+                                       False))[-1].max()
+    residual_mean, residual_se = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2) * abs(scale)
+                                  for a in (mean.view(float), se))
     return EnsembleResult(
-        times=times, mean_rho=series * scale, se_re=se_re, se_im=se_im,
+        times=times, mean_rho=mean_rho, se_re=se_re, se_im=se_im,
         n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
         master_seed=cfg.master_seed, z_factor_mean=complex(mean[z_cols.start]),
         z_factor_se=float(np.hypot(*se[z_cols.start])),
-        residuals=_Stats(acc.n, res_mean * abs(scale), res_m2 * abs(scale) ** 2),
+        residual_mean=residual_mean, residual_se=residual_se, n_controls=n_controls,
+        variance_removed_tf=float(1.0 - (worst_tf / plain_tf) ** 2) if plain_tf else 0.0,
         config_echo=cfg_echo)
 
 

@@ -48,6 +48,26 @@ def test_run_outputs_are_byte_identical_across_workers(tmp_path, capsys):
     assert doc["n_ok"] == 128
 
 
+@pytest.mark.parametrize("n_traj, line", [
+    (1438, "controls: 0 used, 0.0% of the worst t_f variance removed"),
+    (1440, "controls: 36 used, "),
+], ids=["719-pairs", "720-pairs"])
+def test_run_prints_the_controls_used(tmp_path, capsys, n_traj, line):
+    # from 20 completed pairs per control on, the run says how many controls
+    # it used and what share of the worst t_f variance they removed; neither
+    # goes into the document
+    cfg = write_cfg(tmp_path, tiny_doc(ensemble={"n_traj": n_traj, "master_seed": 4}))
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+    printed = [text for text in capsys.readouterr().out.splitlines()
+               if text.startswith("controls: ")]
+    assert len(printed) == 1 and printed[0].startswith(line)
+    if n_traj == 1440:
+        removed = float(printed[0].split(", ")[1].split("%")[0])
+        assert 50.0 < removed < 100.0
+    assert "controls" not in out.read_text()
+
+
 def test_seed_flag_changes_output(tmp_path):
     cfg = write_cfg(tmp_path, tiny_doc())
     out1 = tmp_path / "a.json"

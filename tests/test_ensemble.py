@@ -118,6 +118,15 @@ def test_pairwise_stats_match_two_pass():
     assert np.abs(st.mean.view(complex) - vals.mean(axis=0)).max() < 1e-12
     var = vals.view(float).var(axis=0, ddof=1)      # real and imaginary parts
     assert np.abs(st.m2 / 36 - var).max() < 1e-12
+    assert st.cross.shape == (0, 8)
+    # the last p = 3 real columns are controls: their co-moments with every
+    # column are the two-pass ones, and their own block is symmetric bit for bit
+    with_controls = _pairwise_stats(vals.view(float), p=3)
+    assert np.array_equal(with_controls.mean, st.mean) and np.array_equal(with_controls.m2, st.m2)
+    dev = vals.view(float) - vals.view(float).mean(axis=0)
+    assert np.abs(with_controls.cross - dev[:, 5:].T @ dev).max() < 1e-12
+    block = with_controls.cross[:, 5:]
+    assert np.array_equal(block, block.T)
 
 
 @pytest.mark.parametrize("k", [37, 255, 256])
@@ -135,11 +144,12 @@ def test_real_view_stats_keep_the_bits_of_the_complex_two_pass(k):
     assert np.array_equal(st.m2[1::2], (dev.imag ** 2).sum(axis=0))
 
 
-def _fold(values, cuts):
-    """Chan-fold the two-pass statistics of values split at ``cuts``, in order."""
-    acc = _Stats.empty(values.shape[1:])
+def _fold(values, cuts, p=0):
+    """Chan-fold the two-pass statistics of values split at ``cuts``, in order,
+    the last p columns of a row being controls."""
+    acc = _Stats.empty(values.shape[1:], p)
     for part in np.split(values, cuts):
-        acc = acc.merge(_pairwise_stats(part))
+        acc = acc.merge(_pairwise_stats(part, p=p))
     return acc
 
 
@@ -151,20 +161,112 @@ def test_stats_fold_under_any_batch_split(data, n, t, d, seed, offset, spread):
     # any consecutive batching folds to the statistics of the whole array, and
     # identical rows keep an M2 of exactly 0 under every split
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    p = data.draw(st.integers(0, min(3, 2 * t * d * d)))    # the last p reals are controls
     rng = np.random.default_rng(seed)
     shape = (n, t, d, d)
     values = offset + spread * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    folded, whole = _fold(values.view(float), cuts), _pairwise_stats(values.view(float))
+    folded, whole = _fold(values.view(float), cuts, p), _pairwise_stats(values.view(float), p=p)
     assert folded.n == whole.n == n
     scale = np.abs(values).max()
     assert np.abs(folded.mean.view(complex) - whole.mean.view(complex)).max() <= 1e-12 * scale
     for part in (0, 1):                 # real parts, then imaginary parts
         got, ref = folded.m2[..., part::2], whole.m2[..., part::2]
         assert np.abs(got - ref).max() <= 1e-12 * max(ref.max(), scale ** 2)
+    cross = folded.cross.reshape(p, 2 * t * d * d)
+    assert np.abs(cross - whole.cross.reshape(cross.shape)).max(initial=0.0) <= 1e-12 * scale ** 2 * n
+    assert np.array_equal(cross[:, cross.shape[1] - p:], cross[:, cross.shape[1] - p:].T)
     same = np.broadcast_to(values[0], shape).copy()
-    folded = _fold(same.view(float), cuts)
+    folded = _fold(same.view(float), cuts, p)
     assert np.array_equal(folded.mean, values[0].view(float))
-    assert np.all(folded.m2 == 0.0)
+    assert np.all(folded.m2 == 0.0) and np.all(folded.cross == 0.0)
+
+
+# synthetic pair rows for the estimator: responses that are a known quadratic
+# form of 8 draws w plus independent noise, followed by the 36 controls of w
+_P = 36
+_FORMS = np.random.default_rng(2024).standard_normal((3, 8, 8)) * 0.3
+_TRUE_MEANS = 1.5 + np.trace(_FORMS, axis1=1, axis2=2)         # <w^T A w> = Tr A
+
+
+def _synthetic_rows(n, seed, noise=1.0):
+    """(n, 3 + 36) real rows: y_c = 1.5 + w^T A_c w + noise, then q(w)."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, 8))
+    rows = np.empty((n, 3 + _P))
+    rows[:, :3] = 1.5 + np.einsum("ni,cij,nj->nc", w, _FORMS, w)
+    rows[:, :3] += noise * (rng.exponential(size=(n, 3)) - 1.0)    # skewed, mean 0
+    ensemble._controls(w, rows[:, 3:])
+    return rows
+
+
+def test_controls_are_the_quadratic_forms_of_the_draws():
+    w = np.random.default_rng(1).standard_normal((5, 8))
+    q = np.empty((5, _P))
+    ensemble._controls(w, q)
+    upper = np.triu_indices(8)
+    assert np.array_equal(q, w[:, upper[0]] * w[:, upper[1]] - np.eye(8)[upper])
+
+
+@settings(max_examples=20)
+@given(data=st.data(), n=st.integers(20 * _P, 1100), seed=st.integers(0, 2 ** 32 - 1))
+def test_controlled_fold_equals_one_pass_least_squares(data, n, seed):
+    # whatever the cut into blocks, the folded estimate is the intercept of a
+    # least-squares fit of each response on [1, q] at q = 0, and its standard
+    # error that intercept's, on n - p - 1 degrees of freedom
+    rows = _synthetic_rows(n, seed)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=12)))
+    mean, se, used = ensemble._estimate(_fold(rows, cuts, _P))
+    assert used == _P
+    design = np.hstack([np.ones((n, 1)), rows[:, 3:]])
+    coef, rss, _, _ = np.linalg.lstsq(design, rows[:, :3], rcond=None)
+    intercept_se = np.sqrt(rss / (n - _P - 1) * np.linalg.inv(design.T @ design)[0, 0])
+    assert np.abs(mean[:3] - coef[0]).max() <= 1e-12 * np.abs(rows[:, :3]).max()
+    assert np.abs(se[:3] / intercept_se - 1.0).max() <= 1e-12 * n
+    # the controls' own estimates are their known mean, 0, with no spread
+    assert np.abs(mean[3:]).max() < 1e-12 and np.all(se[3:] >= 0.0)
+
+
+def test_controlled_mean_is_unbiased_and_its_errors_cover():
+    # over 200 seeds of 800 pairs the errors in units of the reported standard
+    # error have mean 0 and spread 1, and cover at the normal rate
+    z = []
+    for seed in range(200):
+        mean, se, used = ensemble._estimate(_pairwise_stats(_synthetic_rows(800, seed), p=_P))
+        assert used == _P
+        z.extend((mean[:3] - _TRUE_MEANS) / se[:3])
+    z = np.array(z)
+    assert abs(z.mean()) < 0.2
+    assert 0.9 < z.std() < 1.1
+    assert 0.92 <= np.mean(np.abs(z) < 1.96) <= 0.98
+
+
+def test_below_the_threshold_the_estimate_is_the_plain_fold():
+    # below PAIRS_PER_CONTROL pairs per control no control is used, and the
+    # mean, M2 and standard error are the bits of a fold without controls
+    assert ensemble.PAIRS_PER_CONTROL * _P == 720
+    rows = _synthetic_rows(720, 3)
+    for n, cuts in ((719, [256, 512]), (720, [256, 512])):
+        controlled, plain = _fold(rows[:n], cuts, _P), _fold(rows[:n, :3], cuts)
+        assert np.array_equal(controlled.mean[:3], plain.mean)
+        assert np.array_equal(controlled.m2[:3], plain.m2)
+        mean, se, used = ensemble._estimate(controlled)
+        if n < 720:
+            assert used == 0
+            assert np.array_equal(mean[:3], plain.mean) and np.array_equal(se[:3], plain.se())
+        else:
+            assert used == _P and not np.array_equal(mean[:3], plain.mean)
+
+
+def test_residual_m2_is_clamped_at_zero():
+    # a column that is a control itself leaves a residual M2 of rounding size,
+    # negative for some; the estimate clamps it, so no error is NaN
+    acc = _pairwise_stats(_synthetic_rows(900, 5), p=_P)
+    beta = np.linalg.solve(acc.cross[:, 3:], acc.cross)
+    raw = acc.m2 - np.einsum("ij,ij->j", beta, acc.cross)
+    assert (raw[3:] < 0.0).any()
+    _, se, _ = ensemble._estimate(acc)
+    assert np.isfinite(se).all() and np.all(se[3:] >= 0.0)
+    assert np.all(se[raw < 0.0] == 0.0)
 
 
 def test_run_draws_each_batch_in_one_call(monkeypatch):
@@ -268,8 +370,8 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
     reduced = []
     real_stats = ensemble._pairwise_stats
     monkeypatch.setattr(ensemble, "_pairwise_stats",
-                        lambda values, work: reduced.append(values.copy())
-                        or real_stats(values, work))
+                        lambda values, *args: reduced.append(values.copy())
+                        or real_stats(values, *args))
     ensemble._run_batch(*args, 0, True)
     clean_inputs = list(reduced)
     half = ensemble.BATCH_SIZE // 2
@@ -297,6 +399,58 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             assert np.array_equal(reduced[0], np.delete(clean_inputs[0], 7, axis=0))
 
 
+def test_a_failed_pair_drops_its_controls(monkeypatch):
+    # each reduced row ends in the 36 controls of its pair's draws; the first
+    # pair of the block fails, and its row goes with its controls
+    cfg = _driven_61x21(ensemble.BATCH_SIZE)
+    pipe = build_pipeline(cfg)
+    reduced = []
+    real_stats = ensemble._pairwise_stats
+    monkeypatch.setattr(ensemble, "_pairwise_stats",
+                        lambda values, *args: reduced.append(values.copy())
+                        or real_stats(values, *args))
+    monkeypatch.setattr(ensemble, "evolve_batch", _first_row_diverges)
+    out = ensemble._run_batch(pipe.system, pipe.factor, cfg, 0, True)
+    half = ensemble.BATCH_SIZE // 2
+    assert out.n == half - 1 and out.cross.shape == (36, reduced[0].shape[1])
+    w = draw_normal(pipe.factor, ensemble.derive_seed(13, 0), half)
+    q = np.empty((half, 36))
+    ensemble._controls(w[:, ensemble._control_columns(pipe.factor)], q)
+    assert np.array_equal(reduced[0][:, -36:], q[1:])
+
+
+def test_an_odd_number_of_controls_is_padded_with_a_zero():
+    # a rank-5 factor gives 5 draws and 15 controls in 8 complex columns; the
+    # spare real is 0 in every block, also in memory a previous block used
+    doc = small_doc(n_traj=2 * 20 * 15, master_seed=3)
+    doc["grids"] = {"t_f": 0.5, "n_t": 3, "n_tau": 2}
+    cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
+    assert pipe.factor.rank == 5
+    args = (pipe.system, pipe.factor, cfg)
+    work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
+    for block in (0, 1, 0):
+        reused = ensemble._run_batch(*args, block, True, work)
+        assert reused.cross.shape[0] == 15 and reused.mean[-16] == 0.0 == reused.m2[-16]
+    res = run_ensemble(cfg, pipeline=pipe)
+    assert res.n_controls == 15 and np.isfinite(res.stderr_rho).all()
+
+
+def test_control_columns_are_the_largest_takagi_columns():
+    # across channels, the 8 columns of largest norm, in draw order: on a
+    # two-channel factor the rule over each channel's first 8 columns picks
+    # the columns that a sort of every column's norm picks
+    doc = small_doc()
+    doc["system"]["couplings"] = [[[0.6, 0.0], [0.0, -0.6]], [[0.0, 0.3], [0.3, 0.0]]]
+    doc["bath"] = {"masses": [1.0, 1.0], "lambda": [[3.5, 0.0], [0.0, 3.3]]}
+    factor = build_pipeline(parse_config(doc)).factor
+    assert len(factor.a) == 2
+    norms = np.concatenate([np.linalg.norm(a, axis=0) for a in factor.a])
+    columns = ensemble._control_columns(factor)
+    assert np.array_equal(columns, np.sort(np.argsort(-norms, kind="stable")[:8]))
+    assert (columns >= factor.a[0].shape[1]).any() and (columns < factor.a[0].shape[1]).any()
+
+
 @pytest.mark.parametrize("real_time, evolve", [(True, _real_evolve_batch),
                                                (True, _first_row_diverges),
                                                (False, _real_evolve_batch)],
@@ -315,6 +469,7 @@ def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, real_time,
         pairs = 5 if block == 3 else ensemble.BATCH_SIZE // 2
         assert reused.n == fresh.n == pairs - (evolve is _first_row_diverges)
         assert np.array_equal(reused.mean, fresh.mean) and np.array_equal(reused.m2, fresh.m2)
+        assert np.array_equal(reused.cross, fresh.cross)
 
 
 def test_a_block_allocates_nothing_large_once_the_run_arrays_exist():
@@ -412,7 +567,7 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
 
 # the complex columns of a pair row on the 11-point grid below, d = 2; the
 # statistics hold the real part of column c at 2 * c and its imaginary part next
-_SERIES, _ZFAC, _RESIDUALS = (cols for cols, _ in ensemble._row_layout(11, 2))
+_SERIES, _ZFAC, _RESIDUALS, _ = (cols for cols, _ in ensemble._row_layout(11, 2, 8))
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -452,10 +607,10 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
     reduced = []
     real_stats = ensemble._pairwise_stats
     monkeypatch.setattr(ensemble, "_pairwise_stats",
-                        lambda values, work: reduced.append(values.copy())
-                        or real_stats(values, work))
+                        lambda values, *args: reduced.append(values.copy())
+                        or real_stats(values, *args))
     report = hermiticity_trace_report(run_ensemble(cfg))
-    cols, shape = ensemble._row_layout(61, 2)[0]
+    cols, shape = ensemble._row_layout(61, 2, 8)[0]
     v = reduced[0].view(complex)[:, cols].reshape(-1, *shape)   # the block's pair means
 
     def worst_z(residual):
@@ -714,6 +869,28 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers, evolve):
     assert document_bytes(result_document(resumed)) == ref
 
 
+def test_controlled_quick_demo_bytes_whatever_the_workers_or_a_resume(tmp_path, monkeypatch):
+    # quick_demo's 2,000 pairs use the controls; their estimate is solved once
+    # after the fold, so the bytes are the same at 1, 2 and 3 workers and
+    # after a run killed in its third block resumes from its checkpoint
+    cfg = parse_config(json.loads((CONFIGS / "quick_demo.json").read_text()))
+    pipe = build_pipeline(cfg)
+    ref = run_ensemble(cfg, pipeline=pipe)
+    assert ref.n_controls == 36 and ref.variance_removed_tf > 0.5
+    ref_bytes = document_bytes(result_document(ref))
+    for workers in (2, 3):
+        res = run_ensemble(cfg, workers=workers, pipeline=pipe)
+        assert document_bytes(result_document(res)) == ref_bytes
+    monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    ckpt = tmp_path / "state.json"
+    monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
+    with pytest.raises(Killed):
+        run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
+    monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
+    resumed = run_ensemble(cfg, workers=2, pipeline=pipe, checkpoint_path=str(ckpt))
+    assert document_bytes(result_document(resumed)) == ref_bytes
+
+
 @pytest.mark.parametrize("preset", [None, "20"], ids=["unset", "preset"])
 def test_workers_start_with_sleeping_blas_threads(tmp_path, monkeypatch, preset):
     # each worker process starts with OPENBLAS_THREAD_TIMEOUT=4, and the
@@ -876,7 +1053,8 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
-                       ("version", "0.7.0"), ("version", "0.8.0"), (None, None)):
+                       ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
+                       (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -917,6 +1095,14 @@ _DAMAGES = {
     # mean would end the run as a numerical failure
     "m2-negative": _edit(lambda data: data["pairs"]["m2"].__setitem__(10, -1.0)),
     "mean-nan": _edit(lambda data: data["pairs"]["mean"].__setitem__(11, float("nan"))),
+    # the controls' co-moments: 36 rows of every column, finite, their own
+    # 36 x 36 block (the last columns) symmetric
+    "no-cross": _edit(lambda data: data["pairs"].pop("cross")),
+    "cross-short": _edit(lambda data: data["pairs"]["cross"].pop()),
+    "cross-narrow": _edit(lambda data: data["pairs"]["cross"][5].pop(0)),
+    "cross-inf": _edit(lambda data: data["pairs"]["cross"][3].__setitem__(7, float("inf"))),
+    "cross-not-symmetric": _edit(lambda data: data["pairs"]["cross"][0].__setitem__(
+        -35, data["pairs"]["cross"][0][-35] + 1.0)),
 }
 
 
