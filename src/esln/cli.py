@@ -160,6 +160,8 @@ def _cmd_equilibrate(args) -> int:
 def _cmd_verify_noise(args) -> int:
     if args.samples < 100:
         raise ValidationError("--samples", "must be >= 100")
+    if args.hs_vectors < 0:
+        raise ValidationError("--hs-vectors", "must be >= 0")
     cfg = _load(args)
     pipe = ens.build_pipeline(cfg)
     cov, factor = pipe.cov, pipe.factor

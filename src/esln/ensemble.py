@@ -15,13 +15,13 @@ second-order control variates remove most of it.  The controls are
 q_kl = w_k w_l - delta_kl (k <= l) over the draws of the CONTROL_COLUMNS
 Takagi columns of largest norm, p = K (K + 1) / 2 = 36 of them, each of noise
 average 0; they end each pair's row.  Every column y of the pair rows is
-regressed on them once the run has completed PAIRS_PER_CONTROL pairs per
-control: the estimate is y_bar - beta^T q_bar with beta = C_qq^-1 C_qy, and
-its standard error that of a least-squares intercept on n - p - 1 degrees of
-freedom (_estimate).  With fewer pairs the estimate is the plain pair mean and
-its standard error, bit for bit.  The errors of mean_rho are the numerator's
-over |Tr|; with the controls they also carry the trace's own error
-(_ratio_errors).
+regressed on the controls: the estimate is y_bar - beta^T q_bar with
+beta = C_qq^-1 C_qy, and its standard error that of a least-squares intercept
+on n - p - 1 degrees of freedom (_estimate).  A run uses all p controls once
+it has completed PAIRS_PER_CONTROL pairs per control, and none before; on no
+controls the same formula is the plain pair mean, whose bits it keeps.  The
+errors of mean_rho are the numerator's over |Tr| plus the trace's own error
+(_ratio_errors), at every pair count.
 
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
@@ -159,12 +159,6 @@ class _Stats:
             return self
         return _chan(self, other)
 
-    def se(self) -> np.ndarray:
-        """Standard error of the mean."""
-        if self.n < 2:
-            return np.zeros_like(self.m2)
-        return np.sqrt(self.m2 * (1.0 / (self.n * (self.n - 1))))
-
 
 def _chan(a: _Stats, b: _Stats) -> _Stats:
     """Chan's merge of two nonempty partials.  The co-moments gain
@@ -209,27 +203,23 @@ def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 
                   cross.reshape((p,) + values.shape[1:]))
 
 
-def _estimate(acc: _Stats) -> tuple:
-    """(mean, se, controls used) of the folded rows' real columns.
+def _estimate(acc: _Stats, p: int) -> tuple:
+    """(mean, se) of the folded rows' real columns, each column y regressed on
+    the last p of the controls q, whose noise average is 0.
 
-    From PAIRS_PER_CONTROL completed pairs per control on, each column y is
-    regressed on the p controls q, whose noise average is 0:
     beta = C_qq^-1 C_qy, the mean is y_bar - beta^T q_bar, and the residual M2
     is M2 - beta^T C_qy, clamped at 0.  The standard error is that of the
     least-squares intercept, sqrt(M2_res / (n - p - 1) * (1 / n + q_bar^T
-    C_qq^-1 q_bar)).  Below that the controls are not used, and the mean and
-    standard error are the plain fold's, bit for bit.  The rule reads the
-    completed pair count alone.
+    C_qq^-1 q_bar)).  With p = 0 this is the plain fold: the mean's bits are
+    y_bar's, and the standard error is sqrt(M2 / (n - 1) / n).
     """
-    n, p = acc.n, len(acc.cross)
-    if p == 0 or n < PAIRS_PER_CONTROL * p:
-        return acc.mean, acc.se(), 0
+    n, cross = acc.n, acc.cross[len(acc.cross) - p:]
     q = slice(acc.mean.size - p, None)
-    c_qq, q_bar = acc.cross[:, q], acc.mean[q]
-    beta = np.linalg.solve(c_qq, acc.cross)
-    m2 = np.maximum(acc.m2 - np.einsum("ij,ij->j", beta, acc.cross), 0.0)
+    c_qq, q_bar = cross[:, q], acc.mean[q]
+    beta = np.linalg.solve(c_qq, cross)
+    m2 = np.maximum(acc.m2 - np.einsum("ij,ij->j", beta, cross), 0.0)
     leverage = 1.0 / n + q_bar @ np.linalg.solve(c_qq, q_bar)
-    return acc.mean - q_bar @ beta, np.sqrt(m2 * (leverage / (n - p - 1))), p
+    return acc.mean - q_bar @ beta, np.sqrt(m2 * (leverage / (n - p - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,23 +635,20 @@ def _check_finite(acc: _Stats, parts: tuple):
                              f"at time index 0")
 
 
-def _ratio_errors(se: np.ndarray, mean_rho: np.ndarray, scale: complex, parts: tuple,
-                  with_trace: bool) -> tuple:
+def _ratio_errors(se: np.ndarray, mean_rho: np.ndarray, scale: complex, parts: tuple) -> tuple:
     """(se_re, se_im) of mean_rho = N / D, D = Tr N(0) = d * z-factor, from the
     pair rows' standard errors ``se`` (width, re/im) and ``scale`` = 1 / D.
 
-    Each is the numerator's error over |D|.  ``with_trace`` adds
-    |mean_rho| se(D) / |D|, which makes it a bound on the ratio's linearised
-    error whatever the correlation of N and D.  The controls shrink the
-    numerator's spread far more than the trace's at early times, so without
-    that term their errors would understate the ratio's.
+    Each is the numerator's error over |D| plus |mean_rho| se(D) / |D|, a bound
+    on the ratio's linearised error whatever the correlation of N and D.
+    Without the trace term the errors understate the ratio's where the
+    partition function fluctuates more than the numerator: at early times,
+    and wherever the controls shrink the numerator's spread.
     """
     (s_cols, s_shape), (z_cols, _), _, _ = parts
-    errors = (se[s_cols, part].reshape(s_shape) for part in (0, 1))
-    if with_trace:
-        trace_part = np.abs(mean_rho) * (mean_rho.shape[-1] * np.hypot(*se[z_cols.start]))
-        errors = (e + trace_part for e in errors)
-    return tuple(e * abs(scale) for e in errors)
+    trace_part = np.abs(mean_rho) * (mean_rho.shape[-1] * np.hypot(*se[z_cols.start]))
+    return tuple((se[s_cols, part].reshape(s_shape) + trace_part) * abs(scale)
+                 for part in (0, 1))
 
 
 def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
@@ -670,10 +657,11 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     """Run the full two-time Monte Carlo and average it.
 
     The trajectories run in antithetic pairs, an odd ``n_traj`` rounded up
-    to whole pairs, and the standard errors are those of the pair means.
-    From PAIRS_PER_CONTROL completed pairs per control on, the pair means are
-    corrected by the second-order control variates (_estimate), and the
-    result's ``n_controls`` says how many were used.
+    to whole pairs, and the standard errors are those of the pair means,
+    carrying the error of the partition function they are divided by.  The
+    estimate is the regression of the pair means on the second-order control
+    variates (_estimate): on all of them from PAIRS_PER_CONTROL completed pairs
+    per control on, on none below, and the result's ``n_controls`` says which.
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
@@ -740,15 +728,16 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         raise TooManyFailures("fewer than two pairs of trajectories completed")
     _check_finite(acc, parts)
 
-    mean, se, n_controls = _estimate(acc)
+    n_controls = p if acc.n >= PAIRS_PER_CONTROL * p else 0
+    mean, se = _estimate(acc, n_controls)
     mean, se = mean.view(complex), se.reshape(width, 2)
     series = mean[s_cols].reshape(s_shape)
     scale = 1.0 / np.trace(series[0])
     mean_rho = series * scale
-    se_re, se_im = _ratio_errors(se, mean_rho, scale, parts, n_controls > 0)
+    se_re, se_im = _ratio_errors(se, mean_rho, scale, parts)
     worst_tf = np.hypot(se_re, se_im)[-1].max()
-    plain_tf = np.hypot(*_ratio_errors(acc.se().reshape(width, 2), mean_rho, scale, parts,
-                                       False))[-1].max()
+    plain_tf = np.hypot(*_ratio_errors(_estimate(acc, 0)[1].reshape(width, 2), mean_rho, scale,
+                                       parts))[-1].max()
     residual_mean, residual_se = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2) * abs(scale)
                                   for a in (mean.view(float), se))
     return EnsembleResult(

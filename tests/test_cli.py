@@ -204,6 +204,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["equilibrate", "--config", good, "--workers", "0"]) == 2
     assert main(["verify-noise", "--config", good, "--samples", "10"]) == 2
     assert main(["oracle", "--config", good, "--n-levels", "1"]) == 2
+    capsys.readouterr()
+    # a negative count is refused, not taken as "no check"
+    assert main(["verify-noise", "--config", good, "--hs-vectors", "-1"]) == 2
+    refused = capsys.readouterr()
+    assert "--hs-vectors" in refused.err and refused.out == ""
 
 
 def test_non_finite_config_number_exits_2(tmp_path, capsys):

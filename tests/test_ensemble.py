@@ -208,22 +208,23 @@ def test_controls_are_the_quadratic_forms_of_the_draws():
 
 
 @settings(max_examples=20)
-@given(data=st.data(), n=st.integers(20 * _P, 1100), seed=st.integers(0, 2 ** 32 - 1))
-def test_controlled_fold_equals_one_pass_least_squares(data, n, seed):
+@given(data=st.data(), n=st.integers(20 * _P, 1100), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([0, _P]))
+def test_controlled_fold_equals_one_pass_least_squares(data, n, seed, p):
     # whatever the cut into blocks, the folded estimate is the intercept of a
     # least-squares fit of each response on [1, q] at q = 0, and its standard
-    # error that intercept's, on n - p - 1 degrees of freedom
+    # error that intercept's, on n - p - 1 degrees of freedom; on no controls
+    # the fit is on the intercept alone
     rows = _synthetic_rows(n, seed)
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=12)))
-    mean, se, used = ensemble._estimate(_fold(rows, cuts, _P))
-    assert used == _P
-    design = np.hstack([np.ones((n, 1)), rows[:, 3:]])
+    mean, se = ensemble._estimate(_fold(rows, cuts, _P), p)
+    design = np.hstack([np.ones((n, 1)), rows[:, 3:3 + p]])
     coef, rss, _, _ = np.linalg.lstsq(design, rows[:, :3], rcond=None)
-    intercept_se = np.sqrt(rss / (n - _P - 1) * np.linalg.inv(design.T @ design)[0, 0])
+    intercept_se = np.sqrt(rss / (n - p - 1) * np.linalg.inv(design.T @ design)[0, 0])
     assert np.abs(mean[:3] - coef[0]).max() <= 1e-12 * np.abs(rows[:, :3]).max()
     assert np.abs(se[:3] / intercept_se - 1.0).max() <= 1e-12 * n
-    # the controls' own estimates are their known mean, 0, with no spread
-    assert np.abs(mean[3:]).max() < 1e-12 and np.all(se[3:] >= 0.0)
+    if p:       # the controls' own estimates are their known mean, 0, with no spread
+        assert np.abs(mean[3:]).max() < 1e-12 and np.all(se[3:] >= 0.0)
 
 
 def test_controlled_mean_is_unbiased_and_its_errors_cover():
@@ -231,8 +232,7 @@ def test_controlled_mean_is_unbiased_and_its_errors_cover():
     # error have mean 0 and spread 1, and cover at the normal rate
     z = []
     for seed in range(200):
-        mean, se, used = ensemble._estimate(_pairwise_stats(_synthetic_rows(800, seed), p=_P))
-        assert used == _P
+        mean, se = ensemble._estimate(_pairwise_stats(_synthetic_rows(800, seed), p=_P), _P)
         z.extend((mean[:3] - _TRUE_MEANS) / se[:3])
     z = np.array(z)
     assert abs(z.mean()) < 0.2
@@ -241,20 +241,19 @@ def test_controlled_mean_is_unbiased_and_its_errors_cover():
 
 
 def test_below_the_threshold_the_estimate_is_the_plain_fold():
-    # below PAIRS_PER_CONTROL pairs per control no control is used, and the
-    # mean, M2 and standard error are the bits of a fold without controls
+    # on no controls the mean and M2 are the bits of a fold without controls,
+    # and the standard error is sqrt(M2 / (n (n - 1))) but for its rounding:
+    # the regression scales M2 by (1 / n) / (n - 1), at most 2 ulp away
     assert ensemble.PAIRS_PER_CONTROL * _P == 720
     rows = _synthetic_rows(720, 3)
-    for n, cuts in ((719, [256, 512]), (720, [256, 512])):
+    for n, cuts in ((2, [1]), (719, [256, 512]), (720, [256, 512])):
         controlled, plain = _fold(rows[:n], cuts, _P), _fold(rows[:n, :3], cuts)
         assert np.array_equal(controlled.mean[:3], plain.mean)
         assert np.array_equal(controlled.m2[:3], plain.m2)
-        mean, se, used = ensemble._estimate(controlled)
-        if n < 720:
-            assert used == 0
-            assert np.array_equal(mean[:3], plain.mean) and np.array_equal(se[:3], plain.se())
-        else:
-            assert used == _P and not np.array_equal(mean[:3], plain.mean)
+        mean, se = ensemble._estimate(controlled, 0)
+        assert np.array_equal(mean, controlled.mean)
+        plain_se = np.sqrt(plain.m2 * (1.0 / (n * (n - 1))))
+        assert np.all(np.abs(se[:3] - plain_se) <= 2 * np.spacing(plain_se))
 
 
 def test_residual_m2_is_clamped_at_zero():
@@ -264,9 +263,26 @@ def test_residual_m2_is_clamped_at_zero():
     beta = np.linalg.solve(acc.cross[:, 3:], acc.cross)
     raw = acc.m2 - np.einsum("ij,ij->j", beta, acc.cross)
     assert (raw[3:] < 0.0).any()
-    _, se, _ = ensemble._estimate(acc)
+    _, se = ensemble._estimate(acc, _P)
     assert np.isfinite(se).all() and np.all(se[3:] >= 0.0)
     assert np.all(se[raw < 0.0] == 0.0)
+
+
+def test_errors_below_the_threshold_cover_the_scatter_over_seeds():
+    # at 700 pairs no control applies; over 40 seeds each element's scatter
+    # stays within its mean reported error at every time, which it does only
+    # if the errors carry the partition function's own error
+    doc = small_doc(n_traj=1400, master_seed=0)
+    doc["grids"] = {"t_f": 0.5, "n_t": 11, "n_tau": 9}
+    cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
+    runs = [run_ensemble(cfg.with_overrides(master_seed=seed), pipeline=pipe)
+            for seed in range(40)]
+    assert {res.n_controls for res in runs} == {0}
+    mean = np.array([res.mean_rho for res in runs])
+    scatter = np.hypot(mean.real.std(axis=0, ddof=1), mean.imag.std(axis=0, ddof=1))
+    reported = np.mean([res.stderr_rho for res in runs], axis=0)
+    assert np.all(scatter <= reported)
 
 
 def test_run_draws_each_batch_in_one_call(monkeypatch):
@@ -1054,7 +1070,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
                        ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
-                       (None, None)):
+                       ("version", "0.10.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
