@@ -3,7 +3,7 @@
 Subcommands
 -----------
 run          full pipeline: diagonalise, build noise, propagate, average, write
-equilibrate  imaginary-time phase only; prints the mean initial density
+equilibrate  the config cut to one real-time interval; prints the mean initial density
 verify-noise Monte Carlo check of every noise correlation block
 kernels      dump kernel tables to CSV for plotting
 oracle       exact reduced dynamics of the truncated total system, as CSV
@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"checkpoint file, written every {ens.CHECKPOINT_EVERY} blocks "
                           "and after the last; resumed when present")
 
-    eq = sub.add_parser("equilibrate", help="imaginary-time phase only")
+    eq = sub.add_parser("equilibrate", help="initial state only")
     add_config(eq)
     eq.add_argument("--n-traj", type=int, default=None)
     eq.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -146,10 +147,19 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _one_interval(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with its real-time grid cut to the first interval, dt unchanged,
+    and without the drives, which act in real time only.  The noise covariance
+    is the full one's on [eta(0), eta(dt), nu(0), nu(dt), mu(tau)], so the
+    initial state rho_bar(hbar*beta) has the same law."""
+    return cfg.with_overrides(system=replace(cfg.system, drive=()),
+                              grids=replace(cfg.grids, t_f=cfg.grids.dt, n_t=2))
+
+
 def _cmd_equilibrate(args) -> int:
     cfg = _load(args)
-    result = ens.run_ensemble(cfg, workers=args.workers, real_time=False)
-    full = ens.result_document(result)      # its one time is t = 0
+    result = ens.run_ensemble(_one_interval(cfg), workers=args.workers)
+    full = ens.result_document(result)      # the initial state is its t = 0
     doc = {"schema": "esln-equilibrate/1", "n_ok": full["n_ok"], "n_failed": full["n_failed"],
            "mean_rho0": full["mean_rho"][0], "stderr_re": full["stderr_re"][0],
            "stderr_im": full["stderr_im"][0], "z_factor": full["z_factor"]}

@@ -298,9 +298,9 @@ def _legs(fields, work: Workspace) -> list:
 
 
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
-               real_time: bool, work: Workspace | None = None) -> _Stats:
-    """Draw, quench and (with ``real_time``) evolve block ``block``, and
-    reduce its completed pairs' rows (_row_layout), viewed as reals, to _Stats.
+               work: Workspace | None = None) -> _Stats:
+    """Draw, quench and evolve block ``block``, and reduce its completed
+    pairs' rows (_row_layout), viewed as reals, to _Stats.
 
     The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
     of them and none past the run's whole pairs.  Its n trajectories are n / 2
@@ -308,18 +308,14 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
     rows are synthesized once, and the legs [z; -z] propagate together.  A
     pair fails if either leg fails, and its row, its controls with it, is
-    dropped.  Without real time only the imaginary-time fields are
-    synthesized, and the series is the single t = 0 entry, the unnormalized
-    rho_bar(hbar*beta).  Every large array lives in ``work`` (a new workspace
-    by default), which a run passes to all its blocks; nothing of one block
+    dropped.  Every large array lives in ``work`` (a new workspace by
+    default), which a run passes to all its blocks; nothing of one block
     carries into the next.
     """
     work = Workspace(BLOCK_SHARED_MEMORY) if work is None else work
     grids = cfg.grids
     n = min(BATCH_SIZE, _trajectories(cfg.n_traj) - block * BATCH_SIZE) // 2
     columns = _control_columns(factor)
-    if not real_time:       # the factor's mu rows alone, the same draws
-        factor = replace(factor, a=tuple(a[2 * factor.n_t:] for a in factor.a), n_t=0)
     # Spent arrays are deleted as they go: memory that the first block outgrows
     # is freed only with its last view.
     w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
@@ -328,13 +324,8 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
     del w, mu
     traces = np.trace(rho_end, axis1=1, axis2=2)
-    degenerate = np.abs(traces) < 1e-300
-    failed = div_imag | degenerate
-    if real_time:
-        series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
-        failed |= div_real
-    else:
-        series = rho_end[:, None]
+    series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
+    failed = div_imag | (np.abs(traces) < 1e-300) | div_real
     (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = _row_layout(
         series.shape[1], system.dim, len(columns))
     # the pair means are made apart from the rows: numpy copies an operand that
@@ -374,8 +365,8 @@ def _init_worker(path: str):
 
 
 def _worker_block(block: int) -> _Stats:
-    run_batch, system, factor, cfg, real_time, work = _worker_args
-    return run_batch(system, factor, cfg, block, real_time, work)
+    run_batch, system, factor, cfg, work = _worker_args
+    return run_batch(system, factor, cfg, block, work)
 
 
 @contextmanager
@@ -400,8 +391,7 @@ def _blas_threads_sleep_at_once():
 
 
 @contextmanager
-def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range,
-                   workers: int, real_time: bool):
+def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range, workers: int):
     """An iterator over ``run_batch``'s results for ``blocks``, in block order.
 
     One worker runs the blocks on the calling thread.  More run them on
@@ -419,12 +409,12 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range,
     """
     if workers == 1 or not blocks:
         work = Workspace(BLOCK_SHARED_MEMORY)
-        yield (run_batch(pipe.system, pipe.factor, cfg, b, real_time, work) for b in blocks)
+        yield (run_batch(pipe.system, pipe.factor, cfg, b, work) for b in blocks)
         return
     with tempfile.TemporaryDirectory(prefix="esln-") as tmp:
         args_path = os.path.join(tmp, "batch-args.pickle")
         with open(args_path, "wb") as fh:
-            pickle.dump((run_batch, pipe.system, pipe.factor, cfg, real_time), fh,
+            pickle.dump((run_batch, pipe.system, pipe.factor, cfg), fh,
                         protocol=pickle.HIGHEST_PROTOCOL)
         pool = ProcessPoolExecutor(max_workers=min(workers, len(blocks)),
                                    mp_context=multiprocessing.get_context("spawn"),
@@ -652,8 +642,7 @@ def _ratio_errors(se: np.ndarray, mean_rho: np.ndarray, scale: complex, parts: t
 
 
 def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
-                 pipeline: Pipeline | None = None,
-                 real_time: bool = True) -> EnsembleResult:
+                 pipeline: Pipeline | None = None) -> EnsembleResult:
     """Run the full two-time Monte Carlo and average it.
 
     The trajectories run in antithetic pairs, an odd ``n_traj`` rounded up
@@ -678,23 +667,20 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     averaged Tr rho_bar(hbar*beta) that is zero or non-finite, raises
     NumericalError.
 
-    With ``real_time`` False only the imaginary-time phase runs and the result
-    holds the statistics of the initial reduced density on the single time
-    t = 0.  Checkpoints belong to full runs, so that phase refuses one.
+    The initial state alone is the t = 0 entry of a run whose real-time grid
+    is cut to one interval (``esln equilibrate``): the law of the
+    imaginary-time noise, and so of rho_bar(hbar*beta), depends only on the
+    tau grid.
     """
     if workers < 1:
         raise ValidationError("workers", "must be >= 1")
-    if checkpoint_path and not real_time:
-        raise ValidationError("checkpoint",
-                              "only full (real-time) runs write or resume checkpoints")
     pipe = pipeline if pipeline is not None and _built_for(pipeline, cfg) \
         else build_pipeline(cfg)
     cfg_echo = {key: val for key, val in emit_config(cfg).items() if key in ECHOED_SECTIONS}
     layout = _layout(pipe) if checkpoint_path else None
     n_run = _trajectories(cfg.n_traj)
     n_batches = -(-n_run // BATCH_SIZE)
-    times = cfg.grids.t if real_time else cfg.grids.t[:1]
-    parts = _row_layout(times.size, cfg.system.dim, len(_control_columns(pipe.factor)))
+    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, len(_control_columns(pipe.factor)))
     (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = parts
     width = c_cols.stop
     acc = _Stats.empty((2 * width,), p)
@@ -707,7 +693,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     done_batches = start_batch
     try:
         with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
-                            workers, real_time) as outs:
+                            workers) as outs:
             for out in outs:
                 acc = acc.merge(out)
                 done_batches += 1
@@ -741,7 +727,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     residual_mean, residual_se = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2) * abs(scale)
                                   for a in (mean.view(float), se))
     return EnsembleResult(
-        times=times, mean_rho=mean_rho, se_re=se_re, se_im=se_im,
+        times=cfg.grids.t, mean_rho=mean_rho, se_re=se_re, se_im=se_im,
         n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
         master_seed=cfg.master_seed, z_factor_mean=complex(mean[z_cols.start]),
         z_factor_se=float(np.hypot(*se[z_cols.start])),
@@ -765,14 +751,13 @@ def result_document(result: EnsembleResult) -> dict:
         "n_failed": result.n_failed,
         "grid": {"n_t": int(result.times.size),
                  "dt": float(result.times[1] - result.times[0]) if result.times.size > 1 else 0.0},
-        "times": [float(t) for t in result.times],
+        "times": result.times.tolist(),
         "z_factor": {"mean_re": result.z_factor_mean.real,
                      "mean_im": result.z_factor_mean.imag,
                      "se": result.z_factor_se},
-        "mean_rho": [[[[float(v.real), float(v.imag)] for v in row] for row in mat]
-                     for mat in result.mean_rho],
-        "stderr_re": [[[float(v) for v in row] for row in mat] for mat in result.se_re],
-        "stderr_im": [[[float(v) for v in row] for row in mat] for mat in result.se_im],
+        "mean_rho": np.stack([result.mean_rho.real, result.mean_rho.imag], -1).tolist(),
+        "stderr_re": result.se_re.tolist(),
+        "stderr_im": result.se_im.tolist(),
     }
 
 

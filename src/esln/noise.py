@@ -413,14 +413,15 @@ def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int 
     """
     rng = np.random.default_rng(seed)
     m, n_t, n_tau = len(cov.sigma), cov.n_t, cov.n_tau
-    scale = 0.5 / np.sqrt(max(m * cov.dim, 1) * max(np.abs(cov.sigma).max(), 1e-30))
+    scale = 0.5 / np.sqrt(max(m * cov.dim, 1) * max(np.abs(cov.sigma).max(initial=0.0), 1e-30))
     kmat = np.zeros((n_vectors, m, cov.dim), dtype=complex)
     for k in kmat:
         k[:, cov.field_slice("eta")] = rng.standard_normal((m, n_t)) * scale / hbar
         k[:, cov.field_slice("nu")] = rng.standard_normal((m, n_t)) * scale
         k[:, cov.field_slice("mu")] = 1j * rng.standard_normal((m, n_tau)) * scale / hbar
     exact = np.exp(-0.5 * np.einsum("vli,lij,vlj->v", kmat, cov.sigma, kmat))
-    cmat = np.concatenate([kmat[:, c] @ a for c, a in enumerate(factor.a)],
+    cmat = np.concatenate([np.zeros((n_vectors, 0))]
+                          + [kmat[:, c] @ a for c, a in enumerate(factor.a)],
                           axis=1)                       # (n_vectors, rank)
     s_val = np.zeros(n_vectors, dtype=complex)
     s_re2 = np.zeros(n_vectors)

@@ -87,6 +87,30 @@ def test_equilibrate_reports_mean_initial_density(tmp_path, capsys):
     assert trace == pytest.approx(1.0, abs=1e-9)
 
 
+def test_equilibrate_runs_the_config_cut_to_one_interval(tmp_path, monkeypatch):
+    # the cut keeps dt and the tau grid and drops the drives, which act in
+    # real time only; its covariance is the full one's on [eta(0), eta(dt),
+    # nu(0), nu(dt), mu(tau)], bit for bit
+    doc = json.loads((CONFIGS / "quick_demo.json").read_text())
+    n_t = doc["grids"]["n_t"]
+    doc["system"]["drives"] = [{"matrix": [[0.0, 0.3], [0.3, 0.0]],
+                                "amplitudes": np.linspace(0.0, 0.5, n_t).tolist()}]
+    run, real_run = [], esln.ensemble.run_ensemble
+
+    def recorded(cfg, **kwargs):
+        run.append(cfg)
+        return real_run(cfg, **kwargs)
+
+    monkeypatch.setattr(esln.ensemble, "run_ensemble", recorded)
+    assert main(["equilibrate", "--config", write_cfg(tmp_path, doc), "--n-traj", "64"]) == 0
+    cfg, (cut,) = esln.parse_config(doc), run
+    assert cut.grids.n_t == 2 and cut.grids.dt == cfg.grids.dt and cut.system.drive == ()
+    assert (cut.grids.n_tau, cut.grids.hbar_beta) == (cfg.grids.n_tau, cfg.grids.hbar_beta)
+    keep = np.r_[0, 1, n_t, n_t + 1, 2 * n_t:2 * n_t + cfg.grids.n_tau]
+    full = esln.build_pipeline(cfg).cov.sigma
+    assert np.array_equal(esln.build_pipeline(cut).cov.sigma, full[:, keep][:, :, keep])
+
+
 def test_verify_noise_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_doc())
     csv = tmp_path / "blocks.csv"
@@ -99,6 +123,20 @@ def test_verify_noise_subcommand(tmp_path, capsys):
     assert any(line.startswith("eta-mu,") for line in lines[1:])
     for line in lines[1:]:
         [float(v) for v in line.split(",")[3:]]          # plain numbers, no np.float64(...)
+
+
+def test_verify_noise_on_a_bath_with_no_coupling_channel(tmp_path, capsys):
+    # no site, no channel: every covariance block and the factor are empty,
+    # and each characteristic function is exactly 1
+    doc = tiny_doc(bath={"masses": [], "lambda": []})
+    doc["system"]["couplings"] = []
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["verify-noise", "--config", cfg, "--samples", "1000",
+                 "--hs-vectors", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert [line.split("|z| = ")[1].split()[0] for line in out.splitlines()
+            if "characteristic function vector" in line] == ["0.000"] * 3
 
 
 def test_kernels_dump(tmp_path):

@@ -289,3 +289,13 @@ def test_readme_checkpoint_paragraph_names_the_version():
     text = README.read_text(encoding="utf-8")
     paragraph = re.search(r"`run --checkpoint PATH`.*?\n\n", text, re.S)
     assert esln.__version__ in paragraph.group(0)
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    # the first python block under "Library use" runs as written, from the
+    # repository root, where its config paths point
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(README.parent)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -25,7 +25,7 @@ from esln import (build_covariance, build_pipeline, coupling_channels, diagonali
                   write_document)
 from esln.ensemble import (EnsembleResult, HermiticityReport, _pairwise_stats, _Stats,
                            compare_series, document_bytes, read_csv, result_document)
-from esln.cli import main
+from esln.cli import _one_interval, main
 from esln.errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from esln.noise import NoiseCovariance, draw_normal, synthesize
 from esln.workspace import Workspace
@@ -52,25 +52,25 @@ class _Logged:
     log: str
     record: object = str
 
-    def __call__(self, system, factor, run_cfg, block, real_time, work=None):
+    def __call__(self, system, factor, run_cfg, block, work=None):
         with open(self.log, "a", encoding="utf-8") as fh:
             fh.write(f"{self.record(block)}\n")
-        return _real_run_batch(system, factor, run_cfg, block, real_time, work)
+        return _real_run_batch(system, factor, run_cfg, block, work)
 
     def lines(self) -> list:
         return Path(self.log).read_text().split() if os.path.exists(self.log) else []
 
 
-def _slow_first(system, factor, run_cfg, block, real_time, work=None):
+def _slow_first(system, factor, run_cfg, block, work=None):
     if block == 0:
         time.sleep(0.2)
-    return _real_run_batch(system, factor, run_cfg, block, real_time, work)
+    return _real_run_batch(system, factor, run_cfg, block, work)
 
 
-def _killed_at_batch_2(system, factor, run_cfg, block, real_time, work=None):
+def _killed_at_batch_2(system, factor, run_cfg, block, work=None):
     if block == 2:
         raise Killed
-    return _real_run_batch(system, factor, run_cfg, block, real_time, work)
+    return _real_run_batch(system, factor, run_cfg, block, work)
 
 
 def _first_row_diverges(*evolve_args, **evolve_kwargs):
@@ -96,7 +96,7 @@ class _DiesAtBatch2:
 
     checkpoint: str
 
-    def __call__(self, system, factor, run_cfg, block, real_time, work=None):
+    def __call__(self, system, factor, run_cfg, block, work=None):
         if block == 2:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
@@ -107,7 +107,7 @@ class _DiesAtBatch2:
                     pass
                 time.sleep(0.01)
             os._exit(1)
-        return _real_run_batch(system, factor, run_cfg, block, real_time, work)
+        return _real_run_batch(system, factor, run_cfg, block, work)
 
 
 def test_pairwise_stats_match_two_pass():
@@ -388,7 +388,7 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
     monkeypatch.setattr(ensemble, "_pairwise_stats",
                         lambda values, *args: reduced.append(values.copy())
                         or real_stats(values, *args))
-    ensemble._run_batch(*args, 0, True)
+    ensemble._run_batch(*args, 0)
     clean_inputs = list(reduced)
     half = ensemble.BATCH_SIZE // 2
     for phase in ("equilibrate_batch", "evolve_batch"):
@@ -406,7 +406,7 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
             reduced.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ensemble, phase, one_row_diverges)
-                out = ensemble._run_batch(*args, 0, True)
+                out = ensemble._run_batch(*args, 0)
             assert out.n == half - 1            # 2 * (half - out.n) == 2 failed
             assert np.isfinite(out.mean).all() and np.isfinite(out.m2).all()
             # one row per pair, its series, z-factor and residuals: the clean
@@ -426,7 +426,7 @@ def test_a_failed_pair_drops_its_controls(monkeypatch):
                         lambda values, *args: reduced.append(values.copy())
                         or real_stats(values, *args))
     monkeypatch.setattr(ensemble, "evolve_batch", _first_row_diverges)
-    out = ensemble._run_batch(pipe.system, pipe.factor, cfg, 0, True)
+    out = ensemble._run_batch(pipe.system, pipe.factor, cfg, 0)
     half = ensemble.BATCH_SIZE // 2
     assert out.n == half - 1 and out.cross.shape == (36, reduced[0].shape[1])
     w = draw_normal(pipe.factor, ensemble.derive_seed(13, 0), half)
@@ -446,7 +446,7 @@ def test_an_odd_number_of_controls_is_padded_with_a_zero():
     args = (pipe.system, pipe.factor, cfg)
     work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
     for block in (0, 1, 0):
-        reused = ensemble._run_batch(*args, block, True, work)
+        reused = ensemble._run_batch(*args, block, work)
         assert reused.cross.shape[0] == 15 and reused.mean[-16] == 0.0 == reused.m2[-16]
     res = run_ensemble(cfg, pipeline=pipe)
     assert res.n_controls == 15 and np.isfinite(res.stderr_rho).all()
@@ -467,11 +467,9 @@ def test_control_columns_are_the_largest_takagi_columns():
     assert (columns >= factor.a[0].shape[1]).any() and (columns < factor.a[0].shape[1]).any()
 
 
-@pytest.mark.parametrize("real_time, evolve", [(True, _real_evolve_batch),
-                                               (True, _first_row_diverges),
-                                               (False, _real_evolve_batch)],
-                         ids=["real-time", "failed-pair", "imaginary-time"])
-def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, real_time, evolve):
+@pytest.mark.parametrize("evolve", [_real_evolve_batch, _first_row_diverges],
+                         ids=["real-time", "failed-pair"])
+def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, evolve):
     # one workspace runs blocks 0, 1 and 2, the short last block and block 0
     # again, as a run's blocks do; each gives the bits of arrays of its own
     monkeypatch.setattr(ensemble, "evolve_batch", evolve)
@@ -480,8 +478,8 @@ def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, real_time,
     args = (pipe.system, pipe.factor, cfg)
     work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
     for block in (0, 1, 2, 3, 0):
-        reused = ensemble._run_batch(*args, block, real_time, work)
-        fresh = ensemble._run_batch(*args, block, real_time)
+        reused = ensemble._run_batch(*args, block, work)
+        fresh = ensemble._run_batch(*args, block)
         pairs = 5 if block == 3 else ensemble.BATCH_SIZE // 2
         assert reused.n == fresh.n == pairs - (evolve is _first_row_diverges)
         assert np.array_equal(reused.mean, fresh.mean) and np.array_equal(reused.m2, fresh.m2)
@@ -496,11 +494,11 @@ def test_a_block_allocates_nothing_large_once_the_run_arrays_exist():
     pipe = build_pipeline(cfg)
     args = (pipe.system, pipe.factor, cfg)
     work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
-    ensemble._run_batch(*args, 0, True, work)
+    ensemble._run_batch(*args, 0, work)
     memory = {name: m.ctypes.data for name, m in work._memory.items()}
     tracemalloc.start()
     try:
-        ensemble._run_batch(*args, 1, True, work)
+        ensemble._run_batch(*args, 1, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,9 +570,9 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
     real_batch = ensemble._run_batch
     threads = []
 
-    def recorded(system, factor, run_cfg, block, real_time, work=None):
+    def recorded(system, factor, run_cfg, block, work=None):
         threads.append(threading.current_thread())
-        return real_batch(system, factor, run_cfg, block, real_time, work)
+        return real_batch(system, factor, run_cfg, block, work)
 
     monkeypatch.setattr(ensemble, "_run_batch", recorded)
     run_ensemble(cfg, workers=1)
@@ -806,18 +804,17 @@ def test_driven_dynamics_matches_oracle():
     assert z.max() < 5.0, z.max()
 
 
-def test_equilibration_only(tmp_path):
+def test_equilibration_only():
+    # the initial state alone is the t = 0 entry of the run that `esln
+    # equilibrate` makes, on the config cut to one real-time interval
     cfg = parse_config(small_doc(n_traj=2000, master_seed=9))
-    res = run_ensemble(cfg, real_time=False)
+    res = run_ensemble(_one_interval(cfg))
     modes = diagonalize_bath(cfg.bath)
     g = mode_couplings(modes, cfg.bath, cfg.system)
     exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(14), cfg.grids)
     z = np.abs(res.mean_rho0 - exact[0]) / np.maximum(res.stderr_rho[0], 1e-30)
     assert z.max() < 5.0
-    assert res.times.size == 1
-    # only full runs write checkpoints, so this phase can resume none
-    with pytest.raises(ValidationError):
-        run_ensemble(cfg, real_time=False, checkpoint_path=str(tmp_path / "state.json"))
+    assert res.times.tolist() == [0.0, cfg.grids.dt]
 
 
 def test_too_many_failures_aborts():
