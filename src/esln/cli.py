@@ -44,13 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "equilibrated initial conditions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_config(sp):
+    def add_config(sp, seeded=False):
         sp.add_argument("--config", required=True, help="JSON configuration file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override ensemble.master_seed")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override ensemble.master_seed")
 
     run = sub.add_parser("run", help="full two-time Monte Carlo pipeline")
-    add_config(run)
+    add_config(run, seeded=True)
     run.add_argument("--n-traj", type=int, default=None, help="override ensemble.n_traj")
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes (never affects results)")
@@ -62,12 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           "and after the last; resumed when present")
 
     eq = sub.add_parser("equilibrate", help="initial state only")
-    add_config(eq)
+    add_config(eq, seeded=True)
     eq.add_argument("--n-traj", type=int, default=None)
     eq.add_argument("--workers", type=int, default=1, help="worker processes")
 
     vn = sub.add_parser("verify-noise", help="empirical covariance z-score report")
-    add_config(vn)
+    add_config(vn, seeded=True)
     vn.add_argument("--samples", type=int, default=100_000)
     vn.add_argument("--hs-vectors", type=int, default=0,
                     help="also check this many random characteristic-function vectors")

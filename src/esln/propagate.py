@@ -10,8 +10,8 @@ normalization.  Real time:
 
 equivalently rho' = (H+ rho - rho H-) / (i hbar) with
 H+- = H(t) - sum_i (eta_i +- hbar nu_i / 2) f_i.  Both phases run through one
-fixed-step classical RK4 driver, one step per grid interval by default.  The
-noises and the drive amplitudes are all samples on the grids; one linear
+fixed-step classical RK4 driver, one step per grid interval.  The noises
+and the drive amplitudes are all samples on the grids; one linear
 interpolation, ``interpolate_half_grid``, brings each onto the RK4 stage
 times.  Every array is batched over trajectories; one trajectory is a batch
 of size one.
@@ -48,20 +48,19 @@ DIVERGENCE_LIMIT = 1e300
 BLOCK_INTERVALS = 32
 
 
-def interpolate_half_grid(samples: np.ndarray, substeps: int, stages: slice = slice(None),
+def interpolate_half_grid(samples: np.ndarray, *, stages: slice = slice(None),
                           work: Workspace | None = None) -> np.ndarray:
     """Linear interpolation of uniform-grid samples onto the RK4 stage grid.
 
-    ``samples`` has shape (..., n); the output has shape
-    (..., 2*substeps*(n-1)+1) sampling positions j * delta / (2*substeps), or
-    only the positions j in ``stages``: a window is the matching slice of the
-    whole interpolation, bit for bit.  Grid nodes are reproduced exactly.  The
-    output is ``work``'s "window" (a new workspace by default), and its
-    "upper window" is scratch.
+    ``samples`` has shape (..., n); the output has shape (..., 2n-1) sampling
+    positions j * delta / 2, or only the positions j in ``stages``: a window
+    is the matching slice of the whole interpolation, bit for bit.  Grid nodes
+    are reproduced exactly.  The output is ``work``'s "window" (a new
+    workspace by default), and its "upper window" is scratch.
     """
     work = Workspace() if work is None else work
     n = samples.shape[-1]
-    pos = np.arange(2 * substeps * (n - 1) + 1)[stages] / (2.0 * substeps)
+    pos = np.arange(2 * n - 1)[stages] / 2.0
     idx = np.minimum(pos.astype(int), n - 2)
     frac = pos - idx
     shape = samples.shape[:-1] + pos.shape
@@ -75,7 +74,7 @@ def interpolate_half_grid(samples: np.ndarray, substeps: int, stages: slice = sl
     return np.add(lower, upper, out=lower)
 
 
-def _generators(h, f_stack, samples, substeps, stages, divisor, out, work):
+def _generators(h, f_stack, samples, stages, divisor, out, work):
     """(h - sum_i c_i f_i) / divisor at the S ``stages`` of the stage grid, in
     the first S entries of ``out`` (at least S, d, d, B).
 
@@ -85,7 +84,7 @@ def _generators(h, f_stack, samples, substeps, stages, divisor, out, work):
     without BLAS.  ``work``'s interpolation windows are scratch; the upper
     one, spent once the interpolation returns, holds each term.
     """
-    co = interpolate_half_grid(samples, substeps, stages, work).transpose(1, 2, 0)  # (r, S, B)
+    co = interpolate_half_grid(samples, stages=stages, work=work).transpose(1, 2, 0)  # (r, S, B)
     out = out[:co.shape[1]]
     term = work.array("upper window", co.shape[1:])
     out[...] = (h / divisor)[..., None]
@@ -95,10 +94,10 @@ def _generators(h, f_stack, samples, substeps, stages, divisor, out, work):
     return out
 
 
-def _stage_window(n_intervals, substeps):
+def _stage_window(n_intervals):
     """Stages per generator window: those of BLOCK_INTERVALS grid intervals or
     of the whole run, whichever is fewer."""
-    return 2 * substeps * min(BLOCK_INTERVALS, n_intervals) + 1
+    return 2 * min(BLOCK_INTERVALS, n_intervals) + 1
 
 
 def _matmul(a, b, out, term):
@@ -110,9 +109,9 @@ def _matmul(a, b, out, term):
     return out
 
 
-def _rk4(block_rhs, rho, n_intervals, h, substeps, work, series=None):
+def _rk4(block_rhs, rho, n_intervals, h, work, series=None):
     """Classical RK4, in place, on a (d, d, B) batch over ``n_intervals`` grid
-    intervals of ``substeps`` steps each; stage j of the whole run is at time j*h/2.
+    intervals of one step each; stage j of the whole run is at time j*h/2.
 
     The steps run BLOCK_INTERVALS grid intervals at a time.  Per block,
     ``block_rhs(stages)`` builds what the block's right-hand sides need for
@@ -120,8 +119,8 @@ def _rk4(block_rhs, rho, n_intervals, h, substeps, work, series=None):
     writes the right-hand side at the block's j-th stage to ``out``.  A
     trajectory whose largest entry turns non-finite or exceeds DIVERGENCE_LIMIT
     is zeroed and marked dead.  With ``series`` (n, d, d, B), the state after
-    every ``substeps`` steps is stored at the next grid node.  The stages are
-    ``work``'s "stages" and "magnitudes".  Returns the (B,) alive mask.
+    each step is stored at its grid node.  The stages are ``work``'s "stages"
+    and "magnitudes".  Returns the (B,) alive mask.
     """
     alive = np.ones(rho.shape[-1], dtype=bool)
     k1, k2, k3, k4, arg = work.array("stages", (5,) + rho.shape)
@@ -129,10 +128,9 @@ def _rk4(block_rhs, rho, n_intervals, h, substeps, work, series=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_intervals, BLOCK_INTERVALS):
             hi = min(lo + BLOCK_INTERVALS, n_intervals)
-            first = 2 * substeps * lo
-            rhs = block_rhs(slice(first, 2 * substeps * hi + 1))
-            for s in range(substeps * lo, substeps * hi):
-                j = 2 * s - first
+            rhs = block_rhs(slice(2 * lo, 2 * hi + 1))
+            for s in range(lo, hi):
+                j = 2 * (s - lo)
                 rhs(j, rho, k1)
                 # arg = rho + 0.5 * h * k1, each operation as numpy evaluates that
                 rhs(j + 1, np.add(rho, np.multiply(0.5 * h, k1, out=arg), out=arg), k2)
@@ -149,13 +147,13 @@ def _rk4(block_rhs, rho, n_intervals, h, substeps, work, series=None):
                     worst = mags.max(axis=(0, 1))
                     alive &= np.isfinite(worst) & (worst <= DIVERGENCE_LIMIT)
                     rho[..., ~alive] = 0.0
-                if series is not None and (s + 1) % substeps == 0:
-                    series[(s + 1) // substeps] = rho
+                if series is not None:
+                    series[s + 1] = rho
     return alive
 
 
-def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids,
-                      substeps: int = 1, work: Workspace | None = None):
+def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, *,
+                      work: Workspace | None = None):
     """Integrate the imaginary-time quench for a batch.
 
     Parameters
@@ -173,22 +171,21 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids,
     work = Workspace() if work is None else work
     f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
     d, batch = system.dim, mu_bar.shape[0]
-    windows = work.array("generators", (_stage_window(grids.n_tau - 1, substeps), d, d, batch))
+    windows = work.array("generators", (_stage_window(grids.n_tau - 1), d, d, batch))
     term = work.array("rhs scratch", (d, d, batch))
 
     def block_rhs(stages):
-        g = _generators(h0, f_stack, mu_bar, substeps, stages, -hbar, windows, work)
+        g = _generators(h0, f_stack, mu_bar, stages, -hbar, windows, work)
         return lambda j, r, out: _matmul(g[j], r, out, term)
 
     rho = work.array("state", (d, d, batch))
     rho[...] = np.eye(d)[:, :, None]
-    alive = _rk4(block_rhs, rho, grids.n_tau - 1, grids.dtau / substeps, substeps, work)
+    alive = _rk4(block_rhs, rho, grids.n_tau - 1, grids.dtau, work)
     return np.ascontiguousarray(rho.transpose(2, 0, 1)), ~alive
 
 
 def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
-                 grids: TimeGrids, rho0: np.ndarray, substeps: int = 1,
-                 work: Workspace | None = None):
+                 grids: TimeGrids, rho0: np.ndarray, *, work: Workspace | None = None):
     """Integrate the real-time equation for a batch from rho0.
 
     Parameters
@@ -218,18 +215,16 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     d, batch = system.dim, eta.shape[0]
     amps = np.array([dr.amplitudes for dr in system.drive]).reshape(-1, grids.n_t)
     v = np.array([dr.matrix for dr in system.drive]).reshape(-1, d, d)
-    h_stage = h0 + np.einsum("ks,kij->sij", interpolate_half_grid(amps, substeps, work=work), v)
+    h_stage = h0 + np.einsum("ks,kij->sij", interpolate_half_grid(amps, work=work), v)
     c_p, c_m = work.array("fields+-", (2,) + eta.shape)
     np.add(eta, np.multiply(0.5 * hbar, nu, out=c_m), out=c_p)     # eta +- (hbar/2) nu
     np.subtract(eta, c_m, out=c_m)
-    windows = work.array("generators", (2, _stage_window(grids.n_t - 1, substeps), d, d, batch))
+    windows = work.array("generators", (2, _stage_window(grids.n_t - 1), d, d, batch))
     term, right = work.array("rhs scratch", (2, d, d, batch))
 
     def block_rhs(stages):
-        g_p = _generators(h_stage[stages], f_stack, c_p, substeps, stages, 1j * hbar, windows[0],
-                          work)
-        g_m = _generators(h_stage[stages], f_stack, c_m, substeps, stages, 1j * hbar, windows[1],
-                          work)
+        g_p = _generators(h_stage[stages], f_stack, c_p, stages, 1j * hbar, windows[0], work)
+        g_m = _generators(h_stage[stages], f_stack, c_m, stages, 1j * hbar, windows[1], work)
 
         def rhs(j, r, out):
             _matmul(g_p[j], r, out, term)
@@ -241,7 +236,7 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     rho[...] = rho0.transpose(1, 2, 0)
     series = work.array("series", (grids.n_t, d, d, batch))
     series[0] = rho
-    alive = _rk4(block_rhs, rho, grids.n_t - 1, grids.dt / substeps, substeps, work, series)
+    alive = _rk4(block_rhs, rho, grids.n_t - 1, grids.dt, work, series)
     if not alive.all():
         series[..., ~alive] = 0.0
     return series.transpose(3, 0, 1, 2), ~alive

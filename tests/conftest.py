@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from esln import BathSpec, KernelContext, SystemSpec, TimeGrids, diagonalize_bath, l_matrix
+from esln.propagate import interpolate_half_grid
 
 # every property test is deterministic and leaves no example database behind
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
@@ -49,6 +50,18 @@ def ctx_two_mode(two_mode_bath):
 @pytest.fixture
 def small_grids():
     return TimeGrids(t_f=1.0, n_t=9, hbar_beta=1.0, n_tau=6)
+
+
+def halved(grids, *samples):
+    """The grids with every interval halved (2n - 1 points on each axis), then
+    each array of grid samples linearly interpolated onto its refined axis.
+
+    A run on the halved grids takes two RK4 steps per interval of the given
+    ones, with the stage values of the same piecewise-linear noise and drive:
+    the finer reference for order and consistency checks."""
+    fine = TimeGrids(t_f=grids.t_f, n_t=2 * grids.n_t - 1, hbar_beta=grids.hbar_beta,
+                     n_tau=2 * grids.n_tau - 1)
+    return (fine, *(interpolate_half_grid(s) for s in samples))
 
 
 def coth(x):

@@ -22,7 +22,7 @@ from esln import (TimeGrids, TruncatedBath, build_pipeline, diagonalize_bath,
 from esln.cli import main
 from esln.kernels import KernelContext
 
-from conftest import coth
+from conftest import coth, halved
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -196,15 +196,18 @@ def test_criterion_7_integrator_order():
     eta = 0.5 * (np.sin(1.3 * t) + 0.4j * np.cos(0.7 * t)) * np.ones((2, 1))
     nu = 0.5 * (0.5 * np.cos(1.9 * t) - 0.3j * np.sin(1.2 * t)) * np.ones((2, 1))
     mu = 0.5 * (np.cos(1.1 * tau) + 0.3j * tau) * np.ones((2, 1))
-    rho_end, _ = equilibrate_batch(cfg.system, mu[None], grids, substeps=4)
+    # the finer runs take the same piecewise-linear noise on halved grids
+    grids2, eta2, nu2, mu2 = halved(grids, eta, nu, mu)
+    grids4, eta4, nu4, mu4 = halved(grids2, eta2, nu2, mu2)
+    rho_end, _ = equilibrate_batch(cfg.system, mu4[None], grids4)
     rho0 = rho_end / np.trace(rho_end[0])
 
-    def final(substeps):
-        return evolve_batch(cfg.system, eta[None], nu[None], grids, rho0, substeps)[0][0, -1]
+    def final(g, e, n):
+        return evolve_batch(cfg.system, e[None], n[None], g, rho0)[0][0, -1]
 
-    ref = final(4)
-    e1 = np.abs(final(1) - ref).max()
-    e2 = np.abs(final(2) - ref).max()
+    ref = final(grids4, eta4, nu4)
+    e1 = np.abs(final(grids, eta, nu) - ref).max()
+    e2 = np.abs(final(grids2, eta2, nu2) - ref).max()
     factor = e1 / e2
     ok = bool(12.0 <= factor <= 20.0)
     _report("7 integrator order", ok, f"halving factor = {factor:.2f}")

@@ -249,6 +249,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "--hs-vectors" in refused.err and refused.out == ""
 
 
+def test_seed_is_refused_where_no_noise_is_drawn(tmp_path, capsys):
+    # kernels and oracle draw nothing, so a seed would fix nothing in them
+    cfg = write_cfg(tmp_path, tiny_doc())
+    for command in ("kernels", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_non_finite_config_number_exits_2(tmp_path, capsys):
     doc = tiny_doc()
     doc["grids"]["t_f"] = float("nan")

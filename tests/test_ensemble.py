@@ -471,7 +471,9 @@ def test_control_columns_are_the_largest_takagi_columns():
                          ids=["real-time", "failed-pair"])
 def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, evolve):
     # one workspace runs blocks 0, 1 and 2, the short last block and block 0
-    # again, as a run's blocks do; each gives the bits of arrays of its own
+    # again, as a run's blocks do; each gives the bits of a block whose arrays
+    # all have memory of their own, so no entry of the sharing map lets two
+    # live arrays overlap
     monkeypatch.setattr(ensemble, "evolve_batch", evolve)
     cfg = _driven_61x21(3 * ensemble.BATCH_SIZE + 10)
     pipe = build_pipeline(cfg)
@@ -479,7 +481,7 @@ def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, evolve):
     work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
     for block in (0, 1, 2, 3, 0):
         reused = ensemble._run_batch(*args, block, work)
-        fresh = ensemble._run_batch(*args, block)
+        fresh = ensemble._run_batch(*args, block, Workspace())
         pairs = 5 if block == 3 else ensemble.BATCH_SIZE // 2
         assert reused.n == fresh.n == pairs - (evolve is _first_row_diverges)
         assert np.array_equal(reused.mean, fresh.mean) and np.array_equal(reused.m2, fresh.m2)
@@ -797,8 +799,7 @@ def test_driven_dynamics_matches_oracle():
     res = run_ensemble(cfg)
     modes = diagonalize_bath(cfg.bath)
     g = mode_couplings(modes, cfg.bath, cfg.system)
-    exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(12),
-                                   cfg.grids, drive_substeps=8)
+    exact = exact_reduced_dynamics(cfg.system, modes, g, TruncatedBath(12), cfg.grids)
     assert np.abs(exact[-1] - exact[0]).max() > 0.01   # the drive really acts
     z = np.abs(res.mean_rho - exact) / np.maximum(res.stderr_rho, 1e-30)
     assert z.max() < 5.0, z.max()

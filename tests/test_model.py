@@ -5,7 +5,7 @@ from esln import (BathSpec, Drive, SystemSpec, TimeGrids, coupling_channels,
                   diagonalize_bath, evolve_batch, mode_couplings)
 from esln.errors import AsymmetricInput, DimensionMismatch, NonPositiveMode, ValidationError
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, halved
 
 
 def site_couplings_from_modes(modes, bath, g_ops):
@@ -162,11 +162,11 @@ def test_non_parallel_couplings_stay_apart_in_first_mode_order():
 # A drive enters H(t) only on the RK4 stages of evolve_batch, so these tests
 # look at H(t) through the real-time evolution.
 
-def _evolve(system, grids, rho0, eta=None, substeps=1):
+def _evolve(system, grids, rho0, eta=None):
     """Real-time series (B, n_t, d, d) under zero nu and the given (or zero) eta."""
     if eta is None:
         eta = np.zeros((rho0.shape[0], system.n_sites, grids.n_t), complex)
-    series, diverged = evolve_batch(system, eta, np.zeros_like(eta), grids, rho0, substeps)
+    series, diverged = evolve_batch(system, eta, np.zeros_like(eta), grids, rho0)
     assert not diverged.any()
     return series
 
@@ -176,15 +176,16 @@ def test_hamiltonian_constant_drive():
     rng = np.random.default_rng(3)
     grids = TimeGrids(t_f=1.0, n_t=21, hbar_beta=1.0, n_tau=3)
     c = 0.37
-    driven = SystemSpec(dim=2, h0=0.5 * SX, couplings=(0.4 * SZ,), hbar=1.0, beta=1.0,
-                        drive=(Drive(matrix=SZ + 0.2 * SX, amplitudes=np.full(21, c)),))
     static = SystemSpec(dim=2, h0=0.5 * SX + c * (SZ + 0.2 * SX), couplings=(0.4 * SZ,),
                         hbar=1.0, beta=1.0)
     eta = 0.3 * (rng.standard_normal((3, 1, 21)) + 1j * rng.standard_normal((3, 1, 21)))
     rho0 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    for substeps in (1, 2):
-        a = _evolve(driven, grids, rho0, eta, substeps)
-        b = _evolve(static, grids, rho0, eta, substeps)
+    # on the grids and on the grids with every interval halved
+    for g, e, amps in ((grids, eta, np.full(21, c)), halved(grids, eta, np.full(21, c))):
+        driven = SystemSpec(dim=2, h0=0.5 * SX, couplings=(0.4 * SZ,), hbar=1.0, beta=1.0,
+                            drive=(Drive(matrix=SZ + 0.2 * SX, amplitudes=amps),))
+        a = _evolve(driven, g, rho0, e)
+        b = _evolve(static, g, rho0, e)
         assert np.abs(a - b).max() < 1e-14
 
 
@@ -214,12 +215,13 @@ def test_hamiltonian_hermitian_on_grid():
     rng = np.random.default_rng(9)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    system = SystemSpec(
-        dim=3, h0=h + h.conj().T, couplings=(), hbar=1.0, beta=1.0,
-        drive=(Drive(matrix=v + v.conj().T, amplitudes=rng.standard_normal(11)),))
-    grids = TimeGrids(t_f=0.5, n_t=11, hbar_beta=1.0, n_tau=3)
+    amps = rng.standard_normal(11)
+    # two steps per interval of the sampled drive
+    grids, amps = halved(TimeGrids(t_f=0.5, n_t=11, hbar_beta=1.0, n_tau=3), amps)
+    system = SystemSpec(dim=3, h0=h + h.conj().T, couplings=(), hbar=1.0, beta=1.0,
+                        drive=(Drive(matrix=v + v.conj().T, amplitudes=amps),))
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    series = _evolve(system, grids, (x @ x.conj().T)[None], substeps=2)[0]
+    series = _evolve(system, grids, (x @ x.conj().T)[None])[0]
     assert np.abs(series - np.conj(np.swapaxes(series, 1, 2))).max() < 1e-12
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ from esln.errors import DimensionMismatch
 from esln import propagate
 from esln.propagate import interpolate_half_grid
 
-from conftest import ID2, SX, SZ, spin_system
+from conftest import ID2, SX, SZ, halved, spin_system
 
 
 def grids_for(system, t_f=1.0, n_t=41, n_tau=41):
@@ -15,43 +17,41 @@ def grids_for(system, t_f=1.0, n_t=41, n_tau=41):
                                 hbar_beta=system.hbar * system.beta, n_tau=n_tau)
 
 
-def quench(system, mu, grids, substeps=1):
+def quench(system, mu, grids):
     """One trajectory's normalized rho(hbar*beta) and Tr rho_bar(hbar*beta) / d."""
-    rho_end, diverged = equilibrate_batch(system, mu[None], grids, substeps)
+    rho_end, diverged = equilibrate_batch(system, mu[None], grids)
     assert not diverged[0]
     tr = np.trace(rho_end[0])
     return rho_end[0] / tr, tr / system.dim
 
 
-def evolve_one(system, eta, nu, grids, rho0, substeps=1):
+def evolve_one(system, eta, nu, grids, rho0):
     """One trajectory's real-time series (n_t, d, d) from rho0."""
-    series, diverged = evolve_batch(system, eta[None], nu[None], grids, rho0[None],
-                                    substeps)
+    series, diverged = evolve_batch(system, eta[None], nu[None], grids, rho0[None])
     assert not diverged[0]
     return series[0]
 
 
 def test_interpolation_hits_nodes_and_midpoints():
     samples = np.array([[0.0, 1.0, 3.0]])
-    fine = interpolate_half_grid(samples, substeps=1)
+    fine = interpolate_half_grid(samples)
     assert np.allclose(fine, [[0.0, 0.5, 1.0, 2.0, 3.0]])
-    fine2 = interpolate_half_grid(samples, substeps=2)
+    # halving twice samples the same piecewise-linear function at quarters
+    fine2 = interpolate_half_grid(fine)
     assert np.allclose(fine2, [[0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]])
 
 
 def test_stage_window_equals_slice_of_whole_interpolation():
     # a window of stages keeps its global positions, so it is the matching
-    # slice of one interpolation of the whole grid, bit for bit; a window
-    # interpolated from local positions would round differently at substeps 3
+    # slice of one interpolation of the whole grid, bit for bit
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((4, 3, 17)) + 1j * rng.standard_normal((4, 3, 17))
-    for substeps in (1, 2, 3):
-        whole = interpolate_half_grid(samples, substeps)
-        n_stages = whole.shape[-1]
-        for stages in (slice(None), slice(0, 7), slice(5, 40), slice(3, n_stages),
-                       slice(n_stages - 2, n_stages)):
-            got = interpolate_half_grid(samples, substeps, stages)
-            assert np.array_equal(got, whole[..., stages]), (substeps, stages)
+    whole = interpolate_half_grid(samples).copy()
+    n_stages = whole.shape[-1]
+    for stages in (slice(None), slice(0, 7), slice(5, 40), slice(3, n_stages),
+                   slice(n_stages - 2, n_stages)):
+        got = interpolate_half_grid(samples, stages=stages)
+        assert np.array_equal(got, whole[..., stages]), stages
 
 
 def _constant_noise_cases():
@@ -182,10 +182,12 @@ def test_rk4_order_on_smooth_trajectory():
     system = spin_system()
     grids = grids_for(system, t_f=1.0, n_t=11, n_tau=11)
     eta, nu, mu = smooth_noise(grids)
-    rho0, _ = quench(system, mu, grids, substeps=4)
-    ref = evolve_one(system, eta, nu, grids, rho0, substeps=4)[-1]
-    e1 = np.abs(evolve_one(system, eta, nu, grids, rho0, substeps=1)[-1] - ref).max()
-    e2 = np.abs(evolve_one(system, eta, nu, grids, rho0, substeps=2)[-1] - ref).max()
+    grids2, eta2, nu2, mu2 = halved(grids, eta, nu, mu)
+    grids4, eta4, nu4, mu4 = halved(grids2, eta2, nu2, mu2)
+    rho0, _ = quench(system, mu4, grids4)
+    ref = evolve_one(system, eta4, nu4, grids4, rho0)[-1]
+    e1 = np.abs(evolve_one(system, eta, nu, grids, rho0)[-1] - ref).max()
+    e2 = np.abs(evolve_one(system, eta2, nu2, grids2, rho0)[-1] - ref).max()
     factor = e1 / e2
     assert 12.0 <= factor <= 20.0, factor
 
@@ -194,8 +196,8 @@ def u_pm_reference(system, eta, nu, grids, rho0):
     """rho(t_f) = U+ rho0 U- with the two one-sided propagators, each stepped by
     the same RK4 rule and stage-grid noise as evolve_batch (undriven systems)."""
     hbar, f, h = system.hbar, system.coupling_stack(), grids.dt
-    co_p = interpolate_half_grid(eta + 0.5 * hbar * nu, 1)
-    co_m = interpolate_half_grid(eta - 0.5 * hbar * nu, 1)
+    co_p = interpolate_half_grid(eta + 0.5 * hbar * nu)
+    co_m = interpolate_half_grid(eta - 0.5 * hbar * nu)
 
     def h_mix(co, stage):
         return system.h0 - np.einsum("i,ijk->jk", co[:, stage], f)
@@ -307,14 +309,16 @@ def test_batch_rows_equal_single_trajectories(d, size):
     mu = _random_noise(rng, (b, 2, grids.n_tau), 0.3)
     eta = _random_noise(rng, (b, 2, grids.n_t), 0.3)
     nu = _random_noise(rng, (b, 2, grids.n_t), 0.3)
-    rho_end, div_imag = equilibrate_batch(system, mu, grids, substeps=2)
-    series, div_real = evolve_batch(system, eta, nu, grids, rho_end, substeps=2)
+    # two steps per interval, as a finer reference run takes them
+    grids, mu, eta, nu, amps = halved(grids, mu, eta, nu, drive.amplitudes)
+    system = replace(system, drive=(replace(drive, amplitudes=amps),))
+    rho_end, div_imag = equilibrate_batch(system, mu, grids)
+    series, div_real = evolve_batch(system, eta, nu, grids, rho_end)
     assert rho_end.shape == (b, d, d) and series.shape == (b, grids.n_t, d, d)
     assert not div_imag.any() and not div_real.any()
     for k in range(b):
-        one_end, _ = equilibrate_batch(system, mu[k:k + 1], grids, substeps=2)
-        one_series, _ = evolve_batch(system, eta[k:k + 1], nu[k:k + 1], grids, one_end,
-                                     substeps=2)
+        one_end, _ = equilibrate_batch(system, mu[k:k + 1], grids)
+        one_series, _ = evolve_batch(system, eta[k:k + 1], nu[k:k + 1], grids, one_end)
         _assert_rows_close(rho_end[k], one_end[0])
         _assert_rows_close(series[k], one_series[0])
 
@@ -366,17 +370,31 @@ def test_block_intervals_never_change_bits(monkeypatch):
     mu, eta, nu = (_random_noise(rng, (5, 2, n), 0.3)
                    for n in (grids.n_tau, grids.n_t, grids.n_t))
     mu[2] = 1e6                     # one quench diverges, so the masks are tested too
-    for substeps in (1, 2, 3):
-        runs = []
-        for block in (1, 7, 32, 10_000):
-            monkeypatch.setattr(propagate, "BLOCK_INTERVALS", block)
-            rho_end, div_imag = equilibrate_batch(system, mu, grids, substeps)
-            series, div_real = evolve_batch(system, eta, nu, grids, rho_end, substeps)
-            runs.append((rho_end, div_imag, series, div_real))
-        assert runs[0][1].tolist() == [False, False, True, False, False]
-        for run in runs[1:]:
-            for got, want in zip(run, runs[0]):
-                assert np.array_equal(got, want), substeps
+    runs = []
+    for block in (1, 7, 32, 10_000):
+        monkeypatch.setattr(propagate, "BLOCK_INTERVALS", block)
+        rho_end, div_imag = equilibrate_batch(system, mu, grids)
+        series, div_real = evolve_batch(system, eta, nu, grids, rho_end)
+        runs.append((rho_end, div_imag, series, div_real))
+    assert runs[0][1].tolist() == [False, False, True, False, False]
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+def test_work_and_stages_are_keyword_only():
+    # a step count passed by position, as an older signature took one, binds
+    # to neither ``work`` nor ``stages``
+    system = spin_system()
+    grids = grids_for(system, n_t=5, n_tau=5)
+    mu = np.zeros((1, 1, grids.n_tau), complex)
+    eta = np.zeros((1, 1, grids.n_t), complex)
+    with pytest.raises(TypeError):
+        equilibrate_batch(system, mu, grids, 2)
+    with pytest.raises(TypeError):
+        evolve_batch(system, eta, eta, grids, ID2[None], 2)
+    with pytest.raises(TypeError):
+        interpolate_half_grid(eta, 2)
 
 
 def test_divergence_in_a_later_block_zeroes_only_its_row():
