@@ -38,7 +38,7 @@ One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
 once; the calling process only merges and checkpoints.  Each process that runs
 blocks makes one Workspace for the run and passes it to every block: a block's
-draws, fields, legs, propagation windows, series, pair rows and deviations are
+draws, fields, propagation windows, series, pair rows and deviations are
 made once, in memory that arrays of disjoint lifetimes share
 (BLOCK_SHARED_MEMORY), and every later block writes over them with the same
 arithmetic in the same order.
@@ -75,13 +75,12 @@ from .workspace import Workspace
 BATCH_SIZE = 512            # trajectories per block, the one unit of work
 # The arrays of a block that share memory, by the names their functions give
 # them (Workspace): each uses the memory of an array spent before it is made.
-# The draws are spent once copied to the complex draws, and these and the fields
-# once the legs are made; the generators once the series is complete, and the
-# series once the pair rows hold it.  A block's resident set then stays below
-# the set-up peak of the workloads that run blocks in-process.
-BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators", "fields": "fields+-",
-                       "mu legs": "series", "pair means": "fields+-", "rows": "generators",
-                       "deviations": "series"}
+# The draws are spent once copied to the complex draws, and these once the
+# fields are synthesized; the generators and the fields+- once the series is
+# complete, and the series once the pair rows hold it.  A block's resident set
+# then stays below the set-up peak of the workloads that run blocks in-process.
+BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators",
+                       "pair means": "fields+-", "rows": "generators", "deviations": "series"}
 FAILURE_FRACTION = 0.01
 CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the controls
 PAIRS_PER_CONTROL = 20      # the controls apply from 20 completed pairs per control on
@@ -285,18 +284,6 @@ def _trajectories(n_traj: int) -> int:
     return n_traj + n_traj % 2
 
 
-def _legs(fields, work: Workspace) -> list:
-    """The legs [z; -z] of each of the (n, ...) fields z, (2n, ...), in
-    ``work``'s "eta legs", "nu legs" and "mu legs"."""
-    out = []
-    for name, z in zip(("eta legs", "nu legs", "mu legs"), fields):
-        legs = work.array(name, (2 * len(z),) + z.shape[1:])
-        legs[:len(z)] = z
-        np.negative(z, out=legs[len(z):])
-        out.append(legs)
-    return out
-
-
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
                work: Workspace | None = None) -> _Stats:
     """Draw, quench and evolve block ``block``, and reduce its completed
@@ -306,7 +293,8 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     of them and none past the run's whole pairs.  Its n trajectories are n / 2
     antithetic pairs, drawn in one call from the stream keyed by
     (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
-    rows are synthesized once, and the legs [z; -z] propagate together.  A
+    rows are synthesized once into the first half of ``work``'s "fields", and
+    their negation fills the second: the legs [z; -z] propagate together.  A
     pair fails if either leg fails, and its row, its controls with it, is
     dropped.  Every large array lives in ``work`` (a new workspace by
     default), which a run passes to all its blocks; nothing of one block
@@ -320,9 +308,12 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     # is freed only with its last view.
     w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
     drawn = w[:, columns]           # a copy: the series takes the draws' memory
-    eta, nu, mu = _legs(synthesize(factor, w, work=work), work)
+    fields = work.array("fields", (2 * n, len(factor.a), factor.dim))
+    synthesize(factor, w, work=work, out=fields[:n])
+    np.negative(fields[:n], out=fields[n:])
+    eta, nu, mu = np.split(fields, [grids.n_t, 2 * grids.n_t], axis=-1)
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
-    del w, mu
+    del w
     traces = np.trace(rho_end, axis1=1, axis2=2)
     series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
@@ -340,7 +331,7 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     controls = rows[:, c_cols].view(float)
     controls[:, :controls.shape[1] - p] = 0.0
     _controls(drawn, controls[:, controls.shape[1] - p:])
-    del series, means, eta, nu
+    del series, means
     ok = ~(failed[:n] | failed[n:])
     return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work, p)
 

@@ -291,17 +291,19 @@ def draw_normal(factor: NoiseFactor, seed: int, n: int,
     return rng.standard_normal(out=work.array("draws", (n, factor.rank), float))
 
 
-def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None):
+def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None,
+               out: np.ndarray | None = None):
     """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
     channel k's are w_k @ a_k^T, with w_k the next p_k columns of w.
 
-    The fields are views of ``work``'s "fields" (a new workspace by default);
-    its "complex draws", a complex copy of w, spare the product a cast copy.
+    The fields are views of ``out`` (B, r, D), by default ``work``'s "fields"
+    (a new workspace by default); its "complex draws", a complex copy of w,
+    spare the product a cast copy.
     """
     work = Workspace() if work is None else work
     wc = work.array("complex draws", w.shape)
     wc[...] = w
-    z = work.array("fields", (w.shape[0], len(factor.a), factor.dim))
+    z = work.array("fields", (w.shape[0], len(factor.a), factor.dim)) if out is None else out
     start = 0
     for k, a in enumerate(factor.a):
         np.matmul(wc[:, start:start + a.shape[1]], a.T, out=z[:, k])
@@ -358,7 +360,9 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
     m_x2y2 = np.zeros(shape)                # sum x_i^2 y_j^2
     for k, done in enumerate(range(0, n_samples, _CHUNK)):
         w = draw_normal(factor, derive_seed(seed, k), min(_CHUNK, n_samples - done))
-        z = np.concatenate(synthesize(factor, w), axis=-1).transpose(1, 2, 0)  # (M, D, n)
+        z = np.empty((len(w), len(factor.a), factor.dim), dtype=complex)
+        synthesize(factor, w, out=z)
+        z = z.transpose(1, 2, 0)            # (M, D, n)
         x, y = z.real, z.imag
         s1 += z @ z.mT
         x2, y2, xy = x * x, y * y, x * y

@@ -48,45 +48,37 @@ DIVERGENCE_LIMIT = 1e300
 BLOCK_INTERVALS = 32
 
 
-def interpolate_half_grid(samples: np.ndarray, *, stages: slice = slice(None),
+def interpolate_half_grid(samples: np.ndarray, *, nodes: slice = slice(None),
                           work: Workspace | None = None) -> np.ndarray:
     """Linear interpolation of uniform-grid samples onto the RK4 stage grid.
 
-    ``samples`` has shape (..., n); the output has shape (..., 2n-1) sampling
-    positions j * delta / 2, or only the positions j in ``stages``: a window
-    is the matching slice of the whole interpolation, bit for bit.  Grid nodes
-    are reproduced exactly.  The output is ``work``'s "window" (a new
-    workspace by default), and its "upper window" is scratch.
+    ``samples`` has shape (..., n); of the m grid nodes in ``nodes`` (all by
+    default), the output (..., 2m-1) holds each node at an even position and
+    the midpoint (a + b) / 2 of each interval between them at the odd one
+    after it, which is the matching slice of the whole interpolation, bit for
+    bit.  The output is ``work``'s "window" (a new workspace by default).
     """
     work = Workspace() if work is None else work
-    n = samples.shape[-1]
-    pos = np.arange(2 * n - 1)[stages] / 2.0
-    idx = np.minimum(pos.astype(int), n - 2)
-    frac = pos - idx
-    shape = samples.shape[:-1] + pos.shape
-    # mode="clip" (the indices are in range) lets take write to out directly
-    lower = np.take(samples, idx, axis=-1, mode="clip",
-                    out=work.array("window", shape, samples.dtype))
-    upper = np.take(samples, idx + 1, axis=-1, mode="clip",
-                    out=work.array("upper window", shape, samples.dtype))
-    lower *= 1.0 - frac
-    upper *= frac
-    return np.add(lower, upper, out=lower)
+    s = samples[..., nodes]
+    window = work.array("window", s.shape[:-1] + (2 * s.shape[-1] - 1,), samples.dtype)
+    window[..., ::2] = s
+    mid = np.add(s[..., :-1], s[..., 1:], out=window[..., 1::2])
+    mid *= 0.5
+    return window
 
 
-def _generators(h, f_stack, samples, stages, divisor, out, work):
-    """(h - sum_i c_i f_i) / divisor at the S ``stages`` of the stage grid, in
-    the first S entries of ``out`` (at least S, d, d, B).
+def _generators(h, f_stack, samples, nodes, divisor, out, work):
+    """(h - sum_i c_i f_i) / divisor at the S stages between the grid
+    ``nodes``, in the first S entries of ``out`` (at least S, d, d, B).
 
     ``h`` is (d, d) or one (d, d) per stage, and c_i the i-th of the (B, r, n)
     ``samples`` interpolated onto the stages.  The small h and f_i are divided,
     not the result, and the sum is d * d broadcast multiply-adds per coupling,
-    without BLAS.  ``work``'s interpolation windows are scratch; the upper
-    one, spent once the interpolation returns, holds each term.
+    without BLAS.  ``work``'s "window" and "generator term" are scratch.
     """
-    co = interpolate_half_grid(samples, stages=stages, work=work).transpose(1, 2, 0)  # (r, S, B)
+    co = interpolate_half_grid(samples, nodes=nodes, work=work).transpose(1, 2, 0)  # (r, S, B)
     out = out[:co.shape[1]]
-    term = work.array("upper window", co.shape[1:])
+    term = work.array("generator term", co.shape[1:])
     out[...] = (h / divisor)[..., None]
     for f, c in zip(f_stack / divisor, co):
         for i, j in np.ndindex(f.shape):
@@ -114,8 +106,8 @@ def _rk4(block_rhs, rho, n_intervals, h, work, series=None):
     intervals of one step each; stage j of the whole run is at time j*h/2.
 
     The steps run BLOCK_INTERVALS grid intervals at a time.  Per block,
-    ``block_rhs(stages)`` builds what the block's right-hand sides need for
-    the slice ``stages`` of the stage grid and returns rhs(j, rho, out), which
+    ``block_rhs(nodes)`` builds what the block's right-hand sides need between
+    the slice ``nodes`` of the grid and returns rhs(j, rho, out), which
     writes the right-hand side at the block's j-th stage to ``out``.  A
     trajectory whose largest entry turns non-finite or exceeds DIVERGENCE_LIMIT
     is zeroed and marked dead.  With ``series`` (n, d, d, B), the state after
@@ -128,7 +120,7 @@ def _rk4(block_rhs, rho, n_intervals, h, work, series=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_intervals, BLOCK_INTERVALS):
             hi = min(lo + BLOCK_INTERVALS, n_intervals)
-            rhs = block_rhs(slice(2 * lo, 2 * hi + 1))
+            rhs = block_rhs(slice(lo, hi + 1))
             for s in range(lo, hi):
                 j = 2 * (s - lo)
                 rhs(j, rho, k1)
@@ -174,8 +166,8 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, 
     windows = work.array("generators", (_stage_window(grids.n_tau - 1), d, d, batch))
     term = work.array("rhs scratch", (d, d, batch))
 
-    def block_rhs(stages):
-        g = _generators(h0, f_stack, mu_bar, stages, -hbar, windows, work)
+    def block_rhs(nodes):
+        g = _generators(h0, f_stack, mu_bar, nodes, -hbar, windows, work)
         return lambda j, r, out: _matmul(g[j], r, out, term)
 
     rho = work.array("state", (d, d, batch))
@@ -222,9 +214,10 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     windows = work.array("generators", (2, _stage_window(grids.n_t - 1), d, d, batch))
     term, right = work.array("rhs scratch", (2, d, d, batch))
 
-    def block_rhs(stages):
-        g_p = _generators(h_stage[stages], f_stack, c_p, stages, 1j * hbar, windows[0], work)
-        g_m = _generators(h_stage[stages], f_stack, c_m, stages, 1j * hbar, windows[1], work)
+    def block_rhs(nodes):
+        h = h_stage[2 * nodes.start:2 * nodes.stop - 1]
+        g_p = _generators(h, f_stack, c_p, nodes, 1j * hbar, windows[0], work)
+        g_m = _generators(h, f_stack, c_m, nodes, 1j * hbar, windows[1], work)
 
         def rhs(j, r, out):
             _matmul(g_p[j], r, out, term)

@@ -32,6 +32,16 @@ def evolve_one(system, eta, nu, grids, rho0):
     return series[0]
 
 
+def _clipped_index_interpolation(samples):
+    """The general linear interpolation onto positions j / 2, from the clipped
+    node index below each position and its fraction past it."""
+    n = samples.shape[-1]
+    pos = np.arange(2 * n - 1) / 2.0
+    idx = np.minimum(pos.astype(int), n - 2)
+    frac = pos - idx
+    return samples[..., idx] * (1.0 - frac) + samples[..., idx + 1] * frac
+
+
 def test_interpolation_hits_nodes_and_midpoints():
     samples = np.array([[0.0, 1.0, 3.0]])
     fine = interpolate_half_grid(samples)
@@ -39,19 +49,27 @@ def test_interpolation_hits_nodes_and_midpoints():
     # halving twice samples the same piecewise-linear function at quarters
     fine2 = interpolate_half_grid(fine)
     assert np.allclose(fine2, [[0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]])
+    # nodes and halved sums are the general formula's bits, at any magnitude
+    # short of overflow and the subnormals
+    rng = np.random.default_rng(9)
+    size = 10.0 ** rng.uniform(-300, 300, (2, 6, 33))
+    wide = size[0] * rng.choice([-1.0, 1.0], size[0].shape)
+    wide_complex = wide + 1j * size[1] * rng.choice([-1.0, 1.0], size[1].shape)
+    for samples in (wide, wide_complex):
+        got = interpolate_half_grid(samples)
+        assert got.dtype == samples.dtype
+        assert np.array_equal(got, _clipped_index_interpolation(samples))
 
 
 def test_stage_window_equals_slice_of_whole_interpolation():
-    # a window of stages keeps its global positions, so it is the matching
-    # slice of one interpolation of the whole grid, bit for bit
+    # the window between grid nodes lo and hi is the slice of stages 2 lo to
+    # 2 hi of one interpolation of the whole grid, bit for bit
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((4, 3, 17)) + 1j * rng.standard_normal((4, 3, 17))
     whole = interpolate_half_grid(samples).copy()
-    n_stages = whole.shape[-1]
-    for stages in (slice(None), slice(0, 7), slice(5, 40), slice(3, n_stages),
-                   slice(n_stages - 2, n_stages)):
-        got = interpolate_half_grid(samples, stages=stages)
-        assert np.array_equal(got, whole[..., stages]), stages
+    for lo, hi in ((0, 16), (3, 9), (12, 16), (5, 5)):
+        got = interpolate_half_grid(samples, nodes=slice(lo, hi + 1))
+        assert np.array_equal(got, whole[..., 2 * lo:2 * hi + 1]), (lo, hi)
 
 
 def _constant_noise_cases():
@@ -384,7 +402,7 @@ def test_block_intervals_never_change_bits(monkeypatch):
 
 def test_work_and_stages_are_keyword_only():
     # a step count passed by position, as an older signature took one, binds
-    # to neither ``work`` nor ``stages``
+    # to neither ``work`` nor ``nodes``
     system = spin_system()
     grids = grids_for(system, n_t=5, n_tau=5)
     mu = np.zeros((1, 1, grids.n_tau), complex)
