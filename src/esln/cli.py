@@ -28,7 +28,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, EslnError, NumericalError, ValidationError
 from .kernels import KernelContext, l_matrix
 from .model import diagonalize_bath, mode_couplings
-from .noise import BLOCKS, hs_identity_check, verify_empirical
+from .noise import BLOCKS, Z_LIMIT, hs_identity_check, verify_empirical
 from .oracle import TruncatedBath, exact_reduced_dynamics
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="diff two result CSVs in stderr units")
     cmp_.add_argument("series_a")
     cmp_.add_argument("series_b")
-    cmp_.add_argument("--threshold", type=float, default=5.0)
+    cmp_.add_argument("--threshold", type=float, default=Z_LIMIT)
     return p
 
 
@@ -182,12 +182,11 @@ def _cmd_verify_noise(args) -> int:
     ok = report.passed
     if args.hs_vectors > 0:
         checks = hs_identity_check(cov, factor, n_vectors=args.hs_vectors,
-                                   n_samples=args.samples, seed=cfg.master_seed,
-                                   hbar=cfg.system.hbar)
+                                   n_samples=args.samples, seed=cfg.master_seed)
         for i, chk in enumerate(checks):
-            mark = "ok" if chk.z < 5.0 else "FAIL"
+            mark = "ok" if chk.z < Z_LIMIT else "FAIL"
             print(f"  characteristic function vector {i}: |z| = {chk.z:.3f}   {mark}")
-            ok = ok and chk.z < 5.0
+            ok = ok and chk.z < Z_LIMIT
     if args.csv:
         # Each coupling channel's own blocks (channels are independent); row
         # and col index channel * n + k within the block.

@@ -67,7 +67,7 @@ from .errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from .kernels import KernelContext
 from .model import (NormalModes, SystemSpec, coupling_channels, diagonalize_bath,
                     mode_couplings)
-from .noise import (NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
+from .noise import (Z_LIMIT, NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
                     draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
 from .workspace import Workspace
@@ -82,6 +82,7 @@ BATCH_SIZE = 512            # trajectories per block, the one unit of work
 BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators",
                        "pair means": "fields+-", "rows": "generators", "deviations": "series"}
 FAILURE_FRACTION = 0.01
+INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectories is inconclusive
 CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the controls
 PAIRS_PER_CONTROL = 20      # the controls apply from 20 completed pairs per control on
 # Multiply-adds of one slice of a block's co-moment product: OpenBLAS runs a
@@ -465,14 +466,12 @@ class HermiticityReport:
     max_trace_z: float
     min_eigenvalue: float
     n_ok: int
-    threshold: float = 5.0
-    inconclusive_below: int = 100
 
     @property
     def status(self) -> str:
-        if max(self.max_hermiticity_z, self.max_trace_z) < self.threshold:
+        if max(self.max_hermiticity_z, self.max_trace_z) < Z_LIMIT:
             return "PASS"
-        if self.n_ok < self.inconclusive_below:
+        if self.n_ok < INCONCLUSIVE_BELOW:
             return "INCONCLUSIVE"
         return "FAIL"
 
@@ -481,7 +480,7 @@ class HermiticityReport:
             f"hermiticity: worst |rho - rho^dag| = {self.max_hermiticity_z:.3f} stderr units",
             f"trace:       worst |Tr rho - 1|   = {self.max_trace_z:.3f} stderr units",
             f"min eigenvalue of the Hermitized mean: {self.min_eigenvalue:.3e}",
-            f"status: {self.status} (threshold {self.threshold:g}, n_ok = {self.n_ok})",
+            f"status: {self.status} (threshold {Z_LIMIT:g}, n_ok = {self.n_ok})",
         ]
 
 
@@ -504,10 +503,8 @@ def hermiticity_trace_report(result: EnsembleResult) -> HermiticityReport:
 
 
 def _safe_ratio(num, den):
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    out = np.where(num <= 1e-14, 0.0, num / np.maximum(den, 1e-300))
-    return out
+    """num / den of float arrays, 0 where num is at rounding level."""
+    return np.where(num <= 1e-14, 0.0, num / np.maximum(den, 1e-300))
 
 
 # ---------------------------------------------------------------------------

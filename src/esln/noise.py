@@ -35,6 +35,9 @@ a_k a_k^T = sigma_k, so the pseudo-covariance holds by construction while
 <z z^dagger> = a a^dagger remains free, as it must.  Each a_k comes from a
 Takagi (Autonne) factorization of the complex symmetric (2 n_t + n_tau)-dim
 sigma_k; no matrix spans two channels.
+Three blocks scale as hbar and eta-nu does not, so the covariance is built,
+factored and checked balanced, as b sigma b with b = 1/sqrt(hbar) on the eta
+and mu rows and sqrt(hbar) on the nu rows: every block is then a value of K.
 
 One function makes every w: ``draw_normal`` reads n rows from the Philox
 stream of a key.  A run keys one stream per block of 512 trajectories,
@@ -57,6 +60,7 @@ from .workspace import Workspace
 DEFAULT_DIM_CAP = 6000
 FACTOR_REL_TOL = 1e-8
 SV_TRUNCATION = 1e-12
+Z_LIMIT = 5.0               # the |z| below which a Monte Carlo check passes
 _CHUNK = 4096
 BLOCKS = (("eta", "eta"), ("eta", "nu"), ("eta", "mu"),
           ("nu", "nu"), ("nu", "mu"), ("mu", "mu"))
@@ -100,16 +104,25 @@ class TimeGrids:
 
 @dataclass(frozen=True)
 class NoiseCovariance:
-    """Per-channel pseudo-covariance: sigma[k] is the (D, D) matrix of coupling
-    channel k's fields stacked (eta, nu, mu), D = 2 n_t + n_tau."""
+    """Per-channel balanced pseudo-covariance: sigma[k] is the (D, D) matrix
+    b sigma_k b of coupling channel k's fields stacked (eta, nu, mu),
+    D = 2 n_t + n_tau, with b = ``balance``."""
 
     sigma: np.ndarray       # (r, D, D)
     n_t: int
     n_tau: int
+    hbar: float = 1.0
 
     @property
     def dim(self) -> int:
         return 2 * self.n_t + self.n_tau
+
+    @property
+    def balance(self) -> np.ndarray:
+        """b (D,): 1/sqrt(hbar) on the eta and mu rows, sqrt(hbar) on the nu rows."""
+        b = np.full(self.dim, 1.0 / np.sqrt(self.hbar))
+        b[self.field_slice("nu")] = np.sqrt(self.hbar)
+        return b
 
     def field_slice(self, fieldname: str) -> slice:
         start = {"eta": 0, "nu": self.n_t, "mu": 2 * self.n_t}[fieldname]
@@ -134,7 +147,8 @@ def _by_channel(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAULT_DIM_CAP,
                      weights: np.ndarray | None = None) -> NoiseCovariance:
-    """Assemble every coupling channel's joint pseudo-covariance on the two-time grid.
+    """Assemble every coupling channel's balanced (b sigma b) joint
+    pseudo-covariance on the two-time grid.
 
     Channel k's is sigma_k = sum_lam weights[k, lam]^2 sigma_lam, with sigma_lam
     mode lam's; the (r, M) ``weights`` come from ``model.coupling_channels``,
@@ -149,7 +163,6 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAUL
         raise CapExceeded(
             f"per-channel covariance dimension {dim} exceeds cap {dim_cap}; "
             "reduce the grids or raise noise.dim_cap")
-    hbar = ctx.hbar
     hb = ctx.hbar_beta
     if abs(hb - grids.hbar_beta) > 1e-9 * max(hb, 1.0):
         raise ValueError("imaginary grid span does not equal hbar*beta of the kernel context")
@@ -159,7 +172,7 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAUL
         return _by_channel(_mode_values(ctx, t, tau), weights)
 
     sigma = np.zeros((len(weights), dim, dim), dtype=complex)
-    cov = NoiseCovariance(sigma=sigma, n_t=n_t, n_tau=n_tau)
+    cov = NoiseCovariance(sigma=sigma, n_t=n_t, n_tau=n_tau, hbar=ctx.hbar)
     eta, nu, mu = (cov.field_slice(name) for name in ("eta", "nu", "mu"))
 
     # Lags from integer index differences so equal lags are bitwise equal and
@@ -169,22 +182,22 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAUL
     k_t = values(lag_idx * grids.dt, 0.0)                        # (r, n_t, n_t)
     assert np.array_equal(k_t[:, 1:, 1:], k_t[:, :-1, :-1]), \
         "real-time blocks lost their Toeplitz structure"
-    # <eta eta> = hbar K^R(t - t').
-    sigma[:, eta, eta] = hbar * k_t.real
+    # <eta eta> = hbar K^R(t - t'), balanced K^R.
+    sigma[:, eta, eta] = k_t.real
 
     # <eta nu> = 2i Theta(t - t') K^I(t - t'), Theta(0) = 1/2 (value immaterial
     # since K^I(0) = 0).
     theta = (lag_idx > 0).astype(float) + 0.5 * (lag_idx == 0)
     sigma[:, eta, nu] = 2j * theta * k_t.imag
 
-    # <eta mu> = +hbar K(t - i(hbar*beta - tau)).
-    sigma[:, eta, mu] = hbar * values(grids.t[:, None], hb - grids.tau[None, :])
+    # <eta mu> = +hbar K(t - i(hbar*beta - tau)), balanced K.
+    sigma[:, eta, mu] = values(grids.t[:, None], hb - grids.tau[None, :])
 
     # <mu mu> = hbar [K^e(dtau) - K^o(|dtau|)] = hbar K(-i |dtau|), evaluated
-    # through the master kernel so large w*hbar*beta stays finite.
+    # through the master kernel so large w*hbar*beta stays finite; balanced K.
     l_idx = np.arange(n_tau)
     abs_dtau = np.abs(l_idx[:, None] - l_idx[None, :]) * grids.dtau
-    sigma[:, mu, mu] = hbar * values(0.0, abs_dtau).real
+    sigma[:, mu, mu] = values(0.0, abs_dtau).real
 
     # The lower cross blocks mirror the upper ones; <nu nu> and <nu mu> stay zero.
     sigma[:, nu, eta] = sigma[:, eta, nu].mT
@@ -251,11 +264,11 @@ def takagi(sym: np.ndarray):
 
 
 def factorize(cov: NoiseCovariance) -> NoiseFactor:
-    """Factor each channel's sigma = a a^T by Takagi, truncating singular values
-    below 1e-12 * max.
+    """Factor each channel's balanced b sigma b = a~ a~^T by Takagi, truncating
+    singular values below 1e-12 * max, and return a = a~ / b, a a^T = sigma.
 
-    Raises FactorizationFailure when a channel's factor misses the residual
-    bound ``FACTOR_REL_TOL * max|sigma|`` of that channel.
+    Raises FactorizationFailure when a channel's a~ misses the residual bound
+    ``FACTOR_REL_TOL * max|b sigma b|`` of that channel.
     """
     factors = []
     for k, sigma in enumerate(cov.sigma):
@@ -267,6 +280,7 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
         if residual > FACTOR_REL_TOL * max(scale, 1e-300):
             raise FactorizationFailure(
                 f"channel {k} factor residual {residual:g} exceeds {FACTOR_REL_TOL:g} * {scale:g}")
+        a /= cov.balance[:, None]
         a.setflags(write=False)
         factors.append(a)
     return NoiseFactor(a=tuple(factors), n_t=cov.n_t, n_tau=cov.n_tau)
@@ -308,8 +322,7 @@ def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None
     for k, a in enumerate(factor.a):
         np.matmul(wc[:, start:start + a.shape[1]], a.T, out=z[:, k])
         start += a.shape[1]
-    n_t = factor.n_t
-    return z[..., :n_t], z[..., n_t:2 * n_t], z[..., 2 * n_t:]
+    return np.split(z, [factor.n_t, 2 * factor.n_t], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -317,24 +330,23 @@ class NoiseVerification:
     """Per-block worst z-scores of empirical pseudo-covariance vs target.
 
     ``empirical`` and ``z`` hold the full (r, D, D) per-channel matrices for
-    inspection/CSV dumps.
+    inspection/CSV dumps, balanced like the covariance.
     """
 
     n_samples: int
     worst_z: dict
     empirical: np.ndarray
     z: np.ndarray
-    threshold: float = 5.0
 
     @property
     def passed(self) -> bool:
-        return all(z < self.threshold for z in self.worst_z.values())
+        return all(z < Z_LIMIT for z in self.worst_z.values())
 
     def lines(self):
         out = [f"noise verification with {self.n_samples} samples "
-               f"(threshold {self.threshold:g})"]
+               f"(threshold {Z_LIMIT:g})"]
         for name, z in self.worst_z.items():
-            mark = "ok" if z < self.threshold else "FAIL"
+            mark = "ok" if z < Z_LIMIT else "FAIL"
             out.append(f"  <{name}>: worst |z| = {z:8.3f}   {mark}")
         out.append("PASS" if self.passed else "FAIL")
         return out
@@ -345,10 +357,10 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
     """Monte Carlo check that each channel's sampled fields reproduce every
     block of that channel's covariance.
 
-    The z-score of each matrix entry is |empirical - target| / SE, with the
-    standard error estimated from the per-sample product fluctuations; real and
-    imaginary parts are scored separately and the per-block worst over all
-    channels is reported.
+    The z-score of each entry of the balanced b z (b z)^T is
+    |empirical - b sigma b| / SE, with the standard error estimated from the
+    per-sample product fluctuations; real and imaginary parts are scored
+    separately and the per-block worst over all channels is reported.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful check")
@@ -362,6 +374,7 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
         w = draw_normal(factor, derive_seed(seed, k), min(_CHUNK, n_samples - done))
         z = np.empty((len(w), len(factor.a), factor.dim), dtype=complex)
         synthesize(factor, w, out=z)
+        z *= cov.balance
         z = z.transpose(1, 2, 0)            # (M, D, n)
         x, y = z.real, z.imag
         s1 += z @ z.mT
@@ -407,23 +420,25 @@ class HsCheckResult:
 
 
 def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int = 5,
-                      n_samples: int = 100_000, seed: int = 0, hbar: float = 1.0):
+                      n_samples: int = 100_000, seed: int = 0):
     """Check <exp(i z.k)> = exp(-sum_c k_c^T sigma_c k_c / 2) for random
     physical test vectors k = (k_c), one part per channel c.
 
     Test vectors mimic the structure that couples to the fields: real weights
     on every channel's eta and nu slots and purely imaginary weights on its mu
-    slots.
+    slots.  They are drawn balanced, as k~ with k = b k~ and
+    k^T sigma k = k~^T (b sigma b) k~.
     """
     rng = np.random.default_rng(seed)
     m, n_t, n_tau = len(cov.sigma), cov.n_t, cov.n_tau
     scale = 0.5 / np.sqrt(max(m * cov.dim, 1) * max(np.abs(cov.sigma).max(initial=0.0), 1e-30))
     kmat = np.zeros((n_vectors, m, cov.dim), dtype=complex)
     for k in kmat:
-        k[:, cov.field_slice("eta")] = rng.standard_normal((m, n_t)) * scale / hbar
+        k[:, cov.field_slice("eta")] = rng.standard_normal((m, n_t)) * scale
         k[:, cov.field_slice("nu")] = rng.standard_normal((m, n_t)) * scale
-        k[:, cov.field_slice("mu")] = 1j * rng.standard_normal((m, n_tau)) * scale / hbar
+        k[:, cov.field_slice("mu")] = 1j * rng.standard_normal((m, n_tau)) * scale
     exact = np.exp(-0.5 * np.einsum("vli,lij,vlj->v", kmat, cov.sigma, kmat))
+    kmat *= cov.balance
     cmat = np.concatenate([np.zeros((n_vectors, 0))]
                           + [kmat[:, c] @ a for c, a in enumerate(factor.a)],
                           axis=1)                       # (n_vectors, rank)

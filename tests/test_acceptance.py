@@ -151,8 +151,7 @@ def test_criterion_5_hubbard_stratonovich_identity():
     cfg = parse_config(small_noise_doc())
     pipe = build_pipeline(cfg)
     checks = hs_identity_check(pipe.cov, pipe.factor, n_vectors=5,
-                               n_samples=1_000_000, seed=99,
-                               hbar=cfg.system.hbar)
+                               n_samples=1_000_000, seed=99)
     zs = [chk.z for chk in checks]
     ok = bool(max(zs) < 5.0)
     _report("5 hubbard-stratonovich identity", ok,

@@ -667,6 +667,24 @@ def test_stationarity_against_oracle():
     assert report.status == "PASS"
 
 
+def test_results_do_not_depend_on_the_unit_of_action():
+    # one physics in units where the action is hbar: h0 = 0.5 hbar sx, the
+    # coupling 0.4 sqrt(hbar) sz and beta = 1 / hbar give the hbar = 1 run
+    def run(hbar):
+        doc = small_doc(n_traj=4000, master_seed=7)
+        doc["system"].update(h0=[[0, 0.5 * hbar], [0.5 * hbar, 0]], hbar=hbar, beta=1 / hbar,
+                             couplings=[[[0.4 * hbar ** 0.5, 0], [0, -0.4 * hbar ** 0.5]]])
+        doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 21}
+        return run_ensemble(parse_config(doc))
+
+    ref = run(1.0)
+    for hbar in (1e-8, 1e4):
+        res = run(hbar)
+        assert np.abs(res.mean_rho - ref.mean_rho).max() <= 1e-12, hbar
+        for got, want in ((res.se_re, ref.se_re), (res.se_im, ref.se_im)):
+            assert np.all(np.abs(got - want) <= 1e-12 * want), hbar
+
+
 def test_printed_cross_kernel_breaks_stationarity():
     # Flipping the eta-mu block to -hbar L(t - i tau) makes the average drift
     # visibly from the exact equilibrium; this pins down why the package uses

@@ -416,10 +416,49 @@ def test_hs_identity_small(ctx_one_mode):
                                  n_tau=4)
     cov = build_covariance(ctx_one_mode, grids)
     factor = factorize(cov)
-    checks = hs_identity_check(cov, factor, n_vectors=3, n_samples=50_000, seed=12,
-                               hbar=ctx_one_mode.hbar)
+    checks = hs_identity_check(cov, factor, n_vectors=3, n_samples=50_000, seed=12)
     for chk in checks:
         assert chk.z < 5.0, (chk.mc, chk.exact, chk.se)
+
+
+def _one_mode_at(hbar):
+    """The covariance and factor of one mode (omega = 1.3) at hbar * beta = 1,
+    in units where the action is ``hbar``."""
+    bath = BathSpec(masses=[1.0], lam=[[1.69]])
+    ctx = KernelContext.from_bath(bath, diagonalize_bath(bath), hbar=hbar, beta=1.0 / hbar)
+    cov = build_covariance(ctx, TimeGrids(t_f=1.0, n_t=6, hbar_beta=ctx.hbar_beta, n_tau=4))
+    return cov, factorize(cov)
+
+
+def test_verify_empirical_scores_every_block_at_tiny_hbar():
+    # at hbar = 1e-20 the eta-eta, eta-mu and mu-mu blocks are 1e-20 of the
+    # eta-nu one: the check compares b z with b sigma b, so it scores every
+    # block as at hbar = 1 and still sees the factor's mu rows scaled by 1.5
+    want = verify_empirical(*reversed(_one_mode_at(1.0)), n_samples=20_000, seed=3).worst_z
+    cov, factor = _one_mode_at(1e-20)
+    report = verify_empirical(factor, cov, n_samples=20_000, seed=3)
+    assert report.passed, report.worst_z
+    for name, z in want.items():
+        assert report.worst_z[name] == pytest.approx(z, rel=1e-6), name
+    mu = cov.field_slice("mu")
+    scaled = [a.copy() for a in factor.a]
+    for a in scaled:
+        a[mu] *= 1.5
+    wrong = verify_empirical(NoiseFactor(a=tuple(scaled), n_t=factor.n_t, n_tau=factor.n_tau),
+                             cov, n_samples=20_000, seed=3)
+    assert wrong.worst_z["mu mu"] >= noise.Z_LIMIT and not wrong.passed
+
+
+def test_hs_identity_check_reads_the_same_in_any_unit_of_action():
+    # the test vectors are drawn in the balanced units, where the covariance
+    # of this physics does not depend on hbar, so the z values repeat
+    want = [chk.z for chk in hs_identity_check(*_one_mode_at(1.0), n_vectors=3,
+                                               n_samples=20_000, seed=12)]
+    assert max(want) < noise.Z_LIMIT
+    for hbar in (1e-12, 1e-20):
+        got = [chk.z for chk in hs_identity_check(*_one_mode_at(hbar), n_vectors=3,
+                                                  n_samples=20_000, seed=12)]
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-9), (hbar, got, want)
 
 
 def test_draw_normal_matches_sample_chain(ctx_two_mode):
