@@ -75,11 +75,11 @@ from .workspace import Workspace
 BATCH_SIZE = 512            # trajectories per block, the one unit of work
 # The arrays of a block that share memory, by the names their functions give
 # them (Workspace): each uses the memory of an array spent before it is made.
-# The draws are spent once copied to the complex draws, and these once the
-# fields are synthesized; the generators and the fields+- once the series is
-# complete, and the series once the pair rows hold it.  A block's resident set
-# then stays below the set-up peak of the workloads that run blocks in-process.
-BLOCK_SHARED_MEMORY = {"draws": "series", "complex draws": "generators",
+# The complex draws are spent once the fields are synthesized, the fields
+# once made into the fields+-, the generators and the fields+- once the
+# series is complete, and the series once the rows hold it.  A block's
+# resident set then stays below the set-up peak of in-process runs.
+BLOCK_SHARED_MEMORY = {"complex draws": "generators", "fields": "series",
                        "pair means": "fields+-", "rows": "generators", "deviations": "series"}
 FAILURE_FRACTION = 0.01
 INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectories is inconclusive
@@ -239,15 +239,15 @@ def _row_layout(n_t: int, d: int, k_controls: int) -> tuple:
 
 def _control_columns(factor: NoiseFactor) -> np.ndarray:
     """The draws of the controls, in draw order: the CONTROL_COLUMNS Takagi
-    columns of largest norm across all channels, a rule of the factor alone.
-    A channel's columns come in descending singular value, so only its first
-    CONTROL_COLUMNS are compared; equal norms go to the earlier column."""
+    columns of largest balanced norm across all channels, a rule of the factor
+    alone in any unit of action.  A channel's columns come in descending
+    singular value, so only its first CONTROL_COLUMNS are compared; equal
+    norms go to the earlier column."""
     norms, columns, start = [np.zeros(0)], [np.zeros(0, int)], 0
-    for a in factor.a:
-        k = min(CONTROL_COLUMNS, a.shape[1])
-        norms.append(np.linalg.norm(a[:, :k], axis=0))
-        columns.append(start + np.arange(k))
-        start += a.shape[1]
+    for a_norms in factor.norms:
+        norms.append(a_norms[:CONTROL_COLUMNS])
+        columns.append(start + np.arange(len(norms[-1])))
+        start += len(a_norms)
     top = np.argsort(-np.concatenate(norms), kind="stable")[:CONTROL_COLUMNS]
     return np.sort(np.concatenate(columns)[top])
 
@@ -308,15 +308,16 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     # Spent arrays are deleted as they go: memory that the first block outgrows
     # is freed only with its last view.
     w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
-    drawn = w[:, columns]           # a copy: the series takes the draws' memory
+    drawn = w[:, columns]
     fields = work.array("fields", (2 * n, len(factor.a), factor.dim))
     synthesize(factor, w, work=work, out=fields[:n])
+    del w
     np.negative(fields[:n], out=fields[n:])
     eta, nu, mu = np.split(fields, [grids.n_t, 2 * grids.n_t], axis=-1)
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
-    del w
     traces = np.trace(rho_end, axis1=1, axis2=2)
     series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
+    del fields, eta, nu, mu         # spent: the series took their memory
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
     (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = _row_layout(
         series.shape[1], system.dim, len(columns))

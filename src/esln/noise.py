@@ -111,7 +111,7 @@ class NoiseCovariance:
     sigma: np.ndarray       # (r, D, D)
     n_t: int
     n_tau: int
-    hbar: float = 1.0
+    hbar: float             # the unit of action, which fixes b
 
     @property
     def dim(self) -> int:
@@ -213,6 +213,7 @@ class NoiseFactor:
     grid layout needed to unpack draws.  Ranks may differ between channels."""
 
     a: tuple                # r arrays of shape (D, p_k)
+    norms: tuple            # r arrays (p_k,): column norms of the balanced a~ = b a
     n_t: int
     n_tau: int
 
@@ -265,12 +266,12 @@ def takagi(sym: np.ndarray):
 
 def factorize(cov: NoiseCovariance) -> NoiseFactor:
     """Factor each channel's balanced b sigma b = a~ a~^T by Takagi, truncating
-    singular values below 1e-12 * max, and return a = a~ / b, a a^T = sigma.
+    singular values below 1e-12 * max; return a = a~ / b and a~'s column norms.
 
     Raises FactorizationFailure when a channel's a~ misses the residual bound
     ``FACTOR_REL_TOL * max|b sigma b|`` of that channel.
     """
-    factors = []
+    factors, norms = [], []
     for k, sigma in enumerate(cov.sigma):
         s, u = takagi(sigma)
         keep = s > SV_TRUNCATION * s.max(initial=0.0)
@@ -280,10 +281,11 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
         if residual > FACTOR_REL_TOL * max(scale, 1e-300):
             raise FactorizationFailure(
                 f"channel {k} factor residual {residual:g} exceeds {FACTOR_REL_TOL:g} * {scale:g}")
+        norms.append(np.linalg.norm(a, axis=0))
         a /= cov.balance[:, None]
         a.setflags(write=False)
         factors.append(a)
-    return NoiseFactor(a=tuple(factors), n_t=cov.n_t, n_tau=cov.n_tau)
+    return NoiseFactor(a=tuple(factors), norms=tuple(norms), n_t=cov.n_t, n_tau=cov.n_tau)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -310,14 +312,14 @@ def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None
     """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
     channel k's are w_k @ a_k^T, with w_k the next p_k columns of w.
 
-    The fields are views of ``out`` (B, r, D), by default ``work``'s "fields"
-    (a new workspace by default); its "complex draws", a complex copy of w,
-    spare the product a cast copy.
+    The fields are views of ``out`` (B, r, D), a new array by default.
+    ``work``'s "complex draws" (a new workspace by default), a complex copy
+    of w, spare the product a cast copy.
     """
     work = Workspace() if work is None else work
     wc = work.array("complex draws", w.shape)
     wc[...] = w
-    z = work.array("fields", (w.shape[0], len(factor.a), factor.dim)) if out is None else out
+    z = np.empty((w.shape[0], len(factor.a), factor.dim), complex) if out is None else out
     start = 0
     for k, a in enumerate(factor.a):
         np.matmul(wc[:, start:start + a.shape[1]], a.T, out=z[:, k])
@@ -452,12 +454,9 @@ def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int 
         s_re2 += np.sum(vals.real ** 2, axis=0)
         s_im2 += np.sum(vals.imag ** 2, axis=0)
     n = float(n_samples)
-    results = []
-    for v in range(n_vectors):
-        mc = s_val[v] / n
-        se = np.sqrt(max(s_re2[v] / n - mc.real ** 2, 0.0) / n
-                     + max(s_im2[v] / n - mc.imag ** 2, 0.0) / n)
-        z = abs(mc - exact[v]) / max(se, 1e-300)
-        results.append(HsCheckResult(mc=complex(mc), exact=complex(exact[v]), se=float(se),
-                                     z=float(z)))
-    return results
+    mc = s_val / n
+    se = np.sqrt(np.maximum(s_re2 / n - mc.real ** 2, 0.0) / n
+                 + np.maximum(s_im2 / n - mc.imag ** 2, 0.0) / n)
+    z = np.abs(mc - exact) / np.maximum(se, 1e-300)
+    return [HsCheckResult(complex(m), complex(e), float(s), float(v))
+            for m, e, s, v in zip(mc, exact, se, z)]

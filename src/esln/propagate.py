@@ -183,7 +183,7 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     Parameters
     ----------
     eta, nu : (B, r, n_t) complex noise samples on the real-time grid, one
-        field per coupling of ``system``.
+        field per coupling of ``system``, spent once made into the fields+-.
     rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
     work : the Workspace of the series, the generators, stages and state (a
         new one by default).

@@ -667,13 +667,22 @@ def test_stationarity_against_oracle():
     assert report.status == "PASS"
 
 
-def test_results_do_not_depend_on_the_unit_of_action():
+SIGMA_Z, SIGMA_X = [[1, 0], [0, -1]], [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("couplings", [[(0.4, SIGMA_Z)], [(0.6, SIGMA_Z), (0.3, SIGMA_X)]],
+                         ids=["one-channel", "two-channels"])
+def test_results_do_not_depend_on_the_unit_of_action(couplings):
     # one physics in units where the action is hbar: h0 = 0.5 hbar sx, the
-    # coupling 0.4 sqrt(hbar) sz and beta = 1 / hbar give the hbar = 1 run
+    # couplings c sqrt(hbar) G and beta = 1 / hbar give the hbar = 1 run; on
+    # two channels, sz and sx, the controls are ranked across channels
     def run(hbar):
         doc = small_doc(n_traj=4000, master_seed=7)
         doc["system"].update(h0=[[0, 0.5 * hbar], [0.5 * hbar, 0]], hbar=hbar, beta=1 / hbar,
-                             couplings=[[[0.4 * hbar ** 0.5, 0], [0, -0.4 * hbar ** 0.5]]])
+                             couplings=[(c * hbar ** 0.5 * np.array(g)).tolist()
+                                        for c, g in couplings])
+        if len(couplings) == 2:
+            doc["bath"] = {"masses": [1.0, 1.0], "lambda": [[3.5, 0.0], [0.0, 3.3]]}
         doc["grids"] = {"t_f": 2.0, "n_t": 41, "n_tau": 21}
         return run_ensemble(parse_config(doc))
 
@@ -695,11 +704,11 @@ def test_printed_cross_kernel_breaks_stationarity():
     pipe = build_pipeline(cfg)
     cov = pipe.cov
     grids = cfg.grids
-    blk = -pipe.ctx.hbar * k_complex(pipe.ctx, grids.t[:, None], grids.tau[None, :])
+    blk = -k_complex(pipe.ctx, grids.t[:, None], grids.tau[None, :])    # balanced
     sigma = cov.sigma.copy()
     sigma[:, cov.field_slice("eta"), cov.field_slice("mu")] = blk
     sigma[:, cov.field_slice("mu"), cov.field_slice("eta")] = blk.mT
-    flipped = NoiseCovariance(sigma=sigma, n_t=cov.n_t, n_tau=cov.n_tau)
+    flipped = NoiseCovariance(sigma=sigma, n_t=cov.n_t, n_tau=cov.n_tau, hbar=cov.hbar)
     res = run_ensemble(cfg, pipeline=dataclasses.replace(
         pipe, cov=flipped, factor=factorize(flipped)))
     modes = diagonalize_bath(cfg.bath)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -281,7 +282,7 @@ def test_factorize_residual_bound(ctx_two_mode, small_grids):
 
 
 def test_factorize_zero_covariance_rank_zero(small_grids):
-    cov = NoiseCovariance(sigma=np.zeros((1, 6, 6), complex), n_t=2, n_tau=2)
+    cov = NoiseCovariance(sigma=np.zeros((1, 6, 6), complex), n_t=2, n_tau=2, hbar=1.0)
     factor = factorize(cov)
     assert factor.rank == 0
 
@@ -292,7 +293,7 @@ def test_factorize_takagi_on_full_rank_matrix():
     sigma = b @ b.T + 4.0 * np.eye(8)
     # a second mode of rank 3: ranks differ between modes
     v = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    cov = NoiseCovariance(sigma=np.stack([sigma, v @ v.T]), n_t=3, n_tau=2)
+    cov = NoiseCovariance(sigma=np.stack([sigma, v @ v.T]), n_t=3, n_tau=2, hbar=1.0)
     factor = factorize(cov)
     assert [a.shape[1] for a in factor.a] == [8, 3]
     assert factor.rank == 11
@@ -303,7 +304,7 @@ def test_factorize_takagi_on_full_rank_matrix():
 def test_factorize_raises_when_residual_bound_missed():
     # a a^T is symmetric, so no factor reproduces a non-symmetric sigma
     sigma = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]], complex)
-    cov = NoiseCovariance(sigma=sigma[None], n_t=1, n_tau=1)
+    cov = NoiseCovariance(sigma=sigma[None], n_t=1, n_tau=1, hbar=1.0)
     with pytest.raises(FactorizationFailure):
         factorize(cov)
 
@@ -317,7 +318,7 @@ def draw_fields(factor, seed, n):
 
 
 def test_sample_zero_factor_gives_zero_noise():
-    factor = NoiseFactor(a=(np.zeros((6, 0), complex),), n_t=2, n_tau=2)
+    factor = NoiseFactor(a=(np.zeros((6, 0), complex),), norms=(np.zeros(0),), n_t=2, n_tau=2)
     eta, nu, mu = draw_fields(factor, 123, 1)
     assert np.all(eta == 0) and np.all(nu == 0) and np.all(mu == 0)
 
@@ -444,8 +445,8 @@ def test_verify_empirical_scores_every_block_at_tiny_hbar():
     scaled = [a.copy() for a in factor.a]
     for a in scaled:
         a[mu] *= 1.5
-    wrong = verify_empirical(NoiseFactor(a=tuple(scaled), n_t=factor.n_t, n_tau=factor.n_tau),
-                             cov, n_samples=20_000, seed=3)
+    wrong = verify_empirical(dataclasses.replace(factor, a=tuple(scaled)), cov,
+                             n_samples=20_000, seed=3)
     assert wrong.worst_z["mu mu"] >= noise.Z_LIMIT and not wrong.passed
 
 
