@@ -10,33 +10,42 @@ mean is an exact, unbiased sample in which the odd orders of the noise
 cancel; the statistics are taken over pair means.  A run of an odd number of
 trajectories runs one more, to whole pairs.
 
-The leading fluctuation of a pair mean is then a quadratic form in w, and
-second-order control variates remove most of it.  The controls are
-q_kl = w_k w_l - delta_kl (k <= l) over the draws of the CONTROL_COLUMNS
-Takagi columns of largest norm, p = K (K + 1) / 2 = 36 of them, each of noise
-average 0; they end each pair's row.  Every column y of the pair rows is
-regressed on the controls: the estimate is y_bar - beta^T q_bar with
-beta = C_qq^-1 C_qy, and its standard error that of a least-squares intercept
-on n - p - 1 degrees of freedom (_estimate).  A run uses all p controls once
-it has completed PAIRS_PER_CONTROL pairs per control, and none before; on no
-controls the same formula is the plain pair mean, whose bits it keeps.  The
-errors of mean_rho are the numerator's over |Tr| plus the trace's own error
-(_ratio_errors), at every pair count.
+The leading fluctuation of a pair mean is then a quadratic form in w, and the
+next is quartic; control variates remove most of both.  The controls are the
+multivariate Hermite polynomials of the draws of the CONTROL_COLUMNS Takagi
+columns of largest norm, each of noise average 0 and all orthogonal: the 36
+products q_kl = w_k w_l - delta_kl (k <= l) over all K = 8 of them, and the
+degree-4 products (He_4(w_a), He_3(w_a) w_b, He_2(w_a) He_2(w_b), He_2(w_a)
+w_b w_c and w_a w_b w_c w_d over distinct columns) over the first K_4 of
+them by norm, 35 for K_4 = 4 and 126 for K_4 = 6.  They end each pair's row,
+ordered so that each tier of 0, 36, 71 or 162 controls is a suffix of it.
+Every column y of the pair rows is regressed on the controls of one tier:
+the estimate is y_bar - beta^T q_bar with beta = C_qq^-1 C_qy, and its
+standard error that of a least-squares intercept on n - p - 1 degrees of
+freedom (_estimate).  A run uses the largest tier whose PAIRS_PER_CONTROL
+pairs per control it has completed; on no controls the same formula is the
+plain pair mean, whose bits it keeps.  The errors of mean_rho are the
+numerator's over |Tr| plus the trace's own error (_ratio_errors), at every
+pair count.
 
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
 index), one row per pair, propagates all its trajectories together and takes
 the (mean, M2) of the real view of one row per completed pair in two passes,
-and the co-moments of the controls with every column by a matrix product;
-block partials are then folded in block order with Chan's merge, and the
-calling process solves for beta once, after the fold.  All of it depends only
+and the co-moments of the controls with the series, the z-factor and the
+controls by a matrix product (the report's residuals, real-linear in the
+series, take theirs from the series' after the fold);
+block partials are then folded in block order with Chan's merge, whose
+co-moment terms are added PENDING_MERGES at a time, and the calling process
+solves for beta once, after the fold.  All of it depends only
 on block indices and on the completed pair count, so results are
 bit-identical for any worker count, and a checkpoint taken between blocks
 resumes to the same bits.
 
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
-once; the calling process only merges and checkpoints.  Each process that runs
+once, which write each block's partial to a file; the calling process only
+merges and checkpoints.  Each process that runs
 blocks makes one Workspace for the run and passes it to every block: a block's
 draws, fields, propagation windows, series, pair rows and deviations are
 made once, in memory that arrays of disjoint lifetimes share
@@ -46,8 +55,11 @@ arithmetic in the same order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -77,20 +89,25 @@ BATCH_SIZE = 512            # trajectories per block, the one unit of work
 # them (Workspace): each uses the memory of an array spent before it is made.
 # The complex draws are spent once the fields are synthesized, the fields
 # once made into the fields+-, the generators and the fields+- once the
-# series is complete, and the series once the rows hold it.  A block's
-# resident set then stays below the set-up peak of in-process runs.
+# series is complete, the series once the rows hold it, and the pair means
+# before the co-moments are made; these last until the block is folded or
+# sent, before the next block runs.  A block's resident set then stays below
+# the set-up peak of in-process runs.
 BLOCK_SHARED_MEMORY = {"complex draws": "generators", "fields": "series",
-                       "pair means": "fields+-", "rows": "generators", "deviations": "series"}
+                       "pair means": "fields+-", "rows": "generators", "deviations": "series",
+                       "co-moments": "fields+-"}
 FAILURE_FRACTION = 0.01
 INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectories is inconclusive
-CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the controls
-PAIRS_PER_CONTROL = 20      # the controls apply from 20 completed pairs per control on
-# Multiply-adds of one slice of a block's co-moment product: OpenBLAS runs a
+CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the quadratic controls
+QUARTIC_COLUMNS = (4, 6)    # K_4 of each quartic tier: the first K_4 of those draws by norm
+PAIRS_PER_CONTROL = 20      # a tier of controls applies from 20 completed pairs per control on
+# Multiply-adds of one slice of a product (_product): OpenBLAS runs a
 # product this small on the calling thread.  In a pool with a worker on every
 # core, a product spread over helper threads waits for the scheduler to free a
 # core for them; on `driven` at --workers 2 that cost a quarter of the run.
 ONE_THREAD_PRODUCT = 4 * 65536
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
+PENDING_MERGES = 16         # merges whose co-moment terms are added in one product
 DOCUMENT_SCHEMA = "esln-result/4"
 # the config sections that fix a run's numbers: documents and checkpoints echo these alone
 ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
@@ -140,67 +157,124 @@ def _built_for(pipe: Pipeline, cfg: RunConfig) -> bool:
 @dataclass
 class _Stats:
     """Count, mean and M2 of real columns, a complex column being two, re then
-    im, and the co-moments ``cross`` (p, columns) of the last p columns, the
-    controls, with every column."""
+    im, and the co-moments of the last p columns, the controls, with the last
+    m columns: ``cross`` (p, m) plus u_q u^T, u_q its last p entries and u its
+    last m, for each row u of ``pending``, the merges not yet added in."""
 
     n: int
     mean: np.ndarray
     m2: np.ndarray
     cross: np.ndarray
+    pending: tuple = ()
 
     @classmethod
-    def empty(cls, shape, p: int = 0) -> "_Stats":
-        return cls(0, np.zeros(shape), np.zeros(shape), np.zeros((p,) + tuple(shape)))
+    def empty(cls, shape, p: int = 0, m: int | None = None) -> "_Stats":
+        m = math.prod(shape) if m is None else m
+        return cls(0, np.zeros(shape), np.zeros(shape), np.zeros((p, m)))
 
     def merge(self, other: "_Stats") -> "_Stats":
-        if self.n == 0:
-            return other
+        """The fold of both, which adds ``other``'s co-moments to this fold's in
+        place: a fold is used only through what it is merged into.  A block's
+        co-moments live in its workspace, which the next block writes over, so
+        a fold that would keep them copies them."""
         if other.n == 0:
             return self
+        if self.n == 0:
+            return replace(other, cross=other.cross.copy())
         return _chan(self, other)
+
+    def settled(self) -> "_Stats":
+        """The same statistics with no merge pending: one product adds them
+        in, and the controls' own block is made symmetric again."""
+        if not self.pending:
+            return self
+        rows, (p, m) = np.array(self.pending), self.cross.shape
+        cross = self.cross + _product(rows[:, rows.shape[1] - p:].T, rows[:, rows.shape[1] - m:])
+        _symmetrize(cross, p)
+        return replace(self, cross=cross, pending=())
 
 
 def _chan(a: _Stats, b: _Stats) -> _Stats:
     """Chan's merge of two nonempty partials.  The co-moments gain
-    delta_q delta * n_a n_b / n, whose control block is symmetric bit for bit."""
+    (delta_q s)(delta s)^T with s^2 = n_a n_b / n: the row delta s joins the
+    pending ones, and PENDING_MERGES of them are added in one product, which
+    costs a fraction of an outer product per merge."""
     n = a.n + b.n
     delta = b.mean - a.mean
     corr = a.n * b.n / n
-    cross = np.multiply.outer(delta.reshape(-1)[delta.size - len(a.cross):], delta)
-    cross *= corr
-    cross += a.cross
-    cross += b.cross
-    return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr, cross)
+    merged = _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr,
+                    np.add(a.cross, b.cross, out=a.cross),
+                    a.pending + b.pending + (delta.reshape(-1) * math.sqrt(corr),))
+    return merged.settled() if len(merged.pending) >= PENDING_MERGES else merged
 
 
-def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 0) -> _Stats:
+def _symmetrize(cross: np.ndarray, p: int):
+    """Make the controls' own block, the last p columns of ``cross``,
+    symmetric bit for bit from its upper triangle."""
+    block = cross[:, cross.shape[1] - p:]
+    lower = np.tril_indices(p, -1)
+    block[lower] = block.T[lower]
+
+
+def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 0,
+                    first: int = 0) -> _Stats:
     """(mean, M2) of real values along axis 0, in two passes, and the
-    co-moments of the last p columns, the controls, with every column.
+    co-moments of the last p columns, the controls, with every column from
+    ``first`` on.
 
     The mean is taken relative to the first row, so identical rows give a mean
     equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
     numpy's complex mean does, so a complex array's real view keeps its bits.
     The co-moments are a matrix product of the deviations, made in column
-    slices of ONE_THREAD_PRODUCT multiply-adds at most, and their control
-    block is made symmetric from its upper triangle.  The deviations are
-    ``work``'s "deviations" (a new workspace by default).
+    slices of ONE_THREAD_PRODUCT multiply-adds at most (one column at least),
+    and their control block is made symmetric from its upper triangle.  The
+    deviations are ``work``'s "deviations" and the co-moments its
+    "co-moments" (a new workspace by default).
     """
-    k = values.shape[0]
+    k, width = values.shape[0], math.prod(values.shape[1:])
     if k == 0:
-        return _Stats.empty(values.shape[1:], p)
-    dev = (Workspace() if work is None else work).array("deviations", values.shape, float)
+        return _Stats.empty(values.shape[1:], p, width - first)
+    work = Workspace() if work is None else work
+    dev = work.array("deviations", values.shape, float)
     mean = values[0] + np.subtract(values, values[0], out=dev).sum(axis=0) * (1.0 / k)
     np.subtract(values, mean, out=dev)
-    flat = dev.reshape(k, -1)
-    controls, cross = flat[:, flat.shape[1] - p:].T, np.empty((p, flat.shape[1]))
-    step = ONE_THREAD_PRODUCT // max(p * k, 1)     # 28 columns for a full block
-    for start in range(0, flat.shape[1], step):
-        np.matmul(controls, flat[:, start:start + step], out=cross[:, start:start + step])
-    block = cross[:, cross.shape[1] - p:]
-    lower = np.tril_indices(p, -1)
-    block[lower] = block.T[lower]
-    return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0),
-                  cross.reshape((p,) + values.shape[1:]))
+    flat = dev.reshape(k, width)
+    cross = work.array("co-moments", (p, width - first), float)
+    _product(flat[:, width - p:].T, flat[:, first:], cross)
+    _symmetrize(cross, p)
+    return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0), cross)
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into ``out`` if given, in column slices of ONE_THREAD_PRODUCT
+    multiply-adds at most (one column at least): 6 columns of a block's
+    co-moments at p = 162.  A slice of 8 columns or more is cut to a multiple
+    of 8: a BLAS kernel that works through the columns 8 at a time (OpenBLAS
+    on Haswell) then rounds each column as in one product of all of them,
+    wherever it stands."""
+    out = np.empty((a.shape[0], b.shape[1])) if out is None else out
+    step = max(ONE_THREAD_PRODUCT // max(a.size, 1), 1)
+    step -= step % 8 if step >= 8 else 0
+    for start in range(0, b.shape[1], step):
+        np.matmul(a, b[:, start:start + step], out=out[:, start:start + step])
+    return out
+
+
+def _solve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c^-1 x for a symmetric positive definite c, on the calling thread.
+
+    LAPACK factors a matrix of 100 rows or more on BLAS threads, which spin
+    for about 0.1 s of CPU after each call.  A larger c has its first half of
+    rows eliminated first: each factor has fewer than 100 rows, and the
+    Schur complement c_22 - c_21 c_11^-1 c_12 is positive definite too.
+    """
+    if len(c) < 100:
+        return np.linalg.solve(c, x)
+    k = len(c) // 2
+    first = np.linalg.solve(c[:k, :k], np.hstack([c[:k, k:], x[:k]]))
+    c_12, x_1 = first[:, :len(c) - k], first[:, len(c) - k:]
+    x_2 = _solve(c[k:, k:] - _product(c[k:, :k], c_12), x[k:] - _product(c[k:, :k], x_1))
+    return np.vstack([x_1 - _product(c_12, x_2), x_2])
 
 
 def _estimate(acc: _Stats, p: int) -> tuple:
@@ -208,68 +282,116 @@ def _estimate(acc: _Stats, p: int) -> tuple:
     the last p of the controls q, whose noise average is 0.
 
     beta = C_qq^-1 C_qy, the mean is y_bar - beta^T q_bar, and the residual M2
-    is M2 - beta^T C_qy, clamped at 0.  The standard error is that of the
+    is M2 - beta^T C_qy, clamped at 0.  C_qq^-1 is made and applied on the
+    calling thread (_solve, _product).  The standard error is that of the
     least-squares intercept, sqrt(M2_res / (n - p - 1) * (1 / n + q_bar^T
     C_qq^-1 q_bar)).  With p = 0 this is the plain fold: the mean's bits are
     y_bar's, and the standard error is sqrt(M2 / (n - 1) / n).
     """
+    acc = acc.settled()
     n, cross = acc.n, acc.cross[len(acc.cross) - p:]
     q = slice(acc.mean.size - p, None)
     c_qq, q_bar = cross[:, q], acc.mean[q]
-    beta = np.linalg.solve(c_qq, cross)
+    inverse = _solve(c_qq, np.eye(p))
+    beta = _product(inverse, cross)
     m2 = np.maximum(acc.m2 - np.einsum("ij,ij->j", beta, cross), 0.0)
-    leverage = 1.0 / n + q_bar @ np.linalg.solve(c_qq, q_bar)
-    return acc.mean - q_bar @ beta, np.sqrt(m2 * (leverage / (n - p - 1)))
+    leverage = 1.0 / n + np.einsum("i,ij,j", q_bar, inverse, q_bar)
+    return acc.mean - np.einsum("i,ij->j", q_bar, beta), np.sqrt(m2 * (leverage / (n - p - 1)))
 
 
 # ---------------------------------------------------------------------------
 # batch execution
 
-def _row_layout(n_t: int, d: int, k_controls: int) -> tuple:
+def _row_layout(n_t: int, d: int, p: int) -> tuple:
     """(columns, shape) of each part of a pair row, in row order: the pair
-    mean's series (n_t, d, d), its z-factor Tr / d, its residuals (n_t, k)
-    of _residuals, and the (p,) controls of ``k_controls`` draws (_controls).
-    The controls are reals, stored in ceil(p / 2) columns: they end the row,
-    and a zero before them pads an odd p.  The last part ends the row."""
-    m, k = n_t * d * d, d * (d + 1) // 2 + 1
-    r, p = m + 1 + n_t * k, k_controls * (k_controls + 1) // 2
-    return ((slice(0, m), (n_t, d, d)), (slice(m, m + 1), ()),
-            (slice(m + 1, r), (n_t, k)), (slice(r, r + (p + 1) // 2), (p,)))
+    mean's residuals (n_t, k) of _residuals, its series (n_t, d, d), its
+    z-factor Tr / d, and its (p,) controls (_controls).  The controls are
+    reals, stored in ceil(p / 2) columns: they end the row, and a zero before
+    them pads an odd p.  The co-moments cover the row from the series on."""
+    k, m = d * (d - 1) // 2 + 1, n_t * d * d
+    r = n_t * k
+    return ((slice(0, r), (n_t, k)), (slice(r, r + m), (n_t, d, d)),
+            (slice(r + m, r + m + 1), ()), (slice(r + m + 1, r + m + 1 + (p + 1) // 2), (p,)))
 
 
 def _control_columns(factor: NoiseFactor) -> np.ndarray:
-    """The draws of the controls, in draw order: the CONTROL_COLUMNS Takagi
-    columns of largest balanced norm across all channels, a rule of the factor
-    alone in any unit of action.  A channel's columns come in descending
-    singular value, so only its first CONTROL_COLUMNS are compared; equal
-    norms go to the earlier column."""
+    """The draws of the controls, by descending norm: the CONTROL_COLUMNS
+    Takagi columns of largest balanced norm across all channels, a rule of
+    the factor alone in any unit of action.  A channel's columns come in
+    descending singular value, so only its first CONTROL_COLUMNS are
+    compared; equal norms go to the earlier column."""
     norms, columns, start = [np.zeros(0)], [np.zeros(0, int)], 0
     for a_norms in factor.norms:
         norms.append(a_norms[:CONTROL_COLUMNS])
         columns.append(start + np.arange(len(norms[-1])))
         start += len(a_norms)
     top = np.argsort(-np.concatenate(norms), kind="stable")[:CONTROL_COLUMNS]
-    return np.sort(np.concatenate(columns)[top])
+    return np.concatenate(columns)[top]
 
 
-def _controls(w: np.ndarray, out: np.ndarray):
-    """Write to the (B, p) ``out`` the controls of the (B, K) draws ``w``,
-    q_kl = w_k w_l - delta_kl for k <= l, in row order of the upper triangle.
-    The noise average of each is 0."""
-    start = 0
-    for k in range(w.shape[1]):
-        stop = start + w.shape[1] - k
-        np.multiply(w[:, k:k + 1], w[:, k:], out=out[:, start:stop])
-        out[:, start] -= 1.0
-        start = stop
+@functools.cache
+def _hermite_products(k: int) -> tuple:
+    """(factors, tiers) of the controls of k draws, in row order.
+
+    Control j is the product of the four entries factors[:, j] (4, p) of the
+    table [1, He_1(w), He_2(w), He_3(w), He_4(w)] of the draws (_controls):
+    the Hermite polynomial of the multi-index that counts each draw in a
+    multiset of draws.  The row ends in the quadratic multisets over all k
+    draws, in row order of the upper triangle; before them come the quartic
+    ones over the first K_4 draws of each QUARTIC_COLUMNS, each quartic tier
+    before the one it extends.  ``tiers`` are the control counts a run can
+    use, each a suffix of the row: (0, 36, 71, 162) for k = 8.
+    """
+    sets = list(itertools.combinations_with_replacement(range(k), 2))
+    tiers, done = [0, len(sets)], 0
+    for k4 in QUARTIC_COLUMNS:
+        k4 = min(k4, k)
+        sets = [c for c in itertools.combinations_with_replacement(range(k4), 4)
+                if c[-1] >= done] + sets
+        tiers.append(len(sets))
+        done = k4
+    factors = np.zeros((4, len(sets)), int)
+    for j, c in enumerate(sets):
+        for slot, a in enumerate(sorted(set(c))):
+            factors[slot, j] = 1 + (c.count(a) - 1) * k + a
+    factors.flags.writeable = False         # one array serves every call
+    return factors, tuple(tiers)
+
+
+def _controls(w: np.ndarray, out: np.ndarray, work: Workspace | None = None):
+    """Write to the (B, p) ``out`` the controls of the (B, k) draws ``w``, in
+    the order of _hermite_products(k), each of noise average 0.  The Hermite
+    table is ``work``'s "hermite table", the products "control products" and
+    their factors "control factors" (a new workspace by default)."""
+    work = Workspace() if work is None else work
+    k = w.shape[1]
+    factors, _ = _hermite_products(k)
+    table = work.array("hermite table", (len(w), 1 + 4 * k), float)
+    table[:, 0] = 1.0
+    he = [table[:, 1 + m * k:1 + (m + 1) * k] for m in range(4)]      # He_1 ... He_4
+    he[0][...] = w
+    np.multiply(w, w, out=he[1])
+    he[1] -= 1.0
+    for m in (2, 3):                        # He_m+1 = w He_m - m He_m-1
+        np.multiply(w, he[m - 1], out=he[m])
+        he[m] -= m * he[m - 2]
+    product = work.array("control products", out.shape, float)
+    factor = work.array("control factors", out.shape, float)
+    np.take(table, factors[0], axis=1, out=product, mode="clip")
+    for f in factors[1:]:
+        np.take(table, f, axis=1, out=factor, mode="clip")
+        product *= factor
+    out[...] = product
 
 
 def _residuals(values: np.ndarray, out: np.ndarray):
     """Write to the (B, n_t, k) ``out`` the (B, n_t, d, d) ``values``'
     deviations from a Hermitian, trace-preserving average: v_ij - conj(v_ji)
-    for i <= j, then Tr v(t) - Tr v(0).  The noise average of each is 0."""
+    for i < j, then Tr v(t) - Tr v(0).  The noise average of each is 0.  The
+    diagonal ones, v_ii - conj(v_ii) = 2i Im v_ii exactly, are left out: the
+    series holds them (_report_residuals)."""
     d = values.shape[-1]
-    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
     for k, (i, j) in enumerate(upper):      # basic slices: fancy indexing is 3x slower
         np.conj(values[..., j, i], out=out[..., k])
         np.subtract(values[..., i, j], out[..., k], out=out[..., k])
@@ -319,8 +441,8 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
     del fields, eta, nu, mu         # spent: the series took their memory
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
-    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = _row_layout(
-        series.shape[1], system.dim, len(columns))
+    (r_cols, r_shape), (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = _row_layout(
+        series.shape[1], system.dim, _hermite_products(len(columns))[1][-1])
     # the pair means are made apart from the rows: numpy copies an operand that
     # may overlap the output, and the parts of one row interleave
     means = work.array("pair means", (n,) + s_shape)
@@ -332,14 +454,15 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     _residuals(means, rows[:, r_cols].reshape(n, *r_shape))
     controls = rows[:, c_cols].view(float)
     controls[:, :controls.shape[1] - p] = 0.0
-    _controls(drawn, controls[:, controls.shape[1] - p:])
+    _controls(drawn, controls[:, controls.shape[1] - p:], work)
     del series, means
     ok = ~(failed[:n] | failed[n:])
-    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work, p)
+    return _pairwise_stats((rows if ok.all() else rows[ok]).view(float), work, p,
+                           2 * s_cols.start)
 
 
-# the arguments every block of a pooled run shares, its Workspace last, set once in
-# each worker process
+# the arguments every block of a pooled run shares, then its Workspace and the
+# directory its results go to, set once in each worker process
 _worker_args: tuple = ()
 
 
@@ -354,12 +477,27 @@ def _init_worker(path: str):
     global _worker_args
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     with open(path, "rb") as fh:
-        _worker_args = pickle.load(fh) + (Workspace(BLOCK_SHARED_MEMORY),)
+        _worker_args = pickle.load(fh) + (Workspace(BLOCK_SHARED_MEMORY), os.path.dirname(path))
 
 
-def _worker_block(block: int) -> _Stats:
-    run_batch, system, factor, cfg, work = _worker_args
-    return run_batch(system, factor, cfg, block, work)
+def _worker_block(block: int) -> str:
+    """Run ``block`` and write its _Stats to a file in the run's directory,
+    whose path it returns.  Sent back down the pool's pipe, a result of a
+    megabyte crosses in pieces of the pipe buffer, and the calling process
+    spends twice the time of a file read on them."""
+    run_batch, system, factor, cfg, work, directory = _worker_args
+    path = os.path.join(directory, f"block-{block}.pickle")
+    with open(path, "wb") as fh:
+        pickle.dump(run_batch(system, factor, cfg, block, work), fh,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+    return path
+
+
+def _read_block(path: str) -> _Stats:
+    with open(path, "rb") as fh:
+        out = pickle.load(fh)
+    os.remove(path)
+    return out
 
 
 @contextmanager
@@ -390,7 +528,8 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range, wor
     One worker runs the blocks on the calling thread.  More run them on
     min(workers, len(blocks)) spawned processes (spawned, not forked, since
     this process may already run BLAS threads), whose BLAS threads sleep
-    between calls.  Each reads what ``run_batch`` reads, once, from a file.
+    between calls.  Each reads what ``run_batch`` reads, once, from a file,
+    and writes each result to a file that this process reads and removes.
     Each process running blocks makes one Workspace for all of them, and it
     is dropped when the run ends.
     Passed as initializer arguments, that payload would go down each worker's
@@ -415,7 +554,7 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range, wor
         try:
             with _blas_threads_sleep_at_once():     # the workers start inside map's submits
                 outs = pool.map(_worker_block, blocks)
-            yield outs
+            yield map(_read_block, outs)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -441,9 +580,9 @@ class EnsembleResult:
     # (n_t, k, re/im), scaled like mean_rho by 1 / |Tr <rho_bar(hbar*beta)>|
     residual_mean: np.ndarray
     residual_se: np.ndarray
-    # the controls in the estimate, 0 below PAIRS_PER_CONTROL pairs per control,
-    # and the share of the worst t_f element's variance they removed: neither
-    # is in the document
+    # the controls in the estimate, the largest tier with PAIRS_PER_CONTROL pairs
+    # per control, and the share of the worst t_f element's variance they
+    # removed: neither is in the document
     n_controls: int
     variance_removed_tf: float
     config_echo: dict = field(default_factory=dict)
@@ -541,7 +680,7 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
            "next_batch": next_batch,
            "n_failed": _n_failed(acc, next_batch, n_run),
            "pairs": {"n": acc.n, "mean": acc.mean.tolist(), "m2": acc.m2.tolist(),
-                     "cross": acc.cross.tolist()}}
+                     "cross": acc.cross.tolist(), "pending": [u.tolist() for u in acc.pending]}}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         # encoded in one call: json.dump's many small writes take twice as long
@@ -552,11 +691,12 @@ def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
 
 
 def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width: int,
-                     p: int):
+                     cross_shape: tuple):
     """(next batch, folded statistics) from ``path``, for a run of ``n_run``
-    trajectories whose pair rows have ``width`` complex columns and end in ``p``
-    controls; a torn or malformed checkpoint, one of another run, or one whose
-    counts do not add up to its batches raises ValidationError."""
+    trajectories whose pair rows have ``width`` complex columns and whose
+    co-moments are ``cross_shape``, (controls, real columns covered), with
+    its pending merges; a torn or malformed checkpoint, one of another run, or
+    one whose counts do not add up to its batches raises ValidationError."""
     n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
     try:
@@ -574,13 +714,17 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width:
         stats = np.array([pairs["mean"], pairs["m2"]], dtype=float)
         if stats.shape != (2, 2 * width) or not np.isfinite(stats).all() or (stats[1] < 0).any():
             raise ValueError(f"pair statistics are not {2 * width} finite values each, M2 >= 0")
-        cross = np.array(pairs["cross"] or np.zeros((0, 2 * width)), dtype=float)
-        if cross.shape != (p, 2 * width) or not np.isfinite(cross).all():
-            raise ValueError(f"control co-moments are not {p} rows of {2 * width} finite values")
-        block = cross[:, 2 * width - p:]
+        (p, m) = cross_shape
+        cross = np.array(pairs["cross"] or np.zeros((0, m)), dtype=float)
+        if cross.shape != cross_shape or not np.isfinite(cross).all():
+            raise ValueError(f"control co-moments are not {p} rows of {m} finite values")
+        block = cross[:, m - p:]
         if not np.array_equal(block, block.T):
             raise ValueError("the controls' own co-moments are not symmetric")
-        acc = _Stats(_count(pairs, "n"), *stats, cross)
+        pending = np.array(pairs["pending"] or np.zeros((0, 2 * width)), dtype=float)
+        if pending.ndim != 2 or pending.shape[1] != 2 * width or not np.isfinite(pending).all():
+            raise ValueError(f"pending merges are not rows of {2 * width} finite values")
+        acc = _Stats(_count(pairs, "n"), *stats, cross, tuple(pending))
     except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if next_batch > n_batches:
@@ -598,14 +742,14 @@ def _check_finite(acc: _Stats, parts: tuple):
     """Raise NumericalError, naming the z-factor or the time index of the first
     bad column, unless every folded mean and M2 of the pair rows is finite and
     Tr mean[0] is finite and nonzero; ``parts`` is the rows' _row_layout (the
-    controls, finite draws, are never the first bad column)."""
-    (series, shape), (zfac, _), (residuals, _), _ = parts
+    controls, products of finite draws, are never the first bad column)."""
+    (residuals, _), (series, shape), (zfac, _), _ = parts
     finite = np.isfinite(acc.mean) & np.isfinite(acc.m2)
     if not finite.all():
         col = int(np.argmin(finite)) // 2
         if col == zfac.start:
             raise NumericalError("non-finite z-factor mean or variance")
-        cols = series if col < zfac.start else residuals     # both lead with time
+        cols = series if col >= series.start else residuals     # both lead with time
         raise NumericalError(f"non-finite ensemble mean or variance at time index "
                              f"{(col - cols.start) * shape[0] // (cols.stop - cols.start)}")
     trace = np.trace(acc.mean.view(complex)[series].reshape(shape)[0])
@@ -624,10 +768,44 @@ def _ratio_errors(se: np.ndarray, mean_rho: np.ndarray, scale: complex, parts: t
     partition function fluctuates more than the numerator: at early times,
     and wherever the controls shrink the numerator's spread.
     """
-    (s_cols, s_shape), (z_cols, _), _, _ = parts
+    _, (s_cols, s_shape), (z_cols, _), _ = parts
     trace_part = np.abs(mean_rho) * (mean_rho.shape[-1] * np.hypot(*se[z_cols.start]))
     return tuple((se[s_cols, part].reshape(s_shape) + trace_part) * abs(scale)
                  for part in (0, 1))
+
+
+def _widened(acc: _Stats, parts: tuple, p: int) -> _Stats:
+    """``acc``, settled, with the co-moments of its last p controls with
+    every column.
+
+    The residuals are real-linear in the series, so their co-moments are
+    _residuals applied to the series', read as complex (p, n_t, d, d): the
+    same sums in another order, equal to rounding.
+    """
+    (r_cols, r_shape), (s_cols, s_shape), _, _ = parts
+    acc = acc.settled()
+    cross = np.empty((p, acc.mean.size))
+    cross[:, 2 * s_cols.start:] = acc.cross[len(acc.cross) - p:]
+    _residuals(cross[:, 2 * s_cols.start:2 * s_cols.stop].view(complex).reshape(p, *s_shape),
+               cross[:, 2 * r_cols.start:2 * r_cols.stop].view(complex).reshape(p, *r_shape))
+    return replace(acc, cross=cross)
+
+
+def _report_residuals(a: np.ndarray, parts: tuple) -> np.ndarray:
+    """The (n_t, k, re/im) report residuals of the pair rows' (width, re/im)
+    ``a``, a mean or its standard errors: v_ij - conj(v_ji) for i <= j, then
+    the trace's.  The rows hold those of _residuals; the diagonal ones are
+    2i Im v_ii, whose mean and error are the series' imaginary part's times
+    2, an exact scaling."""
+    (r_cols, r_shape), (s_cols, s_shape), _, _ = parts
+    n_t, d = s_shape[0], s_shape[-1]
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    diagonal = [k for k, (i, j) in enumerate(upper) if i == j]
+    out = np.zeros((n_t, len(upper) + 1, 2))
+    out[:, np.setdiff1d(np.arange(len(upper) + 1), diagonal)] = a[r_cols].reshape(*r_shape, 2)
+    series = a[s_cols].reshape(*s_shape, 2)
+    out[:, diagonal, 1] = 2.0 * series[:, range(d), range(d), 1]
+    return out
 
 
 def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None = None,
@@ -637,9 +815,10 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     The trajectories run in antithetic pairs, an odd ``n_traj`` rounded up
     to whole pairs, and the standard errors are those of the pair means,
     carrying the error of the partition function they are divided by.  The
-    estimate is the regression of the pair means on the second-order control
-    variates (_estimate): on all of them from PAIRS_PER_CONTROL completed pairs
-    per control on, on none below, and the result's ``n_controls`` says which.
+    estimate is the regression of the pair means on the Hermite control
+    variates (_estimate): on the largest tier of them whose PAIRS_PER_CONTROL
+    completed pairs per control the run has, and the result's ``n_controls``
+    says which.
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
@@ -669,13 +848,15 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     layout = _layout(pipe) if checkpoint_path else None
     n_run = _trajectories(cfg.n_traj)
     n_batches = -(-n_run // BATCH_SIZE)
-    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, len(_control_columns(pipe.factor)))
-    (s_cols, s_shape), (z_cols, _), (r_cols, r_shape), (c_cols, (p,)) = parts
+    tiers = _hermite_products(len(_control_columns(pipe.factor)))[1]
+    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, tiers[-1])
+    _, (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = parts
     width = c_cols.stop
-    acc = _Stats.empty((2 * width,), p)
+    acc = _Stats.empty((2 * width,), p, 2 * (width - s_cols.start))
     start_batch = 0
     if checkpoint_path and os.path.exists(checkpoint_path):
-        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width, p)
+        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width,
+                                            acc.cross.shape)
 
     # _run_batch is looked up now, so a replacement set on the module reaches
     # the workers too
@@ -703,7 +884,8 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         raise TooManyFailures("fewer than two pairs of trajectories completed")
     _check_finite(acc, parts)
 
-    n_controls = p if acc.n >= PAIRS_PER_CONTROL * p else 0
+    n_controls = max(t for t in tiers if acc.n >= PAIRS_PER_CONTROL * t)
+    acc = _widened(acc, parts, n_controls)
     mean, se = _estimate(acc, n_controls)
     mean, se = mean.view(complex), se.reshape(width, 2)
     series = mean[s_cols].reshape(s_shape)
@@ -713,7 +895,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     worst_tf = np.hypot(se_re, se_im)[-1].max()
     plain_tf = np.hypot(*_ratio_errors(_estimate(acc, 0)[1].reshape(width, 2), mean_rho, scale,
                                        parts))[-1].max()
-    residual_mean, residual_se = (a.reshape(width, 2)[r_cols].reshape(*r_shape, 2) * abs(scale)
+    residual_mean, residual_se = (_report_residuals(a.reshape(width, 2), parts) * abs(scale)
                                   for a in (mean.view(float), se))
     return EnsembleResult(
         times=cfg.grids.t, mean_rho=mean_rho, se_re=se_re, se_im=se_im,

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -73,6 +75,18 @@ def _killed_at_batch_2(system, factor, run_cfg, block, work=None):
     return _real_run_batch(system, factor, run_cfg, block, work)
 
 
+@dataclasses.dataclass(frozen=True)
+class _KilledAt:
+    """Runs the real block, but stops the run at block ``block``."""
+
+    block: int
+
+    def __call__(self, system, factor, run_cfg, block, work=None):
+        if block == self.block:
+            raise Killed
+        return _real_run_batch(system, factor, run_cfg, block, work)
+
+
 def _first_row_diverges(*evolve_args, **evolve_kwargs):
     """evolve_batch, but the first row of each block diverges."""
     series, diverged = _real_evolve_batch(*evolve_args, **evolve_kwargs)
@@ -127,6 +141,20 @@ def test_pairwise_stats_match_two_pass():
     assert np.abs(with_controls.cross - dev[:, 5:].T @ dev).max() < 1e-12
     block = with_controls.cross[:, 5:]
     assert np.array_equal(block, block.T)
+    # from column 2 on only: the same co-moments of those columns
+    covered = _pairwise_stats(vals.view(float), p=3, first=2)
+    assert np.array_equal(covered.mean, st.mean) and np.array_equal(covered.m2, st.m2)
+    assert np.array_equal(covered.cross, with_controls.cross[:, 2:])
+
+
+def test_pairwise_stats_slices_at_least_one_column():
+    # 3,240 rows at p = 162 exceed ONE_THREAD_PRODUCT multiply-adds per column:
+    # the product is made one column at a time, and equals the one-pass one
+    rows = np.random.default_rng(7).standard_normal((3240, 170))
+    assert 162 * 3240 > ensemble.ONE_THREAD_PRODUCT
+    acc = _pairwise_stats(rows, p=162)
+    dev = rows - rows.mean(axis=0)
+    assert np.abs(acc.cross - dev[:, 8:].T @ dev).max() < 1e-12 * len(rows)
 
 
 @pytest.mark.parametrize("k", [37, 255, 256])
@@ -150,7 +178,7 @@ def _fold(values, cuts, p=0):
     acc = _Stats.empty(values.shape[1:], p)
     for part in np.split(values, cuts):
         acc = acc.merge(_pairwise_stats(part, p=p))
-    return acc
+    return acc.settled()
 
 
 @settings(max_examples=80)
@@ -181,90 +209,189 @@ def test_stats_fold_under_any_batch_split(data, n, t, d, seed, offset, spread):
     assert np.all(folded.m2 == 0.0) and np.all(folded.cross == 0.0)
 
 
-# synthetic pair rows for the estimator: responses that are a known quadratic
-# form of 8 draws w plus independent noise, followed by the 36 controls of w
-_P = 36
-_FORMS = np.random.default_rng(2024).standard_normal((3, 8, 8)) * 0.3
-_TRUE_MEANS = 1.5 + np.trace(_FORMS, axis1=1, axis2=2)         # <w^T A w> = Tr A
+# synthetic pair rows for the estimator: responses that are known forms of 8
+# draws w, three quadratic and one quartic, plus independent noise, followed by
+# the 162 controls of w, whose tiers are the last 36, 71 or all 162
+_TIERS = (0, 36, 71, 162)
+_P, _Y = _TIERS[-1], 4
+_FORMS = np.random.default_rng(2024).standard_normal((_Y, 8, 8)) * 0.3
+# y_3 = (v^T A v)^2 / 4 of the first 4 draws v, A symmetric: the quartic tiers span it
+_FORMS[-1] = 0.0
+_FORMS[-1, :4, :4] = np.random.default_rng(2025).standard_normal((4, 4)) * 0.2
+_FORMS[-1] += _FORMS[-1].T
+# <w^T A w> = Tr A, and by Isserlis <(w^T A w)^2> = (Tr A)^2 + 2 Tr A^2
+_TRUE_MEANS = 1.5 + np.append(np.trace(_FORMS[:3], axis1=1, axis2=2),
+                              (np.trace(_FORMS[-1]) ** 2 + 2 * np.sum(_FORMS[-1] ** 2)) / 4)
 
 
 def _synthetic_rows(n, seed, noise=1.0):
-    """(n, 3 + 36) real rows: y_c = 1.5 + w^T A_c w + noise, then q(w)."""
+    """(n, 4 + 162) real rows: y_c = 1.5 + w^T A_c w + noise for c < 3, then
+    y_3 = 1.5 + (w^T A_3 w)^2 / 4 + noise, then q(w)."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, 8))
-    rows = np.empty((n, 3 + _P))
-    rows[:, :3] = 1.5 + np.einsum("ni,cij,nj->nc", w, _FORMS, w)
-    rows[:, :3] += noise * (rng.exponential(size=(n, 3)) - 1.0)    # skewed, mean 0
-    ensemble._controls(w, rows[:, 3:])
+    rows = np.empty((n, _Y + _P))
+    rows[:, :_Y] = np.einsum("ni,cij,nj->nc", w, _FORMS, w)
+    rows[:, _Y - 1] **= 2
+    rows[:, _Y - 1] /= 4
+    rows[:, :_Y] += 1.5 + noise * (rng.exponential(size=(n, _Y)) - 1.0)    # skewed, mean 0
+    ensemble._controls(w, rows[:, _Y:])
     return rows
 
 
+def _hermite(m, w):
+    """The probabilists' Hermite polynomial He_m(w), m <= 4, by its coefficients."""
+    return np.polynomial.hermite_e.hermeval(w, np.eye(5)[m])
+
+
 def test_controls_are_the_quadratic_forms_of_the_draws():
+    # the row ends in the 36 q_kl = w_k w_l - delta_kl (k <= l)
     w = np.random.default_rng(1).standard_normal((5, 8))
     q = np.empty((5, _P))
     ensemble._controls(w, q)
     upper = np.triu_indices(8)
-    assert np.array_equal(q, w[:, upper[0]] * w[:, upper[1]] - np.eye(8)[upper])
+    assert np.array_equal(q[:, -36:], w[:, upper[0]] * w[:, upper[1]] - np.eye(8)[upper])
+
+
+def test_the_quartic_controls_are_hermite_products_of_the_draws():
+    # before the 36 quadratic controls come the 35 quartic products over the
+    # first 4 draws, and first the 91 over the first 6 that use draw 5 or 6:
+    # each the product of He_m over the draws of a multiset, m counting each
+    w = np.random.default_rng(1).standard_normal((5, 8))
+    q = np.empty((5, _P))
+    ensemble._controls(w, q)
+    quartic = [c for k4 in (6, 4) for c in itertools.combinations_with_replacement(range(k4), 4)
+               if k4 == 4 or max(c) >= 4]
+    assert len(quartic) == 126
+    for j, c in enumerate(quartic):
+        want = np.prod([_hermite(c.count(a), w[:, a]) for a in set(c)], axis=0)
+        assert np.allclose(q[:, j], want, rtol=1e-12, atol=1e-12)
+    assert ensemble._hermite_products(8)[1] == _TIERS
+
+
+def test_controls_have_mean_zero_and_are_orthogonal_by_isserlis():
+    # each of the 162 controls of 8 draws is a polynomial of degree <= 4 with
+    # integer coefficients, read off the implementation on 1,000 points; with
+    # Isserlis' theorem, <prod_a w_a^n_a> = prod_a (n_a - 1)!! (0 if an n_a is
+    # odd), each has mean 0 and the Gram matrix is diagonal in closed form:
+    # the quartic controls are orthogonal to the quadratic ones and to each
+    # other, and <He_a(w)^2> = a! for each multi-index a
+    k = 8
+    exponents = np.array([np.bincount(c, minlength=k) for degree in range(5)
+                          for c in itertools.combinations_with_replacement(range(k), degree)])
+    points = np.random.default_rng(11).uniform(-2.0, 2.0, (1000, k))
+    q = np.empty((len(points), _P))
+    ensemble._controls(points, q)
+    design = np.prod(points[:, None, :] ** exponents, axis=-1)
+    coef = np.linalg.lstsq(design, q, rcond=None)[0]
+    assert np.abs(coef - np.round(coef)).max() < 1e-6
+    coef = np.round(coef).astype(np.int64)
+    assert np.abs(design @ coef - q).max() < 1e-9 * np.abs(q).max()
+    double_factorial = np.array([1, 0, 1, 0, 3, 0, 15, 0, 105])     # (n - 1)!!, 0 for odd n
+    moments = np.prod(double_factorial[exponents[:, None, :] + exponents[None, :, :]], axis=-1)
+    assert np.array_equal(coef.T @ moments[0], np.zeros(_P, np.int64))     # moments[0]: <m>
+    gram = coef.T @ moments @ coef
+    leading = exponents[[np.flatnonzero(c)[-1] for c in coef.T]]    # degree-sorted basis
+    norms = [math.prod(math.factorial(int(n)) for n in a) for a in leading]
+    assert np.array_equal(gram, np.diag(norms))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_a_factor_with_few_columns_gets_the_products_of_those_it_has(k):
+    # k draws give the quadratic products of all k, and the quartic ones of
+    # the first min(K_4, k): tiers C(k + 1, 2), then C(min(K_4, k) + 3, 4) more
+    quadratic = math.comb(k + 1, 2)
+    tiers = (0, quadratic) + tuple(quadratic + math.comb(min(k4, k) + 3, 4) for k4 in (4, 6))
+    factors, got = ensemble._hermite_products(k)
+    assert got == tiers and factors.shape == (4, tiers[-1])
+    w = np.random.default_rng(k).standard_normal((3, k))
+    q = np.empty((3, tiers[-1]))
+    ensemble._controls(w, q)
+    assert np.isfinite(q).all()
 
 
 @settings(max_examples=20)
-@given(data=st.data(), n=st.integers(20 * _P, 1100), seed=st.integers(0, 2 ** 32 - 1),
-       p=st.sampled_from([0, _P]))
+@given(data=st.data(), n=st.integers(20 * 36, 1100), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from(_TIERS))
 def test_controlled_fold_equals_one_pass_least_squares(data, n, seed, p):
     # whatever the cut into blocks, the folded estimate is the intercept of a
-    # least-squares fit of each response on [1, q] at q = 0, and its standard
-    # error that intercept's, on n - p - 1 degrees of freedom; on no controls
-    # the fit is on the intercept alone
+    # least-squares fit of each response on [1, q] at q = 0, q the last p
+    # controls, and its standard error that intercept's, on n - p - 1 degrees
+    # of freedom; on no controls the fit is on the intercept alone
     rows = _synthetic_rows(n, seed)
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=12)))
     mean, se = ensemble._estimate(_fold(rows, cuts, _P), p)
-    design = np.hstack([np.ones((n, 1)), rows[:, 3:3 + p]])
-    coef, rss, _, _ = np.linalg.lstsq(design, rows[:, :3], rcond=None)
+    design = np.hstack([np.ones((n, 1)), rows[:, rows.shape[1] - p:]])
+    coef, rss, _, _ = np.linalg.lstsq(design, rows[:, :_Y], rcond=None)
     intercept_se = np.sqrt(rss / (n - p - 1) * np.linalg.inv(design.T @ design)[0, 0])
-    assert np.abs(mean[:3] - coef[0]).max() <= 1e-12 * np.abs(rows[:, :3]).max()
-    assert np.abs(se[:3] / intercept_se - 1.0).max() <= 1e-12 * n
+    assert np.abs(mean[:_Y] - coef[0]).max() <= 1e-12 * np.abs(rows[:, :_Y]).max()
+    assert np.abs(se[:_Y] / intercept_se - 1.0).max() <= 1e-12 * n
     if p:       # the controls' own estimates are their known mean, 0, with no spread
-        assert np.abs(mean[3:]).max() < 1e-12 and np.all(se[3:] >= 0.0)
+        used = slice(rows.shape[1] - p, None)
+        assert np.abs(mean[used]).max() < 1e-12 and np.all(se[used] >= 0.0)
 
 
-def test_controlled_mean_is_unbiased_and_its_errors_cover():
-    # over 200 seeds of 800 pairs the errors in units of the reported standard
-    # error have mean 0 and spread 1, and cover at the normal rate
+def _assert_unbiased_and_covered(n, p, seeds):
+    """Over ``seeds`` seeds of n pairs folded in blocks of 256, on the tier of
+    p controls, the errors of the quadratic and quartic responses in units of
+    the reported standard error have mean 0 and spread 1, and cover at the
+    normal rate."""
     z = []
-    for seed in range(200):
-        mean, se = ensemble._estimate(_pairwise_stats(_synthetic_rows(800, seed), p=_P), _P)
-        z.extend((mean[:3] - _TRUE_MEANS) / se[:3])
+    for seed in range(seeds):
+        acc = _fold(_synthetic_rows(n, seed), list(range(256, n, 256)), _P)
+        mean, se = ensemble._estimate(acc, p)
+        z.extend((mean[:_Y] - _TRUE_MEANS) / se[:_Y])
     z = np.array(z)
     assert abs(z.mean()) < 0.2
     assert 0.9 < z.std() < 1.1
     assert 0.92 <= np.mean(np.abs(z) < 1.96) <= 0.98
 
 
+def test_controlled_mean_is_unbiased_and_its_errors_cover():
+    # 200 seeds of 800 pairs on the 36 quadratic controls: the quartic
+    # response's quartic part stays in its residual
+    _assert_unbiased_and_covered(800, 36, 200)
+
+
+def test_the_top_tier_is_unbiased_and_its_errors_cover():
+    # 100 seeds of 3,240 pairs on all 162 controls, which span the quartic form
+    _assert_unbiased_and_covered(3240, _P, 100)
+
+
 def test_below_the_threshold_the_estimate_is_the_plain_fold():
     # on no controls the mean and M2 are the bits of a fold without controls,
     # and the standard error is sqrt(M2 / (n (n - 1))) but for its rounding:
     # the regression scales M2 by (1 / n) / (n - 1), at most 2 ulp away
-    assert ensemble.PAIRS_PER_CONTROL * _P == 720
+    assert ensemble.PAIRS_PER_CONTROL * _TIERS[1] == 720
     rows = _synthetic_rows(720, 3)
     for n, cuts in ((2, [1]), (719, [256, 512]), (720, [256, 512])):
-        controlled, plain = _fold(rows[:n], cuts, _P), _fold(rows[:n, :3], cuts)
-        assert np.array_equal(controlled.mean[:3], plain.mean)
-        assert np.array_equal(controlled.m2[:3], plain.m2)
+        controlled, plain = _fold(rows[:n], cuts, _P), _fold(rows[:n, :_Y], cuts)
+        assert np.array_equal(controlled.mean[:_Y], plain.mean)
+        assert np.array_equal(controlled.m2[:_Y], plain.m2)
         mean, se = ensemble._estimate(controlled, 0)
         assert np.array_equal(mean, controlled.mean)
         plain_se = np.sqrt(plain.m2 * (1.0 / (n * (n - 1))))
-        assert np.all(np.abs(se[:3] - plain_se) <= 2 * np.spacing(plain_se))
+        assert np.all(np.abs(se[:_Y] - plain_se) <= 2 * np.spacing(plain_se))
+
+
+@pytest.mark.parametrize("pairs, tier", [(719, 0), (720, 36), (1419, 36), (1420, 71),
+                                         (3239, 71), (3240, 162)])
+def test_the_tier_switches_at_twenty_pairs_per_control(pairs, tier):
+    # a run uses the largest tier whose 20 pairs per control it has completed,
+    # read from the completed pair count alone: both sides of each tier
+    doc = small_doc(n_traj=2 * pairs, master_seed=2)
+    doc["grids"] = {"t_f": 0.5, "n_t": 5, "n_tau": 3}
+    assert run_ensemble(parse_config(doc)).n_controls == tier
 
 
 def test_residual_m2_is_clamped_at_zero():
     # a column that is a control itself leaves a residual M2 of rounding size,
     # negative for some; the estimate clamps it, so no error is NaN
     acc = _pairwise_stats(_synthetic_rows(900, 5), p=_P)
-    beta = np.linalg.solve(acc.cross[:, 3:], acc.cross)
+    beta = ensemble._product(ensemble._solve(acc.cross[:, _Y:], np.eye(_P)), acc.cross)
     raw = acc.m2 - np.einsum("ij,ij->j", beta, acc.cross)
-    assert (raw[3:] < 0.0).any()
+    assert (raw[_Y:] < 0.0).any()
     _, se = ensemble._estimate(acc, _P)
-    assert np.isfinite(se).all() and np.all(se[3:] >= 0.0)
+    assert np.isfinite(se).all() and np.all(se[_Y:] >= 0.0)
     assert np.all(se[raw < 0.0] == 0.0)
 
 
@@ -416,7 +543,7 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
 
 
 def test_a_failed_pair_drops_its_controls(monkeypatch):
-    # each reduced row ends in the 36 controls of its pair's draws; the first
+    # each reduced row ends in the 162 controls of its pair's draws; the first
     # pair of the block fails, and its row goes with its controls
     cfg = _driven_61x21(ensemble.BATCH_SIZE)
     pipe = build_pipeline(cfg)
@@ -428,16 +555,20 @@ def test_a_failed_pair_drops_its_controls(monkeypatch):
     monkeypatch.setattr(ensemble, "evolve_batch", _first_row_diverges)
     out = ensemble._run_batch(pipe.system, pipe.factor, cfg, 0)
     half = ensemble.BATCH_SIZE // 2
-    assert out.n == half - 1 and out.cross.shape == (36, reduced[0].shape[1])
+    series = ensemble._row_layout(61, 2, _P)[1][0]
+    assert out.n == half - 1
+    assert out.cross.shape == (_P, reduced[0].shape[1] - 2 * series.start)
     w = draw_normal(pipe.factor, ensemble.derive_seed(13, 0), half)
-    q = np.empty((half, 36))
+    q = np.empty((half, _P))
     ensemble._controls(w[:, ensemble._control_columns(pipe.factor)], q)
-    assert np.array_equal(reduced[0][:, -36:], q[1:])
+    assert np.array_equal(reduced[0][:, -_P:], q[1:])
 
 
 def test_an_odd_number_of_controls_is_padded_with_a_zero():
-    # a rank-5 factor gives 5 draws and 15 controls in 8 complex columns; the
-    # spare real is 0 in every block, also in memory a previous block used
+    # a rank-5 factor gives 5 draws, fewer than K_4 = 6, and 15 + 35 + 35 = 85
+    # controls in 43 complex columns; the spare real is 0 in every block, also
+    # in memory a previous block used, and each tier applies at 20 pairs per
+    # control
     doc = small_doc(n_traj=2 * 20 * 15, master_seed=3)
     doc["grids"] = {"t_f": 0.5, "n_t": 3, "n_tau": 2}
     cfg = parse_config(doc)
@@ -447,13 +578,15 @@ def test_an_odd_number_of_controls_is_padded_with_a_zero():
     work = Workspace(ensemble.BLOCK_SHARED_MEMORY)
     for block in (0, 1, 0):
         reused = ensemble._run_batch(*args, block, work)
-        assert reused.cross.shape[0] == 15 and reused.mean[-16] == 0.0 == reused.m2[-16]
-    res = run_ensemble(cfg, pipeline=pipe)
-    assert res.n_controls == 15 and np.isfinite(res.stderr_rho).all()
+        assert reused.cross.shape[0] == 85 and reused.mean[-86] == 0.0 == reused.m2[-86]
+    assert ensemble._hermite_products(5)[1] == (0, 15, 50, 85)
+    for tier in (15, 50, 85):
+        res = run_ensemble(cfg.with_overrides(n_traj=2 * 20 * tier), pipeline=pipe)
+        assert res.n_controls == tier and np.isfinite(res.stderr_rho).all()
 
 
 def test_control_columns_are_the_largest_takagi_columns():
-    # across channels, the 8 columns of largest norm, in draw order: on a
+    # across channels, the 8 columns of largest norm, by norm: on a
     # two-channel factor the rule over each channel's first 8 columns picks
     # the columns that a sort of every column's norm picks
     doc = small_doc()
@@ -463,7 +596,7 @@ def test_control_columns_are_the_largest_takagi_columns():
     assert len(factor.a) == 2
     norms = np.concatenate([np.linalg.norm(a, axis=0) for a in factor.a])
     columns = ensemble._control_columns(factor)
-    assert np.array_equal(columns, np.sort(np.argsort(-norms, kind="stable")[:8]))
+    assert np.array_equal(columns, np.argsort(-norms, kind="stable")[:8])
     assert (columns >= factor.a[0].shape[1]).any() and (columns < factor.a[0].shape[1]).any()
 
 
@@ -583,14 +716,15 @@ def test_single_worker_runs_batches_on_calling_thread(monkeypatch):
 
 # the complex columns of a pair row on the 11-point grid below, d = 2; the
 # statistics hold the real part of column c at 2 * c and its imaginary part next
-_SERIES, _ZFAC, _RESIDUALS, _ = (cols for cols, _ in ensemble._row_layout(11, 2, 8))
+_RESIDUALS, _SERIES, _ZFAC, _ = (cols for cols, _ in ensemble._row_layout(11, 2, _P))
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda out: out.m2.__setitem__(2 * (_SERIES.start + 5 * 4 + 1), np.inf), "time index 5"),
-    (lambda out: out.mean.__setitem__(slice(0, 2 * 4), 0.0), "time index 0"),
+    (lambda out: out.mean.__setitem__(slice(2 * _SERIES.start, 2 * _SERIES.start + 8), 0.0),
+     "time index 0"),
     (lambda out: out.mean.__setitem__(2 * _ZFAC.start, np.nan), "z-factor"),
-    (lambda out: out.m2.__setitem__(2 * (_RESIDUALS.start + 7 * 4 + 3) + 1, np.inf),
+    (lambda out: out.m2.__setitem__(2 * (_RESIDUALS.start + 7 * 2 + 1) + 1, np.inf),
      "time index 7"),
 ], ids=["series_m2_inf", "zero_partition_function", "zfac_mean_nan", "residual_m2_inf"])
 def test_non_finite_statistics_raise(tmp_path, monkeypatch, corrupt, message):
@@ -626,7 +760,7 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
                         lambda values, *args: reduced.append(values.copy())
                         or real_stats(values, *args))
     report = hermiticity_trace_report(run_ensemble(cfg))
-    cols, shape = ensemble._row_layout(61, 2, 8)[0]
+    cols, shape = ensemble._row_layout(61, 2, _P)[1]
     v = reduced[0].view(complex)[:, cols].reshape(-1, *shape)   # the block's pair means
 
     def worst_z(residual):
@@ -643,6 +777,38 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
         worst_z(v - np.conj(np.swapaxes(v, -1, -2))), rel=1e-6)
     assert report.max_trace_z == pytest.approx(worst_z(trace - trace[:, :1]), rel=1e-6)
     assert report.max_hermiticity_z > 0.0 and report.max_trace_z > 0.0
+
+
+def test_report_residuals_equal_the_direct_computation(monkeypatch):
+    # at the top tier the report's residuals equal those of rows that hold
+    # every residual with its own co-moments: the diagonal ones, read from the
+    # series' imaginary parts times 2, bit for bit, and the others, whose
+    # co-moments come from the series', to rounding
+    cfg = _driven_61x21(2 * 3240)
+    reduced = []
+    real_stats = ensemble._pairwise_stats
+    monkeypatch.setattr(ensemble, "_pairwise_stats",
+                        lambda values, *args: reduced.append(values.copy())
+                        or real_stats(values, *args))
+    res = run_ensemble(cfg)
+    assert res.n_controls == _P
+    _, (series, shape), _, _ = ensemble._row_layout(61, 2, _P)
+    k = 4 * 61          # the direct rows' residual columns: v_00, v_01, v_11 and the trace's
+    acc = _Stats.empty((reduced[0].shape[1] + 2 * (k - series.start),), _P)
+    for rows in reduced:
+        rows = rows.view(complex)
+        v = rows[:, series].reshape(-1, *shape)
+        upper = [v[..., i, j] - np.conj(v[..., j, i]) for i in range(2) for j in range(i, 2)]
+        trace = np.einsum("ptii->pt", v)
+        direct = np.concatenate([np.stack(upper + [trace - trace[:, :1]], axis=-1)
+                                 .reshape(len(v), -1), rows[:, series.start:]], axis=1)
+        acc = acc.merge(real_stats(direct.view(float), p=_P))
+    mean, se = ensemble._estimate(acc, _P)
+    scale = abs(1.0 / np.trace(mean.view(complex)[k:2 * k].reshape(shape)[0]))
+    want = [a.reshape(-1, 2)[:k].reshape(61, 4, 2) * scale for a in (mean, se)]
+    for got, ref in zip((res.residual_mean, res.residual_se), want):
+        assert np.array_equal(got[:, [0, 2]], ref[:, [0, 2]])              # diagonal
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_stderr_shrinks_with_more_trajectories():
@@ -911,13 +1077,15 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers, evolve):
 
 
 def test_controlled_quick_demo_bytes_whatever_the_workers_or_a_resume(tmp_path, monkeypatch):
-    # quick_demo's 2,000 pairs use the controls; their estimate is solved once
-    # after the fold, so the bytes are the same at 1, 2 and 3 workers and
-    # after a run killed in its third block resumes from its checkpoint
+    # quick_demo at 3,240 pairs uses the top tier of controls; their estimate
+    # is solved once after the fold, so the bytes are the same at 1, 2 and 3
+    # workers and after a run killed in its third block resumes from its
+    # checkpoint
     cfg = parse_config(json.loads((CONFIGS / "quick_demo.json").read_text()))
+    cfg = cfg.with_overrides(n_traj=2 * 3240)
     pipe = build_pipeline(cfg)
     ref = run_ensemble(cfg, pipeline=pipe)
-    assert ref.n_controls == 36 and ref.variance_removed_tf > 0.5
+    assert ref.n_controls == _P and ref.variance_removed_tf > 0.5
     ref_bytes = document_bytes(result_document(ref))
     for workers in (2, 3):
         res = run_ensemble(cfg, workers=workers, pipeline=pipe)
@@ -930,6 +1098,27 @@ def test_controlled_quick_demo_bytes_whatever_the_workers_or_a_resume(tmp_path, 
     monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
     resumed = run_ensemble(cfg, workers=2, pipeline=pipe, checkpoint_path=str(ckpt))
     assert document_bytes(result_document(resumed)) == ref_bytes
+
+
+def test_a_resume_with_merges_pending_keeps_the_bytes(tmp_path, monkeypatch):
+    # 20 blocks: the 16th merge adds the pending co-moment terms in, and a
+    # checkpoint after block 18 holds one merge still pending; the run killed
+    # there resumes on two workers to the bytes of the uninterrupted run
+    doc = small_doc(n_traj=20 * ensemble.BATCH_SIZE, master_seed=5)
+    doc["grids"] = {"t_f": 0.5, "n_t": 5, "n_tau": 3}
+    cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
+    ref = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
+    monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    ckpt = tmp_path / "state.json"
+    monkeypatch.setattr(ensemble, "_run_batch", _KilledAt(18))
+    with pytest.raises(Killed):
+        run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
+    written = json.loads(ckpt.read_text())
+    assert written["next_batch"] == 18 and len(written["pairs"]["pending"]) == 1
+    monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
+    resumed = run_ensemble(cfg, workers=2, pipeline=pipe, checkpoint_path=str(ckpt))
+    assert document_bytes(result_document(resumed)) == ref
 
 
 @pytest.mark.parametrize("preset", [None, "20"], ids=["unset", "preset"])
@@ -1095,7 +1284,8 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
                        ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
-                       ("version", "0.10.0"), (None, None)):
+                       ("version", "0.10.0"), ("version", "0.11.0"), ("version", "0.12.0"),
+                       (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -1136,9 +1326,16 @@ _DAMAGES = {
     # mean would end the run as a numerical failure
     "m2-negative": _edit(lambda data: data["pairs"]["m2"].__setitem__(10, -1.0)),
     "mean-nan": _edit(lambda data: data["pairs"]["mean"].__setitem__(11, float("nan"))),
-    # the controls' co-moments: 36 rows of every column, finite, their own
-    # 36 x 36 block (the last columns) symmetric
+    # the controls' co-moments: 162 rows of every column from the series on,
+    # finite, their own 162 x 162 block (the last columns) symmetric; a row
+    # that also covers the residuals, as before 0.13.0, is refused
     "no-cross": _edit(lambda data: data["pairs"].pop("cross")),
+    "cross-wide": _edit(lambda data: [row.__setitem__(slice(0, 0), [0.0] * 8)
+                                      for row in data["pairs"]["cross"]]),
+    # the merges still pending: rows of every column, finite
+    "no-pending": _edit(lambda data: data["pairs"].pop("pending")),
+    "pending-narrow": _edit(lambda data: data["pairs"]["pending"][0].pop()),
+    "pending-nan": _edit(lambda data: data["pairs"]["pending"][0].__setitem__(3, float("nan"))),
     "cross-short": _edit(lambda data: data["pairs"]["cross"].pop()),
     "cross-narrow": _edit(lambda data: data["pairs"]["cross"][5].pop(0)),
     "cross-inf": _edit(lambda data: data["pairs"]["cross"][3].__setitem__(7, float("inf"))),
