@@ -30,11 +30,15 @@ pair count.
 
 The one unit of work is the block of BATCH_SIZE trajectories.  Each block
 draws its noise in one call from the stream keyed by (master_seed, block
-index), one row per pair, propagates all its trajectories together and takes
-the (mean, M2) of the real view of one row per completed pair in two passes,
-and the co-moments of the controls with the series, the z-factor and the
-controls by a matrix product (the report's residuals, real-linear in the
-series, take theirs from the series' after the fold);
+index), one row per pair, and propagates all its trajectories together,
+trajectory-last from the synthesized fields to the series, so that every pass
+over the block reads contiguous rows of trajectories.  It then copies the
+pair means into one row per pair, which ends in the controls of the largest
+tier the run's pairs can reach, and takes the (mean, M2) of the rows' real
+view in two passes, and the co-moments of the controls with the series, the
+z-factor and the controls by a matrix product in tiles that run on the
+calling thread (the report's residuals, real-linear in the series, take
+theirs from the series' after the fold);
 block partials are then folded in block order with Chan's merge, whose
 co-moment terms are added PENDING_MERGES at a time, and the calling process
 solves for beta once, after the fold.  All of it depends only
@@ -47,8 +51,8 @@ many spawned processes, each sent the config, the system and the noise factor
 once, which write each block's partial to a file; the calling process only
 merges and checkpoints.  Each process that runs
 blocks makes one Workspace for the run and passes it to every block: a block's
-draws, fields, propagation windows, series, pair rows and deviations are
-made once, in memory that arrays of disjoint lifetimes share
+draws, synthesis products, fields, propagation windows, series, pair rows and
+deviations are made once, in memory that arrays of disjoint lifetimes share
 (BLOCK_SHARED_MEMORY), and every later block writes over them with the same
 arithmetic in the same order.
 """
@@ -87,15 +91,15 @@ from .workspace import Workspace
 BATCH_SIZE = 512            # trajectories per block, the one unit of work
 # The arrays of a block that share memory, by the names their functions give
 # them (Workspace): each uses the memory of an array spent before it is made.
-# The complex draws are spent once the fields are synthesized, the fields
-# once made into the fields+-, the generators and the fields+- once the
-# series is complete, the series once the rows hold it, and the pair means
-# before the co-moments are made; these last until the block is folded or
-# sent, before the next block runs.  A block's resident set then stays below
-# the set-up peak of in-process runs.
-BLOCK_SHARED_MEMORY = {"complex draws": "generators", "fields": "series",
-                       "pair means": "fields+-", "rows": "generators", "deviations": "series",
-                       "co-moments": "fields+-"}
+# The complex draws and each channel's synthesis product are spent once the
+# fields are synthesized, the fields once made into the fields+-, the
+# generators and the fields+- once the series is complete, the series once
+# the rows hold it, and the pair means before the co-moments are made; these
+# last until the block is folded or sent, before the next block runs.  A
+# block's resident set then stays below the set-up peak of in-process runs.
+BLOCK_SHARED_MEMORY = {"complex draws": "generators", "synthesis": "fields+-",
+                       "fields": "series", "pair means": "fields+-", "rows": "generators",
+                       "deviations": "series", "co-moments": "fields+-"}
 FAILURE_FRACTION = 0.01
 INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectories is inconclusive
 CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the quadratic controls
@@ -225,9 +229,9 @@ def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 
     The mean is taken relative to the first row, so identical rows give a mean
     equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
     numpy's complex mean does, so a complex array's real view keeps its bits.
-    The co-moments are a matrix product of the deviations, made in column
-    slices of ONE_THREAD_PRODUCT multiply-adds at most (one column at least),
-    and their control block is made symmetric from its upper triangle.  The
+    The co-moments are a matrix product of the deviations, made in tiles of
+    ONE_THREAD_PRODUCT multiply-adds at most (_product), and their control
+    block is made symmetric from its upper triangle.  The
     deviations are ``work``'s "deviations" and the co-moments its
     "co-moments" (a new workspace by default).
     """
@@ -246,17 +250,21 @@ def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 
 
 
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, into ``out`` if given, in column slices of ONE_THREAD_PRODUCT
-    multiply-adds at most (one column at least): 6 columns of a block's
-    co-moments at p = 162.  A slice of 8 columns or more is cut to a multiple
-    of 8: a BLAS kernel that works through the columns 8 at a time (OpenBLAS
-    on Haswell) then rounds each column as in one product of all of them,
-    wherever it stands."""
+    """a @ b, into ``out`` if given, in near-square tiles of ONE_THREAD_PRODUCT
+    multiply-adds at most (one row and one column at least): 32 x 32 of a
+    block's co-moments of 256 pairs.  A tile side of 8 or more is cut to a
+    multiple of 8: a BLAS kernel that works through the rows and the columns
+    at most 8 at a time (OpenBLAS on Haswell: 4 rows, 8 columns) then rounds
+    each entry as in one product of all of them, wherever it stands."""
+    def cut(side):
+        return max(side - side % 8 if side >= 8 else side, 1)
+
     out = np.empty((a.shape[0], b.shape[1])) if out is None else out
-    step = max(ONE_THREAD_PRODUCT // max(a.size, 1), 1)
-    step -= step % 8 if step >= 8 else 0
-    for start in range(0, b.shape[1], step):
-        np.matmul(a, b[:, start:start + step], out=out[:, start:start + step])
+    budget = ONE_THREAD_PRODUCT // max(a.shape[1], 1)       # rows x columns of a tile
+    rows = max(min(cut(math.isqrt(budget)), a.shape[0]), 1)
+    cols = cut(budget // rows)
+    for i, j in itertools.product(range(0, a.shape[0], rows), range(0, b.shape[1], cols)):
+        np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
     return out
 
 
@@ -359,13 +367,15 @@ def _hermite_products(k: int) -> tuple:
 
 
 def _controls(w: np.ndarray, out: np.ndarray, work: Workspace | None = None):
-    """Write to the (B, p) ``out`` the controls of the (B, k) draws ``w``, in
-    the order of _hermite_products(k), each of noise average 0.  The Hermite
-    table is ``work``'s "hermite table", the products "control products" and
-    their factors "control factors" (a new workspace by default)."""
+    """Write to the (B, p) ``out`` the last p controls of the (B, k) draws
+    ``w``, in the order of _hermite_products(k), each of noise average 0.
+    The Hermite table is ``work``'s "hermite table", the products "control
+    products" and their factors "control factors" (a new workspace by
+    default)."""
     work = Workspace() if work is None else work
     k = w.shape[1]
     factors, _ = _hermite_products(k)
+    factors = factors[:, factors.shape[1] - out.shape[1]:]
     table = work.array("hermite table", (len(w), 1 + 4 * k), float)
     table[:, 0] = 1.0
     he = [table[:, 1 + m * k:1 + (m + 1) * k] for m in range(4)]      # He_1 ... He_4
@@ -407,6 +417,15 @@ def _trajectories(n_traj: int) -> int:
     return n_traj + n_traj % 2
 
 
+def _run_controls(cfg: RunConfig, factor: NoiseFactor) -> int:
+    """The controls that end a run's pair rows: the largest tier whose
+    PAIRS_PER_CONTROL pairs per control the run's whole pairs reach, a rule of
+    the config alone (``factor`` is the config's).  No tier the run can use is
+    left out, and no control it cannot use is made."""
+    tiers = _hermite_products(len(_control_columns(factor)))[1]
+    return max(t for t in tiers if _trajectories(cfg.n_traj) // 2 >= PAIRS_PER_CONTROL * t)
+
+
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
                work: Workspace | None = None) -> _Stats:
     """Draw, quench and evolve block ``block``, and reduce its completed
@@ -415,10 +434,13 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
     of them and none past the run's whole pairs.  Its n trajectories are n / 2
     antithetic pairs, drawn in one call from the stream keyed by
-    (``cfg.master_seed``, ``block``), one row per pair.  The fields z of the
-    rows are synthesized once into the first half of ``work``'s "fields", and
-    their negation fills the second: the legs [z; -z] propagate together.  A
-    pair fails if either leg fails, and its row, its controls with it, is
+    (``cfg.master_seed``, ``block``), one row per pair.  The block runs
+    trajectory-last: the fields z of the rows are synthesized once into the
+    first half of ``work``'s (r, D, n) "fields", their negation fills the
+    second, and the legs [z; -z] propagate together.  The pair means are made
+    from the two halves of the (n_t, d, d, n) series and copied, transposed,
+    into the rows, which end in the run's controls (_run_controls).  A pair
+    fails if either leg fails, and its row, its controls with it, is
     dropped.  Every large array lives in ``work`` (a new workspace by
     default), which a run passes to all its blocks; nothing of one block
     carries into the next.
@@ -431,25 +453,28 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     # is freed only with its last view.
     w = draw_normal(factor, derive_seed(cfg.master_seed, block), n, work=work)
     drawn = w[:, columns]
-    fields = work.array("fields", (2 * n, len(factor.a), factor.dim))
-    synthesize(factor, w, work=work, out=fields[:n])
+    fields = work.array("fields", (len(factor.a), factor.dim, 2 * n))
+    synthesize(factor, w, work=work, out=fields[..., :n])
     del w
-    np.negative(fields[:n], out=fields[n:])
-    eta, nu, mu = np.split(fields, [grids.n_t, 2 * grids.n_t], axis=-1)
+    np.negative(fields[..., :n], out=fields[..., n:])
+    eta, nu, mu = (f.transpose(2, 0, 1) for f in
+                   np.split(fields, [grids.n_t, 2 * grids.n_t], axis=1))
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
     traces = np.trace(rho_end, axis1=1, axis2=2)
     series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
     del fields, eta, nu, mu         # spent: the series took their memory
+    series = series.transpose(1, 2, 3, 0)        # the (n_t, d, d, 2n) array it views
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
     (r_cols, r_shape), (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = _row_layout(
-        series.shape[1], system.dim, _hermite_products(len(columns))[1][-1])
+        grids.n_t, system.dim, _run_controls(cfg, factor))
     # the pair means are made apart from the rows: numpy copies an operand that
     # may overlap the output, and the parts of one row interleave
-    means = work.array("pair means", (n,) + s_shape)
-    np.add(series[:n], series[n:], out=means)
+    means = work.array("pair means", s_shape + (n,))
+    np.add(series[..., :n], series[..., n:], out=means)
     means *= 0.5
+    means = means.transpose(3, 0, 1, 2)
     rows = work.array("rows", (n, c_cols.stop))
-    rows[:, s_cols] = means.reshape(n, -1)
+    rows[:, s_cols].reshape(n, *s_shape)[...] = means
     rows[:, z_cols.start] = 0.5 * (traces[:n] + traces[n:]) / system.dim
     _residuals(means, rows[:, r_cols].reshape(n, *r_shape))
     controls = rows[:, c_cols].view(float)
@@ -849,7 +874,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     n_run = _trajectories(cfg.n_traj)
     n_batches = -(-n_run // BATCH_SIZE)
     tiers = _hermite_products(len(_control_columns(pipe.factor)))[1]
-    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, tiers[-1])
+    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, _run_controls(cfg, pipe.factor))
     _, (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = parts
     width = c_cols.stop
     acc = _Stats.empty((2 * width,), p, 2 * (width - s_cols.start))

@@ -312,19 +312,23 @@ def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None
     """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
     channel k's are w_k @ a_k^T, with w_k the next p_k columns of w.
 
-    The fields are views of ``out`` (B, r, D), a new array by default.
-    ``work``'s "complex draws" (a new workspace by default), a complex copy
-    of w, spare the product a cast copy.
+    The fields are (B, ...) views of ``out`` (r, D, B), which holds them
+    trajectory-last, a new array by default.  Each channel's product is made
+    in ``work``'s "synthesis" (B, D) (a new workspace by default) and copied
+    once, transposed, into ``out``; its "complex draws", a complex copy of w,
+    spare the product a cast copy.
     """
     work = Workspace() if work is None else work
     wc = work.array("complex draws", w.shape)
     wc[...] = w
-    z = np.empty((w.shape[0], len(factor.a), factor.dim), complex) if out is None else out
+    z = np.empty((len(factor.a), factor.dim, w.shape[0]), complex) if out is None else out
+    product = work.array("synthesis", (w.shape[0], factor.dim))
     start = 0
-    for k, a in enumerate(factor.a):
-        np.matmul(wc[:, start:start + a.shape[1]], a.T, out=z[:, k])
+    for z_k, a in zip(z, factor.a):
+        np.matmul(wc[:, start:start + a.shape[1]], a.T, out=product)
+        z_k[...] = product.T
         start += a.shape[1]
-    return np.split(z, [factor.n_t, 2 * factor.n_t], axis=-1)
+    return np.split(z.transpose(2, 0, 1), [factor.n_t, 2 * factor.n_t], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -374,10 +378,9 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
     m_x2y2 = np.zeros(shape)                # sum x_i^2 y_j^2
     for k, done in enumerate(range(0, n_samples, _CHUNK)):
         w = draw_normal(factor, derive_seed(seed, k), min(_CHUNK, n_samples - done))
-        z = np.empty((len(w), len(factor.a), factor.dim), dtype=complex)
+        z = np.empty((len(factor.a), factor.dim, len(w)), dtype=complex)     # (M, D, n)
         synthesize(factor, w, out=z)
-        z *= cov.balance
-        z = z.transpose(1, 2, 0)            # (M, D, n)
+        z *= cov.balance[:, None]
         x, y = z.real, z.imag
         s1 += z @ z.mT
         x2, y2, xy = x * x, y * y, x * y

@@ -16,17 +16,23 @@ interpolation, ``interpolate_half_grid``, brings each onto the RK4 stage
 times.  Every array is batched over trajectories; one trajectory is a batch
 of size one.
 
-Inside this module a batch is held as (d, d, B), trajectory axis last and
-contiguous.  The RK4 steps run in blocks of BLOCK_INTERVALS grid intervals;
-once per block, the generator of every stage of the block is built as one
-(S, d, d, B) window, by d * d broadcast multiply-adds per coupling, so each
-right-hand side is only one or two matrix products.  Every matrix product is
-d broadcast multiply-adds over whole B-long rows: a few numpy calls per
-stage, where a stacked ``@`` on (B, d, d) pays per-matrix overhead.  That is
-faster up to d = 4; from about d = 8 the stacked ``@`` would win.  No BLAS
-call is made, so the bits do not depend on BLAS threads, on B or on
-BLOCK_INTERVALS.  The public functions take the batch as (B, ...) arrays and
-return the series as a (B, ...) view of its trajectory-last array.
+Inside this module a batch is held trajectory-last, the axis contiguous: a
+state as (d, d, B), the series as (n_t, d, d, B) and the fields as (r, n, B).
+The RK4 steps run in blocks of BLOCK_INTERVALS grid intervals; once per
+block, the generator of every stage of the block is built as one
+(S, d, d, B) window from contiguous (r, S, B) time slices of the fields, one
+pass per matrix entry: h - sum_i c_i f_i where some coupling f_i is nonzero,
+and a plain fill with h where every one is zero.  Each right-hand side is
+then only one or two matrix products.  Every matrix product is d broadcast
+multiply-adds over whole B-long rows: a few numpy calls per stage, where a
+stacked ``@`` on (B, d, d) pays per-matrix overhead.  That is faster up to
+d = 4; from about d = 8 the stacked ``@`` would win.  No number is made by a
+BLAS call (the divergence test's dot products only decide whether the exact
+test runs), so the bits do not depend on BLAS threads, on B or on
+BLOCK_INTERVALS.  The
+public functions take the batch as (B, ...) arrays, which may be views of
+trajectory-last ones (the fastest) or not (the same bits), and return the
+series as a (B, ...) view of its trajectory-last array.
 
 Every array a call makes, from the interpolation and generator windows to the
 RK4 stages and the series, lives in a Workspace (``esln.workspace``) and is
@@ -48,21 +54,25 @@ DIVERGENCE_LIMIT = 1e300
 BLOCK_INTERVALS = 32
 
 
-def interpolate_half_grid(samples: np.ndarray, *, nodes: slice = slice(None),
+def interpolate_half_grid(samples: np.ndarray, *, nodes: slice = slice(None), axis: int = -1,
                           work: Workspace | None = None) -> np.ndarray:
     """Linear interpolation of uniform-grid samples onto the RK4 stage grid.
 
-    ``samples`` has shape (..., n); of the m grid nodes in ``nodes`` (all by
-    default), the output (..., 2m-1) holds each node at an even position and
-    the midpoint (a + b) / 2 of each interval between them at the odd one
-    after it, which is the matching slice of the whole interpolation, bit for
-    bit.  The output is ``work``'s "window" (a new workspace by default).
+    ``samples`` holds its n grid times on ``axis`` (the last by default); of
+    the m grid nodes in ``nodes`` (all by default), the output, 2m-1 long on
+    that axis, holds each node at an even position and the midpoint
+    (a + b) / 2 of each interval between them at the odd one after it, which
+    is the matching slice of the whole interpolation, bit for bit.  The output
+    is ``work``'s "window" (a new workspace by default).
     """
     work = Workspace() if work is None else work
-    s = samples[..., nodes]
-    window = work.array("window", s.shape[:-1] + (2 * s.shape[-1] - 1,), samples.dtype)
-    window[..., ::2] = s
-    mid = np.add(s[..., :-1], s[..., 1:], out=window[..., 1::2])
+    s = np.moveaxis(samples, axis, -1)[..., nodes]
+    shape = list(samples.shape)
+    shape[axis] = 2 * s.shape[-1] - 1
+    window = work.array("window", tuple(shape), samples.dtype)
+    stages = np.moveaxis(window, axis, -1)
+    stages[..., ::2] = s
+    mid = np.add(s[..., :-1], s[..., 1:], out=stages[..., 1::2])
     mid *= 0.5
     return window
 
@@ -71,18 +81,26 @@ def _generators(h, f_stack, samples, nodes, divisor, out, work):
     """(h - sum_i c_i f_i) / divisor at the S stages between the grid
     ``nodes``, in the first S entries of ``out`` (at least S, d, d, B).
 
-    ``h`` is (d, d) or one (d, d) per stage, and c_i the i-th of the (B, r, n)
+    ``h`` is (d, d) or one (d, d) per stage, and c_i the i-th of the (r, n, B)
     ``samples`` interpolated onto the stages.  The small h and f_i are divided,
-    not the result, and the sum is d * d broadcast multiply-adds per coupling,
-    without BLAS.  ``work``'s "window" and "generator term" are scratch.
+    not the result.  Each entry is made in one pass over its (S, B) slice:
+    h minus each nonzero f_i times c_i, by broadcast multiply-adds without
+    BLAS, or h alone where every f_i is zero.  ``work``'s "window" and
+    "generator term" are scratch.
     """
-    co = interpolate_half_grid(samples, nodes=nodes, work=work).transpose(1, 2, 0)  # (r, S, B)
+    co = interpolate_half_grid(samples, nodes=nodes, axis=1, work=work)       # (r, S, B)
     out = out[:co.shape[1]]
+    h, f_stack = h / divisor, f_stack / divisor
     term = work.array("generator term", co.shape[1:])
-    out[...] = (h / divisor)[..., None]
-    for f, c in zip(f_stack / divisor, co):
-        for i, j in np.ndindex(f.shape):
-            out[:, i, j] -= np.multiply(f[i, j], c, out=term)
+    for i, j in np.ndindex(h.shape[-2:]):
+        entry, fill = out[:, i, j], h[..., i, j, None]
+        terms = [(f[i, j], c) for f, c in zip(f_stack, co) if f[i, j] != 0]
+        if not terms:
+            entry[...] = fill
+            continue
+        np.subtract(fill, np.multiply(*terms[0], out=entry), out=entry)
+        for f, c in terms[1:]:
+            entry -= np.multiply(f, c, out=term)
     return out
 
 
@@ -101,19 +119,35 @@ def _matmul(a, b, out, term):
     return out
 
 
-def _rk4(block_rhs, rho, n_intervals, h, work, series=None):
-    """Classical RK4, in place, on a (d, d, B) batch over ``n_intervals`` grid
+def _bounded(rho):
+    """True when no entry of ``rho`` can exceed DIVERGENCE_LIMIT in modulus:
+    the squared moduli of its entries sum to 1e300 at most (a NaN or an
+    overflow fails), a sufficient test.  The sums are BLAS dot products of
+    4,096 entries at most, which OpenBLAS makes on the calling thread (it
+    wakes its helper threads from 10,000 on)."""
+    flat = rho.reshape(-1)
+    for i in range(0, flat.size, 4096):
+        if not np.vdot(flat[i:i + 4096], flat[i:i + 4096]).real <= 1e300:
+            return False
+    return True
+
+
+def _rk4(block_rhs, states, n_intervals, h, work):
+    """Classical RK4 on (m, d, d, B) ``states`` over ``n_intervals`` grid
     intervals of one step each; stage j of the whole run is at time j*h/2.
+    With m = 1 the state states[0] is advanced in place; otherwise the step
+    from grid node s reads states[s] and writes states[s + 1].
 
     The steps run BLOCK_INTERVALS grid intervals at a time.  Per block,
     ``block_rhs(nodes)`` builds what the block's right-hand sides need between
     the slice ``nodes`` of the grid and returns rhs(j, rho, out), which
     writes the right-hand side at the block's j-th stage to ``out``.  A
     trajectory whose largest entry turns non-finite or exceeds DIVERGENCE_LIMIT
-    is zeroed and marked dead.  With ``series`` (n, d, d, B), the state after
-    each step is stored at its grid node.  The stages are ``work``'s "stages"
-    and "magnitudes".  Returns the (B,) alive mask.
+    is zeroed and marked dead; the exact test runs only where the cheap
+    ``_bounded`` fails.  The stages are ``work``'s "stages" and "magnitudes".
+    Returns the (B,) alive mask.
     """
+    rho = states[0]
     alive = np.ones(rho.shape[-1], dtype=bool)
     k1, k2, k3, k4, arg = work.array("stages", (5,) + rho.shape)
     mags = work.array("magnitudes", rho.shape, float)
@@ -134,13 +168,11 @@ def _rk4(block_rhs, rho, n_intervals, h, work, series=None):
                 k2 += k3
                 k2 += k4
                 k2 *= h / 6.0
-                rho += k2
-                if not np.abs(rho, out=mags).max() <= DIVERGENCE_LIMIT:     # true for NaN too
-                    worst = mags.max(axis=(0, 1))
+                rho = np.add(rho, k2, out=states[s + 1] if len(states) > 1 else rho)
+                if not _bounded(rho) and not np.abs(rho, out=mags).max() <= DIVERGENCE_LIMIT:
+                    worst = mags.max(axis=(0, 1))           # NaN fails the test too
                     alive &= np.isfinite(worst) & (worst <= DIVERGENCE_LIMIT)
                     rho[..., ~alive] = 0.0
-                if series is not None:
-                    series[s + 1] = rho
     return alive
 
 
@@ -151,7 +183,8 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, 
     Parameters
     ----------
     mu_bar : (B, r, n_tau) complex noise samples on the imaginary grid, one
-        field per coupling of ``system`` (per coupling channel in a run).
+        field per coupling of ``system`` (per coupling channel in a run),
+        fastest as a view of an (r, n_tau, B) array.
     work : the Workspace of the generators, stages and state (a new one by
         default); none of its arrays is returned.
 
@@ -162,7 +195,7 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, 
     """
     work = Workspace() if work is None else work
     f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
-    d, batch = system.dim, mu_bar.shape[0]
+    d, batch, mu_bar = system.dim, mu_bar.shape[0], mu_bar.transpose(1, 2, 0)
     windows = work.array("generators", (_stage_window(grids.n_tau - 1), d, d, batch))
     term = work.array("rhs scratch", (d, d, batch))
 
@@ -170,10 +203,10 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, 
         g = _generators(h0, f_stack, mu_bar, nodes, -hbar, windows, work)
         return lambda j, r, out: _matmul(g[j], r, out, term)
 
-    rho = work.array("state", (d, d, batch))
-    rho[...] = np.eye(d)[:, :, None]
+    rho = work.array("state", (1, d, d, batch))
+    rho[0] = np.eye(d)[:, :, None]
     alive = _rk4(block_rhs, rho, grids.n_tau - 1, grids.dtau, work)
-    return np.ascontiguousarray(rho.transpose(2, 0, 1)), ~alive
+    return np.ascontiguousarray(rho[0].transpose(2, 0, 1)), ~alive
 
 
 def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
@@ -183,16 +216,17 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     Parameters
     ----------
     eta, nu : (B, r, n_t) complex noise samples on the real-time grid, one
-        field per coupling of ``system``, spent once made into the fields+-.
+        field per coupling of ``system``, spent once made into the (r, n_t, B)
+        fields+-, fastest as views of (r, n_t, B) arrays.
     rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
-    work : the Workspace of the series, the generators, stages and state (a
-        new one by default).
+    work : the Workspace of the series, the fields+-, the generators and the
+        stages (a new one by default).
 
     The stage Hamiltonians h0 + sum_k a_k(t) V_k are built once per call; a
     drive whose amplitudes are not n_t samples raises DimensionMismatch.  The
     generators A+- = (H+- at each stage) / (i hbar) are built once per block
     of BLOCK_INTERVALS grid intervals, and each right-hand side is
-    A+ rho - rho A-.
+    A+ rho - rho A-.  Each step writes its state straight into the series.
 
     Returns
     -------
@@ -208,6 +242,7 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
     amps = np.array([dr.amplitudes for dr in system.drive]).reshape(-1, grids.n_t)
     v = np.array([dr.matrix for dr in system.drive]).reshape(-1, d, d)
     h_stage = h0 + np.einsum("ks,kij->sij", interpolate_half_grid(amps, work=work), v)
+    eta, nu = eta.transpose(1, 2, 0), nu.transpose(1, 2, 0)
     c_p, c_m = work.array("fields+-", (2,) + eta.shape)
     np.add(eta, np.multiply(0.5 * hbar, nu, out=c_m), out=c_p)     # eta +- (hbar/2) nu
     np.subtract(eta, c_m, out=c_m)
@@ -225,11 +260,9 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
             return out
         return rhs
 
-    rho = work.array("state", (d, d, batch))
-    rho[...] = rho0.transpose(1, 2, 0)
     series = work.array("series", (grids.n_t, d, d, batch))
-    series[0] = rho
-    alive = _rk4(block_rhs, rho, grids.n_t - 1, grids.dt, work, series)
+    series[0] = rho0.transpose(1, 2, 0)
+    alive = _rk4(block_rhs, series, grids.n_t - 1, grids.dt, work)
     if not alive.all():
         series[..., ~alive] = 0.0
     return series.transpose(3, 0, 1, 2), ~alive

@@ -148,13 +148,37 @@ def test_pairwise_stats_match_two_pass():
 
 
 def test_pairwise_stats_slices_at_least_one_column():
-    # 3,240 rows at p = 162 exceed ONE_THREAD_PRODUCT multiply-adds per column:
-    # the product is made one column at a time, and equals the one-pass one
+    # 3,240 rows at p = 162 exceed ONE_THREAD_PRODUCT multiply-adds per column
+    # of all the controls: the product is made in tiles of a few rows and
+    # columns, and equals the one-pass one
     rows = np.random.default_rng(7).standard_normal((3240, 170))
     assert 162 * 3240 > ensemble.ONE_THREAD_PRODUCT
     acc = _pairwise_stats(rows, p=162)
     dev = rows - rows.mean(axis=0)
     assert np.abs(acc.cross - dev[:, 8:].T @ dev).max() < 1e-12 * len(rows)
+
+
+@pytest.mark.parametrize("k", [16, 256, 3240])
+def test_product_tiles_stay_on_the_calling_thread(monkeypatch, k):
+    # _product makes a (162, k) @ (k, m) product, the co-moments of a block of
+    # k pairs, in tiles that OpenBLAS runs on the calling thread: each np.matmul
+    # has ONE_THREAD_PRODUCT multiply-adds at most and a row and a column at
+    # least, and the tiles cover the product
+    rng = np.random.default_rng(k)
+    a, b = rng.standard_normal((162, k)), rng.standard_normal((k, 300))
+    shapes, real_matmul = [], np.matmul
+
+    def matmul(x, y, out):
+        shapes.append((*x.shape, y.shape[1]))
+        return real_matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    out = ensemble._product(a, b, np.full((162, 300), np.nan))
+    monkeypatch.undo()
+    assert shapes and all(inner == k for _, inner, _ in shapes)
+    assert all(rows >= 1 and cols >= 1 and rows * k * cols <= ensemble.ONE_THREAD_PRODUCT
+               for rows, _, cols in shapes)
+    assert np.abs(out - a @ b).max() <= 1e-12 * k
 
 
 @pytest.mark.parametrize("k", [37, 255, 256])
@@ -543,9 +567,10 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
 
 
 def test_a_failed_pair_drops_its_controls(monkeypatch):
-    # each reduced row ends in the 162 controls of its pair's draws; the first
-    # pair of the block fails, and its row goes with its controls
-    cfg = _driven_61x21(ensemble.BATCH_SIZE)
+    # each reduced row of a run that reaches the top tier ends in the 162
+    # controls of its pair's draws; the first pair of the block fails, and its
+    # row goes with its controls
+    cfg = _driven_61x21(2 * ensemble.PAIRS_PER_CONTROL * _P)
     pipe = build_pipeline(cfg)
     reduced = []
     real_stats = ensemble._pairwise_stats
@@ -566,10 +591,10 @@ def test_a_failed_pair_drops_its_controls(monkeypatch):
 
 def test_an_odd_number_of_controls_is_padded_with_a_zero():
     # a rank-5 factor gives 5 draws, fewer than K_4 = 6, and 15 + 35 + 35 = 85
-    # controls in 43 complex columns; the spare real is 0 in every block, also
-    # in memory a previous block used, and each tier applies at 20 pairs per
-    # control
-    doc = small_doc(n_traj=2 * 20 * 15, master_seed=3)
+    # controls in 43 complex columns in a run that reaches them; the spare real
+    # is 0 in every block, also in memory a previous block used, and each tier
+    # applies at 20 pairs per control
+    doc = small_doc(n_traj=2 * 20 * 85, master_seed=3)
     doc["grids"] = {"t_f": 0.5, "n_t": 3, "n_tau": 2}
     cfg = parse_config(doc)
     pipe = build_pipeline(cfg)
@@ -624,7 +649,10 @@ def test_reused_arrays_carry_nothing_into_the_next_block(monkeypatch, evolve):
 def test_a_block_allocates_nothing_large_once_the_run_arrays_exist():
     # after the first block of a quick_demo run, a block makes no array larger
     # than a small fraction of one generator window (2.1 MiB here), and the
-    # workspace keeps the memory it had
+    # workspace keeps the memory it had.  A scratch array whose memory overlaps
+    # an operand of the call that writes it (the synthesis product in the
+    # complex draws' or the fields' memory, say) shows here: numpy copies the
+    # operand
     cfg = parse_config(json.loads((CONFIGS / "quick_demo.json").read_text()))
     pipe = build_pipeline(cfg)
     args = (pipe.system, pipe.factor, cfg)
@@ -1285,7 +1313,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
                        ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
                        ("version", "0.10.0"), ("version", "0.11.0"), ("version", "0.12.0"),
-                       (None, None)):
+                       ("version", "0.13.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -1326,8 +1354,8 @@ _DAMAGES = {
     # mean would end the run as a numerical failure
     "m2-negative": _edit(lambda data: data["pairs"]["m2"].__setitem__(10, -1.0)),
     "mean-nan": _edit(lambda data: data["pairs"]["mean"].__setitem__(11, float("nan"))),
-    # the controls' co-moments: 162 rows of every column from the series on,
-    # finite, their own 162 x 162 block (the last columns) symmetric; a row
+    # the controls' co-moments: a row per control of every column from the
+    # series on, finite, their own block (the last columns) symmetric; a row
     # that also covers the residuals, as before 0.13.0, is refused
     "no-cross": _edit(lambda data: data["pairs"].pop("cross")),
     "cross-wide": _edit(lambda data: [row.__setitem__(slice(0, 0), [0.0] * 8)
@@ -1344,15 +1372,24 @@ _DAMAGES = {
 }
 
 
-@pytest.mark.parametrize("damage", _DAMAGES.values(), ids=_DAMAGES.keys())
+# the damages to the controls' co-moments, which need a run whose rows carry
+# controls: 1,440 trajectories reach the 36 quadratic ones
+_CONTROL_DAMAGES = {"cross-wide", "cross-short", "cross-narrow", "cross-inf",
+                    "cross-not-symmetric"}
+
+
+@pytest.mark.parametrize("damage", _DAMAGES)
 def test_damaged_checkpoint_is_refused(tmp_path, capsys, damage):
     # a torn or malformed checkpoint is a configuration error (exit 2) in the
     # library and on the command line, never a traceback
-    doc = small_doc(n_traj=600, master_seed=21)
+    n_traj = 2 * ensemble.PAIRS_PER_CONTROL * 36 if damage in _CONTROL_DAMAGES else 600
+    doc = small_doc(n_traj=n_traj, master_seed=21)
     cfg = parse_config(doc)
     ckpt = tmp_path / "state.json"
     run_ensemble(cfg, checkpoint_path=str(ckpt))
-    ckpt.write_text(damage(ckpt.read_text()))
+    written = json.loads(ckpt.read_text())["pairs"]["cross"]
+    assert len(written) == (36 if damage in _CONTROL_DAMAGES else 0)
+    ckpt.write_text(_DAMAGES[damage](ckpt.read_text()))
     with pytest.raises(ValidationError) as err:
         run_ensemble(cfg, checkpoint_path=str(ckpt))
     assert err.value.path == "checkpoint"

@@ -400,6 +400,38 @@ def test_block_intervals_never_change_bits(monkeypatch):
             assert np.array_equal(got, want)
 
 
+def test_trajectory_last_views_give_the_bits_of_trajectory_first_arrays():
+    # a run hands the batch functions (B, r, n) views of trajectory-last
+    # (r, n, B) fields; trajectory-first arrays of the same samples give the
+    # same states, series and masks, bit for bit.  Two channels and a drive:
+    # at d = 3 entry (0, 2) has no coupling (a plain fill), (0, 1) only the
+    # second's, (0, 0) only the first's; one row of each phase diverges
+    rng = np.random.default_rng(12)
+    grids = TimeGrids(t_f=1.5, n_t=41, hbar_beta=0.8 * 1.2, n_tau=21)
+    first = np.diag([0.3, -0.2, 0.0])
+    second = np.zeros((3, 3))
+    second[0, 1] = second[1, 0] = 0.25
+    second[1, 1] = 0.1
+    drive = Drive(matrix=_random_hermitian(rng, 3, 0.4), amplitudes=np.sin(3.0 * grids.t))
+    system = SystemSpec(dim=3, h0=_random_hermitian(rng, 3, 0.5), couplings=(first, second),
+                        hbar=0.8, beta=1.2, drive=(drive,))
+    mu, eta, nu = (_random_noise(rng, (6, 2, n), 0.3)
+                   for n in (grids.n_tau, grids.n_t, grids.n_t))
+    mu[2] = 1e6
+    eta[4] = 1e6
+    last = [np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1) for x in (mu, eta, nu)]
+    assert all(x.base.flags.c_contiguous and x.strides[0] == 16 for x in last)
+    runs = []
+    for mu_b, eta_b, nu_b in ((mu, eta, nu), last):
+        rho_end, div_imag = equilibrate_batch(system, mu_b, grids)
+        series, div_real = evolve_batch(system, eta_b, nu_b, grids, rho_end)
+        runs.append((rho_end, div_imag, series, div_real))
+    assert runs[0][1].tolist() == [False, False, True, False, False, False]
+    assert runs[0][3].tolist() == [False, False, False, False, True, False]
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+
+
 def test_work_and_stages_are_keyword_only():
     # a step count passed by position, as an older signature took one, binds
     # to neither ``work`` nor ``nodes``
