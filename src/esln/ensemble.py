@@ -432,13 +432,13 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     pairs' rows (_row_layout), viewed as reals, to _Stats.
 
     The block holds trajectories block * BATCH_SIZE onwards, up to BATCH_SIZE
-    of them and none past the run's whole pairs.  Its n trajectories are n / 2
+    of them and none past the run's whole pairs.  Its 2n trajectories are n
     antithetic pairs, drawn in one call from the stream keyed by
     (``cfg.master_seed``, ``block``), one row per pair.  The block runs
     trajectory-last: the fields z of the rows are synthesized once into the
-    first half of ``work``'s (r, D, n) "fields", their negation fills the
+    first half of ``work``'s (r, D, 2n) "fields", their negation fills the
     second, and the legs [z; -z] propagate together.  The pair means are made
-    from the two halves of the (n_t, d, d, n) series and copied, transposed,
+    from the two halves of the (n_t, d, d, 2n) series and copied, transposed,
     into the rows, which end in the run's controls (_run_controls).  A pair
     fails if either leg fails, and its row, its controls with it, is
     dropped.  Every large array lives in ``work`` (a new workspace by
@@ -457,13 +457,11 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     synthesize(factor, w, work=work, out=fields[..., :n])
     del w
     np.negative(fields[..., :n], out=fields[..., n:])
-    eta, nu, mu = (f.transpose(2, 0, 1) for f in
-                   np.split(fields, [grids.n_t, 2 * grids.n_t], axis=1))
+    eta, nu, mu = np.split(fields, [grids.n_t, 2 * grids.n_t], axis=1)
     rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
-    traces = np.trace(rho_end, axis1=1, axis2=2)
+    traces = np.trace(rho_end)
     series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
     del fields, eta, nu, mu         # spent: the series took their memory
-    series = series.transpose(1, 2, 3, 0)        # the (n_t, d, d, 2n) array it views
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
     (r_cols, r_shape), (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = _row_layout(
         grids.n_t, system.dim, _run_controls(cfg, factor))

@@ -309,14 +309,13 @@ def draw_normal(factor: NoiseFactor, seed: int, n: int,
 
 def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None,
                out: np.ndarray | None = None):
-    """Fields eta, nu (B, r, n_t) and mu (B, r, n_tau) of draws w (B, rank):
-    channel k's are w_k @ a_k^T, with w_k the next p_k columns of w.
+    """Fields eta, nu (r, n_t, B) and mu (r, n_tau, B) of draws w (B, rank):
+    channel k's are a_k @ w_k^T, with w_k the next p_k columns of w.
 
-    The fields are (B, ...) views of ``out`` (r, D, B), which holds them
-    trajectory-last, a new array by default.  Each channel's product is made
-    in ``work``'s "synthesis" (B, D) (a new workspace by default) and copied
-    once, transposed, into ``out``; its "complex draws", a complex copy of w,
-    spare the product a cast copy.
+    The fields are views of ``out`` (r, D, B), a new array by default.  Each
+    channel's product is made in ``work``'s "synthesis" (B, D) (a new
+    workspace by default) and copied once, transposed, into ``out``; its
+    "complex draws", a complex copy of w, spare the product a cast copy.
     """
     work = Workspace() if work is None else work
     wc = work.array("complex draws", w.shape)
@@ -328,7 +327,7 @@ def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None
         np.matmul(wc[:, start:start + a.shape[1]], a.T, out=product)
         z_k[...] = product.T
         start += a.shape[1]
-    return np.split(z.transpose(2, 0, 1), [factor.n_t, 2 * factor.n_t], axis=-1)
+    return np.split(z, [factor.n_t, 2 * factor.n_t], axis=1)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ interpolation, ``interpolate_half_grid``, brings each onto the RK4 stage
 times.  Every array is batched over trajectories; one trajectory is a batch
 of size one.
 
-Inside this module a batch is held trajectory-last, the axis contiguous: a
-state as (d, d, B), the series as (n_t, d, d, B) and the fields as (r, n, B).
+A batch is held trajectory-last, the axis contiguous: a state as (d, d, B),
+the series as (n_t, d, d, B) and the fields as (r, n, B), in and out.
 The RK4 steps run in blocks of BLOCK_INTERVALS grid intervals; once per
 block, the generator of every stage of the block is built as one
 (S, d, d, B) window from contiguous (r, S, B) time slices of the fields, one
@@ -29,10 +29,7 @@ stacked ``@`` on (B, d, d) pays per-matrix overhead.  That is faster up to
 d = 4; from about d = 8 the stacked ``@`` would win.  No number is made by a
 BLAS call (the divergence test's dot products only decide whether the exact
 test runs), so the bits do not depend on BLAS threads, on B or on
-BLOCK_INTERVALS.  The
-public functions take the batch as (B, ...) arrays, which may be views of
-trajectory-last ones (the fastest) or not (the same bits), and return the
-series as a (B, ...) view of its trajectory-last array.
+BLOCK_INTERVALS.
 
 Every array a call makes, from the interpolation and generator windows to the
 RK4 stages and the series, lives in a Workspace (``esln.workspace``) and is
@@ -176,26 +173,36 @@ def _rk4(block_rhs, states, n_intervals, h, work):
     return alive
 
 
+def _check_fields(system, fields, n):
+    """Raise DimensionMismatch unless ``fields`` is (r, n, B), one field of n
+    samples per coupling of ``system``."""
+    if fields.ndim != 3 or fields.shape[:2] != (len(system.couplings), n):
+        raise DimensionMismatch(f"fields must be (r, n, B) with r = {len(system.couplings)} "
+                                f"and n = {n}, not {fields.shape}")
+
+
 def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, *,
                       work: Workspace | None = None):
     """Integrate the imaginary-time quench for a batch.
 
     Parameters
     ----------
-    mu_bar : (B, r, n_tau) complex noise samples on the imaginary grid, one
-        field per coupling of ``system`` (per coupling channel in a run),
-        fastest as a view of an (r, n_tau, B) array.
+    mu_bar : (r, n_tau, B) complex noise samples on the imaginary grid, one
+        field per coupling of ``system`` (per coupling channel in a run);
+        another shape raises DimensionMismatch.
     work : the Workspace of the generators, stages and state (a new one by
-        default); none of its arrays is returned.
+        default).
 
     Returns
     -------
-    rho_end : (B, d, d) unnormalized rho_bar(hbar*beta) (zeroed where diverged).
+    rho_end : (d, d, B) unnormalized rho_bar(hbar*beta) (zeroed where
+        diverged), ``work``'s "state".
     diverged : (B,) bool mask.
     """
     work = Workspace() if work is None else work
     f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
-    d, batch, mu_bar = system.dim, mu_bar.shape[0], mu_bar.transpose(1, 2, 0)
+    _check_fields(system, mu_bar, grids.n_tau)
+    d, batch = system.dim, mu_bar.shape[2]
     windows = work.array("generators", (_stage_window(grids.n_tau - 1), d, d, batch))
     term = work.array("rhs scratch", (d, d, batch))
 
@@ -203,10 +210,10 @@ def equilibrate_batch(system: SystemSpec, mu_bar: np.ndarray, grids: TimeGrids, 
         g = _generators(h0, f_stack, mu_bar, nodes, -hbar, windows, work)
         return lambda j, r, out: _matmul(g[j], r, out, term)
 
-    rho = work.array("state", (1, d, d, batch))
-    rho[0] = np.eye(d)[:, :, None]
-    alive = _rk4(block_rhs, rho, grids.n_tau - 1, grids.dtau, work)
-    return np.ascontiguousarray(rho[0].transpose(2, 0, 1)), ~alive
+    rho = work.array("state", (d, d, batch))
+    rho[...] = np.eye(d)[:, :, None]
+    alive = _rk4(block_rhs, rho[None], grids.n_tau - 1, grids.dtau, work)
+    return rho, ~alive
 
 
 def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
@@ -215,10 +222,10 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
 
     Parameters
     ----------
-    eta, nu : (B, r, n_t) complex noise samples on the real-time grid, one
-        field per coupling of ``system``, spent once made into the (r, n_t, B)
-        fields+-, fastest as views of (r, n_t, B) arrays.
-    rho0 : (B, d, d) initial matrices (any normalization; the flow is linear).
+    eta, nu : (r, n_t, B) complex noise samples on the real-time grid, one
+        field per coupling of ``system``, spent once made into the fields+-.
+    rho0 : (d, d, B) initial matrices (any normalization; the flow is linear).
+        Fields or a rho0 of another shape raise DimensionMismatch.
     work : the Workspace of the series, the fields+-, the generators and the
         stages (a new one by default).
 
@@ -230,19 +237,22 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
 
     Returns
     -------
-    series : (B, n_t, d, d) with series[:, 0] = rho0 (zeroed where diverged),
-        a view of ``work``'s "series", which holds it trajectory-last.
+    series : (n_t, d, d, B) with series[0] = rho0 (zeroed where diverged),
+        ``work``'s "series".
     diverged : (B,) bool mask.
     """
     work = Workspace() if work is None else work
     f_stack, h0, hbar = system.coupling_stack(), system.h0, system.hbar
     if any(dr.amplitudes.size != grids.n_t for dr in system.drive):
         raise DimensionMismatch(f"drive amplitudes must hold n_t = {grids.n_t} samples")
-    d, batch = system.dim, eta.shape[0]
+    _check_fields(system, eta, grids.n_t)
+    d, batch = system.dim, eta.shape[2]
+    if nu.shape != eta.shape or rho0.shape != (d, d, batch):
+        raise DimensionMismatch(f"nu must be eta's {eta.shape} and rho0 ({d}, {d}, {batch}), "
+                                f"not {nu.shape} and {rho0.shape}")
     amps = np.array([dr.amplitudes for dr in system.drive]).reshape(-1, grids.n_t)
     v = np.array([dr.matrix for dr in system.drive]).reshape(-1, d, d)
     h_stage = h0 + np.einsum("ks,kij->sij", interpolate_half_grid(amps, work=work), v)
-    eta, nu = eta.transpose(1, 2, 0), nu.transpose(1, 2, 0)
     c_p, c_m = work.array("fields+-", (2,) + eta.shape)
     np.add(eta, np.multiply(0.5 * hbar, nu, out=c_m), out=c_p)     # eta +- (hbar/2) nu
     np.subtract(eta, c_m, out=c_m)
@@ -261,8 +271,8 @@ def evolve_batch(system: SystemSpec, eta: np.ndarray, nu: np.ndarray,
         return rhs
 
     series = work.array("series", (grids.n_t, d, d, batch))
-    series[0] = rho0.transpose(1, 2, 0)
+    series[0] = rho0
     alive = _rk4(block_rhs, series, grids.n_t - 1, grids.dt, work)
     if not alive.all():
         series[..., ~alive] = 0.0
-    return series.transpose(3, 0, 1, 2), ~alive
+    return series, ~alive

@@ -52,16 +52,17 @@ def small_grids():
     return TimeGrids(t_f=1.0, n_t=9, hbar_beta=1.0, n_tau=6)
 
 
-def halved(grids, *samples):
+def halved(grids, *samples, axis=-1):
     """The grids with every interval halved (2n - 1 points on each axis), then
-    each array of grid samples linearly interpolated onto its refined axis.
+    each array of grid samples linearly interpolated onto its refined axis,
+    ``axis`` (the last by default).
 
     A run on the halved grids takes two RK4 steps per interval of the given
     ones, with the stage values of the same piecewise-linear noise and drive:
     the finer reference for order and consistency checks."""
     fine = TimeGrids(t_f=grids.t_f, n_t=2 * grids.n_t - 1, hbar_beta=grids.hbar_beta,
                      n_tau=2 * grids.n_tau - 1)
-    return (fine, *(interpolate_half_grid(s) for s in samples))
+    return (fine, *(interpolate_half_grid(s, axis=axis) for s in samples))
 
 
 def coth(x):

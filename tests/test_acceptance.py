@@ -117,17 +117,17 @@ def test_criterion_3_gibbs_recovery():
     doc["system"]["couplings"] = [[[0.0, 0.0], [0.0, 0.0]],
                                   [[0.0, 0.0], [0.0, 0.0]]]
     cfg = parse_config(doc)
-    zeros = np.zeros((1, 2, cfg.grids.n_t), complex)
-    rho_end, _ = equilibrate_batch(cfg.system, np.zeros((1, 2, cfg.grids.n_tau), complex),
+    zeros = np.zeros((2, cfg.grids.n_t, 1), complex)
+    rho_end, _ = equilibrate_batch(cfg.system, np.zeros((2, cfg.grids.n_tau, 1), complex),
                                    cfg.grids)
-    rho0 = rho_end / np.trace(rho_end[0])
+    rho0 = rho_end / np.trace(rho_end)
     gibbs = scipy.linalg.expm(-cfg.system.beta * cfg.system.h0)
     gibbs = gibbs / np.trace(gibbs)
-    gibbs_err = np.abs(rho0[0] - gibbs).max()
+    gibbs_err = np.abs(rho0[..., 0] - gibbs).max()
 
     series, _ = evolve_batch(cfg.system, zeros, zeros, cfg.grids, rho0)
     u = scipy.linalg.expm(-1j * cfg.system.h0 * cfg.grids.t_f / cfg.system.hbar)
-    unitary_err = np.abs(series[0, -1] - u @ rho0[0] @ u.conj().T).max()
+    unitary_err = np.abs(series[-1, ..., 0] - u @ rho0[..., 0] @ u.conj().T).max()
     ok = bool(gibbs_err < 1e-8 and unitary_err < 1e-8)
     _report("3 gibbs recovery", ok,
             f"gibbs err = {gibbs_err:.2e}, unitary err = {unitary_err:.2e}")
@@ -198,11 +198,11 @@ def test_criterion_7_integrator_order():
     # the finer runs take the same piecewise-linear noise on halved grids
     grids2, eta2, nu2, mu2 = halved(grids, eta, nu, mu)
     grids4, eta4, nu4, mu4 = halved(grids2, eta2, nu2, mu2)
-    rho_end, _ = equilibrate_batch(cfg.system, mu4[None], grids4)
-    rho0 = rho_end / np.trace(rho_end[0])
+    rho_end, _ = equilibrate_batch(cfg.system, mu4[..., None], grids4)
+    rho0 = rho_end / np.trace(rho_end)
 
     def final(g, e, n):
-        return evolve_batch(cfg.system, e[None], n[None], g, rho0)[0][0, -1]
+        return evolve_batch(cfg.system, e[..., None], n[..., None], g, rho0)[0][-1, ..., 0]
 
     ref = final(grids4, eta4, nu4)
     e1 = np.abs(final(grids, eta, nu) - ref).max()

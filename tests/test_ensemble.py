@@ -90,7 +90,7 @@ class _KilledAt:
 def _first_row_diverges(*evolve_args, **evolve_kwargs):
     """evolve_batch, but the first row of each block diverges."""
     series, diverged = _real_evolve_batch(*evolve_args, **evolve_kwargs)
-    series[0] = np.nan
+    series[..., 0] = np.nan
     diverged[0] = True
     return series, diverged
 
@@ -545,12 +545,12 @@ def test_a_failed_row_counts_against_its_own_block(monkeypatch):
     for phase in ("equilibrate_batch", "evolve_batch"):
         real_phase = getattr(ensemble, phase)
         for leg in (0, 1):
-            # the block's rows are the + legs of its pairs, then their - legs
+            # the block's trajectories are the + legs of its pairs, then their - legs
             bad_row = leg * half + 7
 
             def one_row_diverges(*phase_args, real_phase=real_phase, bad_row=bad_row, **kwargs):
                 out, diverged = real_phase(*phase_args, **kwargs)
-                out[bad_row] = np.nan
+                out[..., bad_row] = np.nan
                 diverged[bad_row] = True
                 return out, diverged
 
@@ -689,15 +689,15 @@ def test_the_second_leg_runs_on_the_negated_noise(monkeypatch):
     monkeypatch.setattr(ensemble, "equilibrate_batch", equilibrate)
     monkeypatch.setattr(ensemble, "evolve_batch", evolve)
     run_ensemble(cfg, pipeline=pipe)
-    assert [len(f) for _, f in fields] == [ensemble.BATCH_SIZE] * 3 + [6] * 3
+    assert [f.shape[-1] for _, f in fields] == [ensemble.BATCH_SIZE] * 3 + [6] * 3
     for _, f in fields:
-        n = len(f) // 2
-        assert np.array_equal(f[n:], -f[:n])
+        n = f.shape[-1] // 2
+        assert np.array_equal(f[..., n:], -f[..., :n])
     for block, n in enumerate((ensemble.BATCH_SIZE // 2, 3)):
         w = draw_normal(pipe.factor, ensemble.derive_seed(3, block), n)
         synthesized = dict(zip(("eta", "nu", "mu"), synthesize(pipe.factor, w)))
         for name, f in fields[3 * block:3 * block + 3]:
-            assert np.array_equal(f[:n], synthesized[name])
+            assert np.array_equal(f[..., :n], synthesized[name])
 
 
 def test_document_counts_add_up_to_the_trajectories_run(monkeypatch):

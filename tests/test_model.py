@@ -163,9 +163,9 @@ def test_non_parallel_couplings_stay_apart_in_first_mode_order():
 # look at H(t) through the real-time evolution.
 
 def _evolve(system, grids, rho0, eta=None):
-    """Real-time series (B, n_t, d, d) under zero nu and the given (or zero) eta."""
+    """Real-time series (n_t, d, d, B) under zero nu and the given (or zero) eta."""
     if eta is None:
-        eta = np.zeros((rho0.shape[0], system.n_sites, grids.n_t), complex)
+        eta = np.zeros((system.n_sites, grids.n_t, rho0.shape[-1]), complex)
     series, diverged = evolve_batch(system, eta, np.zeros_like(eta), grids, rho0)
     assert not diverged.any()
     return series
@@ -178,12 +178,12 @@ def test_hamiltonian_constant_drive():
     c = 0.37
     static = SystemSpec(dim=2, h0=0.5 * SX + c * (SZ + 0.2 * SX), couplings=(0.4 * SZ,),
                         hbar=1.0, beta=1.0)
-    eta = 0.3 * (rng.standard_normal((3, 1, 21)) + 1j * rng.standard_normal((3, 1, 21)))
-    rho0 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    eta = 0.3 * (rng.standard_normal((1, 21, 3)) + 1j * rng.standard_normal((1, 21, 3)))
+    rho0 = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
     # on the grids and on the grids with every interval halved
-    for g, e, amps in ((grids, eta, np.full(21, c)), halved(grids, eta, np.full(21, c))):
+    for g, e in ((grids, eta), halved(grids, eta, axis=1)):
         driven = SystemSpec(dim=2, h0=0.5 * SX, couplings=(0.4 * SZ,), hbar=1.0, beta=1.0,
-                            drive=(Drive(matrix=SZ + 0.2 * SX, amplitudes=amps),))
+                            drive=(Drive(matrix=SZ + 0.2 * SX, amplitudes=np.full(g.n_t, c)),))
         a = _evolve(driven, g, rho0, e)
         b = _evolve(static, g, rho0, e)
         assert np.abs(a - b).max() < 1e-14
@@ -207,7 +207,7 @@ def test_hamiltonian_linear_interpolation_midpoint():
     k3 = f(h / 2, rho + 0.5 * h * k2)
     k4 = f(h, rho + h * k3)
     expected = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.abs(_evolve(system, grids, rho[None])[0, -1] - expected).max() < 1e-14
+    assert np.abs(_evolve(system, grids, rho[..., None])[-1, ..., 0] - expected).max() < 1e-14
 
 
 def test_hamiltonian_hermitian_on_grid():
@@ -221,7 +221,7 @@ def test_hamiltonian_hermitian_on_grid():
     system = SystemSpec(dim=3, h0=h + h.conj().T, couplings=(), hbar=1.0, beta=1.0,
                         drive=(Drive(matrix=v + v.conj().T, amplitudes=amps),))
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    series = _evolve(system, grids, (x @ x.conj().T)[None])[0]
+    series = _evolve(system, grids, (x @ x.conj().T)[..., None])[..., 0]
     assert np.abs(series - np.conj(np.swapaxes(series, 1, 2))).max() < 1e-12
 
 

@@ -313,7 +313,7 @@ def test_factorize_raises_when_residual_bound_missed():
 # sampling
 
 def draw_fields(factor, seed, n):
-    """eta, nu (n, M, n_t) and mu (n, M, n_tau) of n trajectories keyed by seed."""
+    """eta, nu (M, n_t, n) and mu (M, n_tau, n) of n trajectories keyed by seed."""
     return synthesize(factor, draw_normal(factor, seed, n))
 
 
@@ -388,9 +388,9 @@ def test_bundle_shapes(ctx_two_mode):
     cov = build_covariance(ctx_two_mode, grids)
     factor = factorize(cov)
     eta, nu, mu = draw_fields(factor, 5, 3)
-    assert eta.shape == (3, 2, 6)
-    assert nu.shape == (3, 2, 6)
-    assert mu.shape == (3, 2, 4)
+    assert eta.shape == (2, 6, 3)
+    assert nu.shape == (2, 6, 3)
+    assert mu.shape == (2, 4, 3)
 
 
 def test_empirical_covariance_all_blocks(ctx_one_mode):
@@ -476,8 +476,8 @@ def test_draw_normal_matches_sample_chain(ctx_two_mode):
     fields = dict(zip(("eta", "nu", "mu"), draw_fields(factor, seed, 2)))
     for name, arr in fields.items():
         start = cov.field_slice(name).start
-        for b, lam, k in np.ndindex(arr.shape):
-            assert arr[b, lam, k] == z[lam][start + k, b]
+        for lam, k, b in np.ndindex(arr.shape):
+            assert arr[lam, k, b] == z[lam][start + k, b]
 
 
 def test_takagi_factor_does_not_depend_on_blas_threads(tmp_path):

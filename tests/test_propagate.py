@@ -8,6 +8,7 @@ from esln import Drive, SystemSpec, TimeGrids, equilibrate_batch, evolve_batch
 from esln.errors import DimensionMismatch
 from esln import propagate
 from esln.propagate import interpolate_half_grid
+from esln.workspace import Workspace
 
 from conftest import ID2, SX, SZ, halved, spin_system
 
@@ -19,17 +20,18 @@ def grids_for(system, t_f=1.0, n_t=41, n_tau=41):
 
 def quench(system, mu, grids):
     """One trajectory's normalized rho(hbar*beta) and Tr rho_bar(hbar*beta) / d."""
-    rho_end, diverged = equilibrate_batch(system, mu[None], grids)
+    rho_end, diverged = equilibrate_batch(system, mu[..., None], grids)
     assert not diverged[0]
-    tr = np.trace(rho_end[0])
-    return rho_end[0] / tr, tr / system.dim
+    tr = np.trace(rho_end[..., 0])
+    return rho_end[..., 0] / tr, tr / system.dim
 
 
 def evolve_one(system, eta, nu, grids, rho0):
     """One trajectory's real-time series (n_t, d, d) from rho0."""
-    series, diverged = evolve_batch(system, eta[None], nu[None], grids, rho0[None])
+    series, diverged = evolve_batch(system, eta[..., None], nu[..., None], grids,
+                                    rho0[..., None])
     assert not diverged[0]
-    return series[0]
+    return series[..., 0]
 
 
 def _clipped_index_interpolation(samples):
@@ -253,10 +255,9 @@ def test_evolve_linear_in_initial_state():
     rho_a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho_b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     alpha = 0.37 - 0.21j
-    sa, _ = evolve_batch(system, eta[None], nu[None], grids, rho_a[None])
-    sb, _ = evolve_batch(system, eta[None], nu[None], grids, rho_b[None])
-    sc, _ = evolve_batch(system, eta[None], nu[None], grids,
-                         (alpha * rho_a + rho_b)[None])
+    sa = evolve_one(system, eta, nu, grids, rho_a)
+    sb = evolve_one(system, eta, nu, grids, rho_b)
+    sc = evolve_one(system, eta, nu, grids, alpha * rho_a + rho_b)
     assert np.abs(alpha * sa + sb - sc).max() < 1e-12
 
 
@@ -267,12 +268,11 @@ def test_trace_identity_of_generator():
     grids = grids_for(system, t_f=0.8, n_t=801, n_tau=11)
     eta, nu, _ = smooth_noise(grids, scale=0.4)
     rho0 = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]], complex)
-    series, diverged = evolve_batch(system, eta[None], nu[None], grids, rho0[None])
-    assert not diverged[0]
-    traces = np.einsum("tii->t", series[0])
+    series = evolve_one(system, eta, nu, grids, rho0)
+    traces = np.einsum("tii->t", series)
     f = system.couplings[0]
     integrand = np.array([
-        1j * nu[0, k] * np.trace(f @ series[0, k]) for k in range(grids.n_t)])
+        1j * nu[0, k] * np.trace(f @ series[k]) for k in range(grids.n_t)])
     predicted = np.array([
         1.0 + np.trapezoid(integrand[:k + 1], dx=grids.dt) for k in range(grids.n_t)])
     assert np.abs(traces - predicted).max() < 5e-6
@@ -284,18 +284,50 @@ def test_divergence_detected_and_reported():
     grids = grids_for(system, n_tau=21)
     # |mu| ~ 1e6 amplifies every RK4 step by ~(mu dtau)^4/24, overflowing the quench
     mu = np.full((1, grids.n_tau), 1e6, dtype=complex)
-    _, flags = equilibrate_batch(system, mu[None], grids)
+    _, flags = equilibrate_batch(system, mu[..., None], grids)
     assert flags[0]
 
 
 def test_drive_amplitude_count_must_match_grid():
     # drive amplitudes are samples on the real-time grid, one per grid time
     grids = TimeGrids(t_f=1.0, n_t=11, hbar_beta=1.0, n_tau=3)
-    eta = np.zeros((1, 1, grids.n_t), complex)
+    eta = np.zeros((1, grids.n_t, 1), complex)
     for n_amps in (grids.n_t - 1, grids.n_t + 1):
         system = spin_system(drive=(Drive(matrix=SZ, amplitudes=np.ones(n_amps)),))
         with pytest.raises(DimensionMismatch):
-            evolve_batch(system, eta, eta, grids, ID2[None])
+            evolve_batch(system, eta, eta, grids, ID2[..., None])
+
+
+def test_batch_functions_refuse_trajectory_first_fields():
+    # the fields are (r, n, B); a (B, r, n) array is refused, also at B = r,
+    # where only the time axis tells the two layouts apart
+    system = SystemSpec(dim=2, h0=0.5 * SX, couplings=(SZ, 0.6 * SX), hbar=1.0, beta=1.0)
+    grids = grids_for(system, n_t=5, n_tau=4)
+    for b in (system.n_sites, 3):
+        rho0 = np.broadcast_to(ID2[..., None], (2, 2, b))
+        mu = np.zeros((system.n_sites, grids.n_tau, b), complex)
+        eta = np.zeros((system.n_sites, grids.n_t, b), complex)
+        assert not equilibrate_batch(system, mu, grids)[1].any()
+        assert not evolve_batch(system, eta, eta, grids, rho0)[1].any()
+        with pytest.raises(DimensionMismatch):
+            equilibrate_batch(system, mu.transpose(2, 0, 1), grids)
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(system, eta.transpose(2, 0, 1), eta.transpose(2, 0, 1), grids, rho0)
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(system, eta, eta[:, :, :1], grids, rho0)
+
+
+def test_evolve_batch_refuses_a_rho0_of_another_batch_size():
+    # rho0 is (d, d, B) with the fields' B: another B, or the (B, d, d)
+    # trajectory-first stack, is refused
+    system = spin_system()
+    grids = grids_for(system, n_t=5, n_tau=4)
+    eta = np.zeros((1, grids.n_t, 3), complex)
+    for rho0 in (np.broadcast_to(ID2[..., None], (2, 2, 2)),
+                 np.broadcast_to(ID2[..., None], (2, 2, 4)),
+                 np.broadcast_to(ID2, (3, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            evolve_batch(system, eta, eta, grids, rho0)
 
 
 def _random_hermitian(rng, d, scale):
@@ -324,54 +356,79 @@ def test_batch_rows_equal_single_trajectories(d, size):
                         couplings=(_random_hermitian(rng, d, 0.3),
                                    _random_hermitian(rng, d, 0.3)),
                         hbar=0.8, beta=1.2, drive=(drive,))
-    mu = _random_noise(rng, (b, 2, grids.n_tau), 0.3)
-    eta = _random_noise(rng, (b, 2, grids.n_t), 0.3)
-    nu = _random_noise(rng, (b, 2, grids.n_t), 0.3)
+    mu = _random_noise(rng, (2, grids.n_tau, b), 0.3)
+    eta = _random_noise(rng, (2, grids.n_t, b), 0.3)
+    nu = _random_noise(rng, (2, grids.n_t, b), 0.3)
     # two steps per interval, as a finer reference run takes them
-    grids, mu, eta, nu, amps = halved(grids, mu, eta, nu, drive.amplitudes)
+    amps = interpolate_half_grid(drive.amplitudes)
+    grids, mu, eta, nu = halved(grids, mu, eta, nu, axis=1)
     system = replace(system, drive=(replace(drive, amplitudes=amps),))
-    rho_end, div_imag = equilibrate_batch(system, mu, grids)
-    series, div_real = evolve_batch(system, eta, nu, grids, rho_end)
-    assert rho_end.shape == (b, d, d) and series.shape == (b, grids.n_t, d, d)
+    # the results are the workspace's "state" and "series", not copies, and
+    # the state lasts through the real-time run
+    work = Workspace()
+    rho_end, div_imag = equilibrate_batch(system, mu, grids, work=work)
+    series, div_real = evolve_batch(system, eta, nu, grids, rho_end, work=work)
+    assert np.shares_memory(rho_end, work.array("state", rho_end.shape))
+    assert np.shares_memory(series, work.array("series", series.shape))
+    assert rho_end.shape == (d, d, b) and series.shape == (grids.n_t, d, d, b)
     assert not div_imag.any() and not div_real.any()
     for k in range(b):
-        one_end, _ = equilibrate_batch(system, mu[k:k + 1], grids)
-        one_series, _ = evolve_batch(system, eta[k:k + 1], nu[k:k + 1], grids, one_end)
-        _assert_rows_close(rho_end[k], one_end[0])
-        _assert_rows_close(series[k], one_series[0])
+        one_end, _ = equilibrate_batch(system, mu[..., k:k + 1], grids)
+        one_series, _ = evolve_batch(system, eta[..., k:k + 1], nu[..., k:k + 1], grids,
+                                     one_end)
+        _assert_rows_close(rho_end[..., k], one_end[..., 0])
+        _assert_rows_close(series[..., k], one_series[..., 0])
+
+
+def _mixed_batch_systems():
+    """A spin, and a driven d = 3 system of two channels in which entry (0, 2)
+    has no coupling (a plain fill), (0, 1) only the second's and (0, 0) only
+    the first's; each with its grids."""
+    rng = np.random.default_rng(12)
+    spin = spin_system()
+    yield spin, grids_for(spin, n_t=41, n_tau=21)
+    grids = TimeGrids(t_f=1.5, n_t=41, hbar_beta=0.8 * 1.2, n_tau=21)
+    first = np.diag([0.3, -0.2, 0.0])
+    second = np.zeros((3, 3))
+    second[0, 1] = second[1, 0] = 0.25
+    second[1, 1] = 0.1
+    drive = Drive(matrix=_random_hermitian(rng, 3, 0.4), amplitudes=np.sin(3.0 * grids.t))
+    yield SystemSpec(dim=3, h0=_random_hermitian(rng, 3, 0.5), couplings=(first, second),
+                     hbar=0.8, beta=1.2, drive=(drive,)), grids
 
 
 def test_divergence_in_mixed_batch_zeroes_only_its_row():
-    system = spin_system()
-    grids = grids_for(system, n_t=41, n_tau=21)
-    rng = np.random.default_rng(5)
-    mu = _random_noise(rng, (3, 1, grids.n_tau), 0.3)
-    eta = _random_noise(rng, (3, 1, grids.n_t), 0.3)
-    nu = _random_noise(rng, (3, 1, grids.n_t), 0.3)
-    outer = [0, 2]
-    rho0 = np.broadcast_to(ID2, (3, 2, 2))
+    for system, grids in _mixed_batch_systems():
+        rng = np.random.default_rng(5)
+        r, d = system.n_sites, system.dim
+        mu = _random_noise(rng, (r, grids.n_tau, 3), 0.3)
+        eta = _random_noise(rng, (r, grids.n_t, 3), 0.3)
+        nu = _random_noise(rng, (r, grids.n_t, 3), 0.3)
+        outer = [0, 2]
+        rho0 = np.broadcast_to(np.eye(d)[..., None], (d, d, 3))
 
-    # imaginary time: a 1e6 noise overflows the middle quench within a few steps
-    loud = mu.copy()
-    loud[1] = 1e6
-    rho_end, flags = equilibrate_batch(system, loud, grids)
-    assert flags.tolist() == [False, True, False]
-    assert not rho_end[1].any()
-    pair, pair_flags = equilibrate_batch(system, mu[outer], grids)
-    assert not pair_flags.any()
-    for row, k in zip(pair, outer):
-        _assert_rows_close(rho_end[k], row)
+        # imaginary time: a 1e6 noise overflows the middle quench within a few steps
+        loud = mu.copy()
+        loud[..., 1] = 1e6
+        rho_end, flags = equilibrate_batch(system, loud, grids)
+        assert flags.tolist() == [False, True, False]
+        assert not rho_end[..., 1].any()
+        pair, pair_flags = equilibrate_batch(system, mu[..., outer], grids)
+        assert not pair_flags.any()
+        for j, k in enumerate(outer):
+            _assert_rows_close(rho_end[..., k], pair[..., j])
 
-    # real time: the same for a 1e6 eta, and the whole middle series is zero
-    loud = eta.copy()
-    loud[1] = 1e6
-    series, flags = evolve_batch(system, loud, nu, grids, rho0)
-    assert flags.tolist() == [False, True, False]
-    assert not series[1].any()
-    pair, pair_flags = evolve_batch(system, eta[outer], nu[outer], grids, rho0[outer])
-    assert not pair_flags.any()
-    for row, k in zip(pair, outer):
-        _assert_rows_close(series[k], row)
+        # real time: the same for a 1e6 eta, and the whole middle series is zero
+        loud = eta.copy()
+        loud[..., 1] = 1e6
+        series, flags = evolve_batch(system, loud, nu, grids, rho0)
+        assert flags.tolist() == [False, True, False]
+        assert not series[..., 1].any()
+        pair, pair_flags = evolve_batch(system, eta[..., outer], nu[..., outer], grids,
+                                        rho0[..., outer])
+        assert not pair_flags.any()
+        for j, k in enumerate(outer):
+            _assert_rows_close(series[..., k], pair[..., j])
 
 
 def test_block_intervals_never_change_bits(monkeypatch):
@@ -385,9 +442,9 @@ def test_block_intervals_never_change_bits(monkeypatch):
                         couplings=(_random_hermitian(rng, 2, 0.3),
                                    _random_hermitian(rng, 2, 0.3)),
                         hbar=0.8, beta=1.2, drive=(drive,))
-    mu, eta, nu = (_random_noise(rng, (5, 2, n), 0.3)
+    mu, eta, nu = (_random_noise(rng, (2, n, 5), 0.3)
                    for n in (grids.n_tau, grids.n_t, grids.n_t))
-    mu[2] = 1e6                     # one quench diverges, so the masks are tested too
+    mu[..., 2] = 1e6                # one quench diverges, so the masks are tested too
     runs = []
     for block in (1, 7, 32, 10_000):
         monkeypatch.setattr(propagate, "BLOCK_INTERVALS", block)
@@ -400,49 +457,17 @@ def test_block_intervals_never_change_bits(monkeypatch):
             assert np.array_equal(got, want)
 
 
-def test_trajectory_last_views_give_the_bits_of_trajectory_first_arrays():
-    # a run hands the batch functions (B, r, n) views of trajectory-last
-    # (r, n, B) fields; trajectory-first arrays of the same samples give the
-    # same states, series and masks, bit for bit.  Two channels and a drive:
-    # at d = 3 entry (0, 2) has no coupling (a plain fill), (0, 1) only the
-    # second's, (0, 0) only the first's; one row of each phase diverges
-    rng = np.random.default_rng(12)
-    grids = TimeGrids(t_f=1.5, n_t=41, hbar_beta=0.8 * 1.2, n_tau=21)
-    first = np.diag([0.3, -0.2, 0.0])
-    second = np.zeros((3, 3))
-    second[0, 1] = second[1, 0] = 0.25
-    second[1, 1] = 0.1
-    drive = Drive(matrix=_random_hermitian(rng, 3, 0.4), amplitudes=np.sin(3.0 * grids.t))
-    system = SystemSpec(dim=3, h0=_random_hermitian(rng, 3, 0.5), couplings=(first, second),
-                        hbar=0.8, beta=1.2, drive=(drive,))
-    mu, eta, nu = (_random_noise(rng, (6, 2, n), 0.3)
-                   for n in (grids.n_tau, grids.n_t, grids.n_t))
-    mu[2] = 1e6
-    eta[4] = 1e6
-    last = [np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1) for x in (mu, eta, nu)]
-    assert all(x.base.flags.c_contiguous and x.strides[0] == 16 for x in last)
-    runs = []
-    for mu_b, eta_b, nu_b in ((mu, eta, nu), last):
-        rho_end, div_imag = equilibrate_batch(system, mu_b, grids)
-        series, div_real = evolve_batch(system, eta_b, nu_b, grids, rho_end)
-        runs.append((rho_end, div_imag, series, div_real))
-    assert runs[0][1].tolist() == [False, False, True, False, False, False]
-    assert runs[0][3].tolist() == [False, False, False, False, True, False]
-    for got, want in zip(*runs):
-        assert np.array_equal(got, want)
-
-
 def test_work_and_stages_are_keyword_only():
     # a step count passed by position, as an older signature took one, binds
     # to neither ``work`` nor ``nodes``
     system = spin_system()
     grids = grids_for(system, n_t=5, n_tau=5)
-    mu = np.zeros((1, 1, grids.n_tau), complex)
-    eta = np.zeros((1, 1, grids.n_t), complex)
+    mu = np.zeros((1, grids.n_tau, 1), complex)
+    eta = np.zeros((1, grids.n_t, 1), complex)
     with pytest.raises(TypeError):
         equilibrate_batch(system, mu, grids, 2)
     with pytest.raises(TypeError):
-        evolve_batch(system, eta, eta, grids, ID2[None], 2)
+        evolve_batch(system, eta, eta, grids, ID2[..., None], 2)
     with pytest.raises(TypeError):
         interpolate_half_grid(eta, 2)
 
@@ -454,21 +479,21 @@ def test_divergence_in_a_later_block_zeroes_only_its_row():
     n_block = propagate.BLOCK_INTERVALS
     grids = grids_for(system, t_f=2.0, n_t=2 * n_block + 17, n_tau=11)
     rng = np.random.default_rng(8)
-    eta = _random_noise(rng, (3, 1, grids.n_t), 0.3)
-    nu = _random_noise(rng, (3, 1, grids.n_t), 0.3)
-    rho0 = np.broadcast_to(ID2, (3, 2, 2))
+    eta = _random_noise(rng, (1, grids.n_t, 3), 0.3)
+    nu = _random_noise(rng, (1, grids.n_t, 3), 0.3)
+    rho0 = np.broadcast_to(ID2[..., None], (2, 2, 3))
     loud = eta.copy()
-    loud[1, :, n_block + 1:] = 1e6
+    loud[:, n_block + 1:, 1] = 1e6
 
     first = TimeGrids(t_f=grids.t[n_block], n_t=n_block + 1, hbar_beta=grids.hbar_beta,
                       n_tau=grids.n_tau)
-    _, flags = evolve_batch(system, loud[..., :n_block + 1], nu[..., :n_block + 1], first,
-                            rho0)
+    _, flags = evolve_batch(system, loud[:, :n_block + 1], nu[:, :n_block + 1], first, rho0)
     assert not flags.any()
     series, flags = evolve_batch(system, loud, nu, grids, rho0)
     assert flags.tolist() == [False, True, False]
-    assert not series[1].any()
+    assert not series[..., 1].any()
     outer = [0, 2]
-    pair, pair_flags = evolve_batch(system, eta[outer], nu[outer], grids, rho0[outer])
+    pair, pair_flags = evolve_batch(system, eta[..., outer], nu[..., outer], grids,
+                                    rho0[..., outer])
     assert not pair_flags.any()
-    assert np.array_equal(series[outer], pair)
+    assert np.array_equal(series[..., outer], pair)
