@@ -36,9 +36,8 @@ over the block reads contiguous rows of trajectories.  It then copies the
 pair means into one row per pair, which ends in the controls of the largest
 tier the run's pairs can reach, and takes the (mean, M2) of the rows' real
 view in two passes, and the co-moments of the controls with the series, the
-z-factor and the controls by a matrix product in tiles that run on the
-calling thread (the report's residuals, real-linear in the series, take
-theirs from the series' after the fold);
+z-factor and the controls by one matrix product (the report's residuals,
+real-linear in the series, take theirs from the series' after the fold);
 block partials are then folded in block order with Chan's merge, whose
 co-moment terms are added PENDING_MERGES at a time, and the calling process
 solves for beta once, after the fold.  All of it depends only
@@ -46,6 +45,10 @@ on block indices and on the completed pair count, so results are
 bit-identical for any worker count, and a checkpoint taken between blocks
 resumes to the same bits.
 
+Every process that runs blocks, merges or estimates does so on one BLAS
+thread (_one_blas_thread), so no matrix product rounds by the machine's core
+count and no idle BLAS thread spins on a core; only the pipeline's set-up,
+whose Takagi factor is most of it, keeps the caller's BLAS threads.
 One worker runs the blocks on the calling thread.  More run them on that
 many spawned processes, each sent the config, the system and the noise factor
 once, which write each block's partial to a file; the calling process only
@@ -59,7 +62,9 @@ arithmetic in the same order.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import hashlib
 import itertools
 import json
@@ -74,6 +79,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -91,25 +97,19 @@ from .workspace import Workspace
 BATCH_SIZE = 512            # trajectories per block, the one unit of work
 # The arrays of a block that share memory, by the names their functions give
 # them (Workspace): each uses the memory of an array spent before it is made.
-# The complex draws and each channel's synthesis product are spent once the
-# fields are synthesized, the fields once made into the fields+-, the
-# generators and the fields+- once the series is complete, the series once
-# the rows hold it, and the pair means before the co-moments are made; these
-# last until the block is folded or sent, before the next block runs.  A
-# block's resident set then stays below the set-up peak of in-process runs.
-BLOCK_SHARED_MEMORY = {"complex draws": "generators", "synthesis": "fields+-",
-                       "fields": "series", "pair means": "fields+-", "rows": "generators",
-                       "deviations": "series", "co-moments": "fields+-"}
+# Each channel's synthesis product is spent once its fields are copied out,
+# the fields once made into the fields+-, the generators and the fields+- once
+# the series is complete, the series once the rows hold it, and the pair means
+# before the co-moments are made; these last until the block is folded or
+# sent, before the next block runs.  A block's resident set then stays below
+# the set-up peak of in-process runs.
+BLOCK_SHARED_MEMORY = {"synthesis": "fields+-", "fields": "series", "pair means": "fields+-",
+                       "rows": "generators", "deviations": "series", "co-moments": "fields+-"}
 FAILURE_FRACTION = 0.01
 INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectories is inconclusive
 CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the quadratic controls
 QUARTIC_COLUMNS = (4, 6)    # K_4 of each quartic tier: the first K_4 of those draws by norm
 PAIRS_PER_CONTROL = 20      # a tier of controls applies from 20 completed pairs per control on
-# Multiply-adds of one slice of a product (_product): OpenBLAS runs a
-# product this small on the calling thread.  In a pool with a worker on every
-# core, a product spread over helper threads waits for the scheduler to free a
-# core for them; on `driven` at --workers 2 that cost a quarter of the run.
-ONE_THREAD_PRODUCT = 4 * 65536
 CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
 PENDING_MERGES = 16         # merges whose co-moment terms are added in one product
 DOCUMENT_SCHEMA = "esln-result/4"
@@ -193,7 +193,7 @@ class _Stats:
         if not self.pending:
             return self
         rows, (p, m) = np.array(self.pending), self.cross.shape
-        cross = self.cross + _product(rows[:, rows.shape[1] - p:].T, rows[:, rows.shape[1] - m:])
+        cross = self.cross + rows[:, rows.shape[1] - p:].T @ rows[:, rows.shape[1] - m:]
         _symmetrize(cross, p)
         return replace(self, cross=cross, pending=())
 
@@ -229,9 +229,8 @@ def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 
     The mean is taken relative to the first row, so identical rows give a mean
     equal to that row and an M2 of exactly 0.  The sum is scaled by 1 / k, as
     numpy's complex mean does, so a complex array's real view keeps its bits.
-    The co-moments are a matrix product of the deviations, made in tiles of
-    ONE_THREAD_PRODUCT multiply-adds at most (_product), and their control
-    block is made symmetric from its upper triangle.  The
+    The co-moments are one matrix product of the deviations, and their
+    control block is made symmetric from its upper triangle.  The
     deviations are ``work``'s "deviations" and the co-moments its
     "co-moments" (a new workspace by default).
     """
@@ -244,45 +243,9 @@ def _pairwise_stats(values: np.ndarray, work: Workspace | None = None, p: int = 
     np.subtract(values, mean, out=dev)
     flat = dev.reshape(k, width)
     cross = work.array("co-moments", (p, width - first), float)
-    _product(flat[:, width - p:].T, flat[:, first:], cross)
+    np.matmul(flat[:, width - p:].T, flat[:, first:], out=cross)
     _symmetrize(cross, p)
     return _Stats(k, mean, np.square(dev, out=dev).sum(axis=0), cross)
-
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, into ``out`` if given, in near-square tiles of ONE_THREAD_PRODUCT
-    multiply-adds at most (one row and one column at least): 32 x 32 of a
-    block's co-moments of 256 pairs.  A tile side of 8 or more is cut to a
-    multiple of 8: a BLAS kernel that works through the rows and the columns
-    at most 8 at a time (OpenBLAS on Haswell: 4 rows, 8 columns) then rounds
-    each entry as in one product of all of them, wherever it stands."""
-    def cut(side):
-        return max(side - side % 8 if side >= 8 else side, 1)
-
-    out = np.empty((a.shape[0], b.shape[1])) if out is None else out
-    budget = ONE_THREAD_PRODUCT // max(a.shape[1], 1)       # rows x columns of a tile
-    rows = max(min(cut(math.isqrt(budget)), a.shape[0]), 1)
-    cols = cut(budget // rows)
-    for i, j in itertools.product(range(0, a.shape[0], rows), range(0, b.shape[1], cols)):
-        np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
-    return out
-
-
-def _solve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """c^-1 x for a symmetric positive definite c, on the calling thread.
-
-    LAPACK factors a matrix of 100 rows or more on BLAS threads, which spin
-    for about 0.1 s of CPU after each call.  A larger c has its first half of
-    rows eliminated first: each factor has fewer than 100 rows, and the
-    Schur complement c_22 - c_21 c_11^-1 c_12 is positive definite too.
-    """
-    if len(c) < 100:
-        return np.linalg.solve(c, x)
-    k = len(c) // 2
-    first = np.linalg.solve(c[:k, :k], np.hstack([c[:k, k:], x[:k]]))
-    c_12, x_1 = first[:, :len(c) - k], first[:, len(c) - k:]
-    x_2 = _solve(c[k:, k:] - _product(c[k:, :k], c_12), x[k:] - _product(c[k:, :k], x_1))
-    return np.vstack([x_1 - _product(c_12, x_2), x_2])
 
 
 def _estimate(acc: _Stats, p: int) -> tuple:
@@ -290,8 +253,7 @@ def _estimate(acc: _Stats, p: int) -> tuple:
     the last p of the controls q, whose noise average is 0.
 
     beta = C_qq^-1 C_qy, the mean is y_bar - beta^T q_bar, and the residual M2
-    is M2 - beta^T C_qy, clamped at 0.  C_qq^-1 is made and applied on the
-    calling thread (_solve, _product).  The standard error is that of the
+    is M2 - beta^T C_qy, clamped at 0.  The standard error is that of the
     least-squares intercept, sqrt(M2_res / (n - p - 1) * (1 / n + q_bar^T
     C_qq^-1 q_bar)).  With p = 0 this is the plain fold: the mean's bits are
     y_bar's, and the standard error is sqrt(M2 / (n - 1) / n).
@@ -300,8 +262,8 @@ def _estimate(acc: _Stats, p: int) -> tuple:
     n, cross = acc.n, acc.cross[len(acc.cross) - p:]
     q = slice(acc.mean.size - p, None)
     c_qq, q_bar = cross[:, q], acc.mean[q]
-    inverse = _solve(c_qq, np.eye(p))
-    beta = _product(inverse, cross)
+    inverse = np.linalg.solve(c_qq, np.eye(p))
+    beta = inverse @ cross
     m2 = np.maximum(acc.m2 - np.einsum("ij,ij->j", beta, cross), 0.0)
     leverage = 1.0 / n + np.einsum("i,ij,j", q_bar, inverse, q_bar)
     return acc.mean - np.einsum("i,ij->j", q_bar, beta), np.sqrt(m2 * (leverage / (n - p - 1)))
@@ -484,8 +446,9 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
                            2 * s_cols.start)
 
 
-# the arguments every block of a pooled run shares, then its Workspace and the
-# directory its results go to, set once in each worker process
+# the arguments every block of a pooled run shares, then its Workspace, the
+# directory its results go to and the process's _one_blas_thread, entered for
+# its lifetime, set once in each worker process
 _worker_args: tuple = ()
 
 
@@ -499,8 +462,11 @@ def _exit_with_parent():
 def _init_worker(path: str):
     global _worker_args
     threading.Thread(target=_exit_with_parent, daemon=True).start()
+    one_thread = _one_blas_thread()
+    one_thread.__enter__()
     with open(path, "rb") as fh:
-        _worker_args = pickle.load(fh) + (Workspace(BLOCK_SHARED_MEMORY), os.path.dirname(path))
+        _worker_args = pickle.load(fh) + (Workspace(BLOCK_SHARED_MEMORY), os.path.dirname(path),
+                                          one_thread)
 
 
 def _worker_block(block: int) -> str:
@@ -508,7 +474,7 @@ def _worker_block(block: int) -> str:
     whose path it returns.  Sent back down the pool's pipe, a result of a
     megabyte crosses in pieces of the pipe buffer, and the calling process
     spends twice the time of a file read on them."""
-    run_batch, system, factor, cfg, work, directory = _worker_args
+    run_batch, system, factor, cfg, work, directory, _ = _worker_args
     path = os.path.join(directory, f"block-{block}.pickle")
     with open(path, "wb") as fh:
         pickle.dump(run_batch(system, factor, cfg, block, work), fh,
@@ -523,25 +489,52 @@ def _read_block(path: str) -> _Stats:
     return out
 
 
-@contextmanager
-def _blas_threads_sleep_at_once():
-    """OPENBLAS_THREAD_TIMEOUT=4 in os.environ for the block, then the caller's value.
+@functools.cache
+def _blas_threads_api():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    found through ctypes, or None where there is none."""
+    for path in glob.glob(str(Path(np.__file__).resolve().parent.parent / "numpy.libs"
+                              / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None)
+                     for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
 
-    Workers keep the caller's BLAS thread count: with one BLAS thread the noise
-    synthesis rounds differently, so a pooled run would change bits.  The
-    shortest timeout (2**4 cycles, against 2**28, about 0.1 s) makes OpenBLAS's
-    helper threads sleep right after each call instead of spinning on the
-    cores the other workers need.
+
+_one_thread_lock = threading.Lock()
+_one_thread_users = 0       # the uses of _one_blas_thread open in this process
+_threads_before = 0         # the thread count the last of them to close restores
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread for the block, then on the count it had.
+
+    A product spread over OpenBLAS's threads rounds by where they split it,
+    so by the core count, and each helper thread spins for about 0.1 s of
+    CPU after a call, about the length of a block.  Nested and concurrent
+    uses in one process share one count under a lock: the first sets 1 and
+    the last to leave restores it.  Where no thread API is found
+    (_blas_threads_api) this does nothing.
     """
-    saved = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
-    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    global _one_thread_users, _threads_before
+    get, set_ = _blas_threads_api() or (lambda: 0, lambda threads: None)
+    with _one_thread_lock:
+        if _one_thread_users == 0:
+            _threads_before = get()
+            set_(1)
+        _one_thread_users += 1
     try:
         yield
     finally:
-        if saved is None:
-            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-        else:
-            os.environ["OPENBLAS_THREAD_TIMEOUT"] = saved
+        with _one_thread_lock:
+            _one_thread_users -= 1
+            if _one_thread_users == 0:
+                set_(_threads_before)
 
 
 @contextmanager
@@ -550,8 +543,8 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range, wor
 
     One worker runs the blocks on the calling thread.  More run them on
     min(workers, len(blocks)) spawned processes (spawned, not forked, since
-    this process may already run BLAS threads), whose BLAS threads sleep
-    between calls.  Each reads what ``run_batch`` reads, once, from a file,
+    this process may already run BLAS threads), each on one BLAS thread for
+    its lifetime.  Each reads what ``run_batch`` reads, once, from a file,
     and writes each result to a file that this process reads and removes.
     Each process running blocks makes one Workspace for all of them, and it
     is dropped when the run ends.
@@ -575,9 +568,7 @@ def _batch_results(run_batch, pipe: Pipeline, cfg: RunConfig, blocks: range, wor
                                    mp_context=multiprocessing.get_context("spawn"),
                                    initializer=_init_worker, initargs=(args_path,))
         try:
-            with _blas_threads_sleep_at_once():     # the workers start inside map's submits
-                outs = pool.map(_worker_block, blocks)
-            yield map(_read_block, outs)
+            yield map(_read_block, pool.map(_worker_block, blocks))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -845,9 +836,12 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
     Deterministic in the config: the noise keys, the reduction and the merge
     order are functions of block indices alone (a block is BATCH_SIZE
     trajectories, the last one possibly fewer), so the worker count (at
-    least 1) cannot change any output bit.  ``workers`` = 1 runs the blocks
+    least 1) cannot change any output bit.  Once the pipeline is built, the
+    blocks, the merges and the estimate run on one BLAS thread in every
+    process (_one_blas_thread), so neither can the core count; only the
+    Takagi factor of the set-up rounds by it.  ``workers`` = 1 runs the blocks
     on the calling thread; more run them on min(workers, blocks left)
-    spawned worker processes, which take about 0.5 s to start.  Each worker
+    spawned worker processes, which take about 0.3 s to start.  Each worker
     imports the caller's main module, so a script that calls this needs an
     ``if __name__ == "__main__":`` guard.  A worker that dies raises
     WorkerLost, naming the first block not merged.  A ``pipeline`` built from
@@ -867,67 +861,68 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         raise ValidationError("workers", "must be >= 1")
     pipe = pipeline if pipeline is not None and _built_for(pipeline, cfg) \
         else build_pipeline(cfg)
-    cfg_echo = {key: val for key, val in emit_config(cfg).items() if key in ECHOED_SECTIONS}
-    layout = _layout(pipe) if checkpoint_path else None
-    n_run = _trajectories(cfg.n_traj)
-    n_batches = -(-n_run // BATCH_SIZE)
-    tiers = _hermite_products(len(_control_columns(pipe.factor)))[1]
-    parts = _row_layout(cfg.grids.n_t, cfg.system.dim, _run_controls(cfg, pipe.factor))
-    _, (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = parts
-    width = c_cols.stop
-    acc = _Stats.empty((2 * width,), p, 2 * (width - s_cols.start))
-    start_batch = 0
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width,
-                                            acc.cross.shape)
+    with _one_blas_thread():
+        cfg_echo = {key: val for key, val in emit_config(cfg).items() if key in ECHOED_SECTIONS}
+        layout = _layout(pipe) if checkpoint_path else None
+        n_run = _trajectories(cfg.n_traj)
+        n_batches = -(-n_run // BATCH_SIZE)
+        tiers = _hermite_products(len(_control_columns(pipe.factor)))[1]
+        parts = _row_layout(cfg.grids.n_t, cfg.system.dim, _run_controls(cfg, pipe.factor))
+        _, (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = parts
+        width = c_cols.stop
+        acc = _Stats.empty((2 * width,), p, 2 * (width - s_cols.start))
+        start_batch = 0
+        if checkpoint_path and os.path.exists(checkpoint_path):
+            start_batch, acc = _read_checkpoint(checkpoint_path, cfg_echo, layout, n_run, width,
+                                                acc.cross.shape)
 
-    # _run_batch is looked up now, so a replacement set on the module reaches
-    # the workers too
-    done_batches = start_batch
-    try:
-        with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
-                            workers) as outs:
-            for out in outs:
-                acc = acc.merge(out)
-                done_batches += 1
-                if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
-                                        or done_batches == n_batches):
-                    _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc,
-                                      n_run)
-    except BrokenProcessPool as exc:
-        raise WorkerLost(f"a worker process died; batch {done_batches} and later "
-                         f"were not merged") from exc
+        # _run_batch is looked up now, so a replacement set on the module reaches
+        # the workers too
+        done_batches = start_batch
+        try:
+            with _batch_results(_run_batch, pipe, cfg, range(start_batch, n_batches),
+                                workers) as outs:
+                for out in outs:
+                    acc = acc.merge(out)
+                    done_batches += 1
+                    if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
+                                            or done_batches == n_batches):
+                        _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc,
+                                          n_run)
+        except BrokenProcessPool as exc:
+            raise WorkerLost(f"a worker process died; batch {done_batches} and later "
+                             f"were not merged") from exc
 
-    n_failed = _n_failed(acc, done_batches, n_run)
-    if n_failed > FAILURE_FRACTION * n_run:
-        raise TooManyFailures(
-            f"{n_failed} of {n_run} trajectories diverged "
-            f"(> {FAILURE_FRACTION:.0%})")
-    if acc.n < 2:
-        raise TooManyFailures("fewer than two pairs of trajectories completed")
-    _check_finite(acc, parts)
+        n_failed = _n_failed(acc, done_batches, n_run)
+        if n_failed > FAILURE_FRACTION * n_run:
+            raise TooManyFailures(
+                f"{n_failed} of {n_run} trajectories diverged "
+                f"(> {FAILURE_FRACTION:.0%})")
+        if acc.n < 2:
+            raise TooManyFailures("fewer than two pairs of trajectories completed")
+        _check_finite(acc, parts)
 
-    n_controls = max(t for t in tiers if acc.n >= PAIRS_PER_CONTROL * t)
-    acc = _widened(acc, parts, n_controls)
-    mean, se = _estimate(acc, n_controls)
-    mean, se = mean.view(complex), se.reshape(width, 2)
-    series = mean[s_cols].reshape(s_shape)
-    scale = 1.0 / np.trace(series[0])
-    mean_rho = series * scale
-    se_re, se_im = _ratio_errors(se, mean_rho, scale, parts)
-    worst_tf = np.hypot(se_re, se_im)[-1].max()
-    plain_tf = np.hypot(*_ratio_errors(_estimate(acc, 0)[1].reshape(width, 2), mean_rho, scale,
-                                       parts))[-1].max()
-    residual_mean, residual_se = (_report_residuals(a.reshape(width, 2), parts) * abs(scale)
-                                  for a in (mean.view(float), se))
-    return EnsembleResult(
-        times=cfg.grids.t, mean_rho=mean_rho, se_re=se_re, se_im=se_im,
-        n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
-        master_seed=cfg.master_seed, z_factor_mean=complex(mean[z_cols.start]),
-        z_factor_se=float(np.hypot(*se[z_cols.start])),
-        residual_mean=residual_mean, residual_se=residual_se, n_controls=n_controls,
-        variance_removed_tf=float(1.0 - (worst_tf / plain_tf) ** 2) if plain_tf else 0.0,
-        config_echo=cfg_echo)
+        n_controls = max(t for t in tiers if acc.n >= PAIRS_PER_CONTROL * t)
+        acc = _widened(acc, parts, n_controls)
+        mean, se = _estimate(acc, n_controls)
+        mean, se = mean.view(complex), se.reshape(width, 2)
+        series = mean[s_cols].reshape(s_shape)
+        scale = 1.0 / np.trace(series[0])
+        mean_rho = series * scale
+        se_re, se_im = _ratio_errors(se, mean_rho, scale, parts)
+        worst_tf = np.hypot(se_re, se_im)[-1].max()
+        plain_tf = np.hypot(*_ratio_errors(_estimate(acc, 0)[1].reshape(width, 2), mean_rho, scale,
+                                           parts))[-1].max()
+        residual_mean, residual_se = (_report_residuals(a.reshape(width, 2), parts) * abs(scale)
+                                      for a in (mean.view(float), se))
+        return EnsembleResult(
+            times=cfg.grids.t, mean_rho=mean_rho, se_re=se_re, se_im=se_im,
+            n_traj=n_run, n_ok=2 * acc.n, n_failed=n_failed,
+            master_seed=cfg.master_seed, z_factor_mean=complex(mean[z_cols.start]),
+            z_factor_se=float(np.hypot(*se[z_cols.start])),
+            residual_mean=residual_mean, residual_se=residual_se, n_controls=n_controls,
+            variance_removed_tf=float(1.0 - (worst_tf / plain_tf) ** 2) if plain_tf else 0.0,
+            config_echo=cfg_echo)
 
 
 # ---------------------------------------------------------------------------

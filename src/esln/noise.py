@@ -210,9 +210,11 @@ def build_covariance(ctx: KernelContext, grids: TimeGrids, dim_cap: int = DEFAUL
 @dataclass(frozen=True)
 class NoiseFactor:
     """Per-channel factors a[k] with a[k] @ a[k].T ~= sigma[k], plus the
-    grid layout needed to unpack draws.  Ranks may differ between channels."""
+    grid layout needed to unpack draws.  Ranks may differ between channels.
+    Each a[k] is Fortran-ordered, so that a[k].T.view(float) is the (p_k, 2D)
+    real operand of the synthesis without a copy."""
 
-    a: tuple                # r arrays of shape (D, p_k)
+    a: tuple                # r Fortran-ordered arrays of shape (D, p_k)
     norms: tuple            # r arrays (p_k,): column norms of the balanced a~ = b a
     n_t: int
     n_tau: int
@@ -266,7 +268,8 @@ def takagi(sym: np.ndarray):
 
 def factorize(cov: NoiseCovariance) -> NoiseFactor:
     """Factor each channel's balanced b sigma b = a~ a~^T by Takagi, truncating
-    singular values below 1e-12 * max; return a = a~ / b and a~'s column norms.
+    singular values below 1e-12 * max; return a = a~ / b, built in Fortran
+    order, and a~'s column norms.
 
     Raises FactorizationFailure when a channel's a~ misses the residual bound
     ``FACTOR_REL_TOL * max|b sigma b|`` of that channel.
@@ -275,7 +278,7 @@ def factorize(cov: NoiseCovariance) -> NoiseFactor:
     for k, sigma in enumerate(cov.sigma):
         s, u = takagi(sigma)
         keep = s > SV_TRUNCATION * s.max(initial=0.0)
-        a = u[:, keep] * np.sqrt(s[keep])[None, :]
+        a = np.multiply(u[:, keep], np.sqrt(s[keep])[None, :], order="F")
         scale = np.abs(sigma).max(initial=0.0)
         residual = np.abs(a @ a.T - sigma).max(initial=0.0)
         if residual > FACTOR_REL_TOL * max(scale, 1e-300):
@@ -313,18 +316,18 @@ def synthesize(factor: NoiseFactor, w: np.ndarray, work: Workspace | None = None
     channel k's are a_k @ w_k^T, with w_k the next p_k columns of w.
 
     The fields are views of ``out`` (r, D, B), a new array by default.  Each
-    channel's product is made in ``work``'s "synthesis" (B, D) (a new
-    workspace by default) and copied once, transposed, into ``out``; its
-    "complex draws", a complex copy of w, spare the product a cast copy.
+    channel's product is one real matrix product, w_k @ a_k^T.view(float),
+    made in ``work``'s "synthesis" (B, D) (a new workspace by default) and
+    copied once, transposed, into ``out``.  A Fortran-ordered a_k, as
+    ``factorize`` builds it, is that operand without a copy.
     """
     work = Workspace() if work is None else work
-    wc = work.array("complex draws", w.shape)
-    wc[...] = w
     z = np.empty((len(factor.a), factor.dim, w.shape[0]), complex) if out is None else out
     product = work.array("synthesis", (w.shape[0], factor.dim))
     start = 0
     for z_k, a in zip(z, factor.a):
-        np.matmul(wc[:, start:start + a.shape[1]], a.T, out=product)
+        np.matmul(w[:, start:start + a.shape[1]], np.ascontiguousarray(a.T).view(float),
+                  out=product.view(float))
         z_k[...] = product.T
         start += a.shape[1]
     return np.split(z, [factor.n_t, 2 * factor.n_t], axis=1)

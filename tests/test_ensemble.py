@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -41,6 +42,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # list of this process, so what they record goes through a file.
 _real_run_batch = ensemble._run_batch
 _real_evolve_batch = ensemble.evolve_batch
+_blas_api = ensemble._blas_threads_api()       # (get, set) of OpenBLAS's thread count, or None
+needs_blas_api = pytest.mark.skipif(_blas_api is None, reason="needs OpenBLAS's thread API")
 
 
 class Killed(Exception):
@@ -95,8 +98,48 @@ def _first_row_diverges(*evolve_args, **evolve_kwargs):
     return series, diverged
 
 
-def _blas_timeout(batch):
-    return os.environ.get("OPENBLAS_THREAD_TIMEOUT", "unset")
+def _blas_threads(batch=None) -> int:
+    """The thread count of the OpenBLAS this process runs on."""
+    return _blas_api[0]()
+
+
+@contextlib.contextmanager
+def _at_blas_threads(threads: int):
+    """OpenBLAS on ``threads`` threads for the block, then on the count it had."""
+    before = _blas_threads()
+    _blas_api[1](threads)
+    try:
+        yield
+    finally:
+        _blas_api[1](before)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Nested:
+    """Runs ``cfg`` to the end in block 0 of another run, logs the BLAS thread
+    count after it, and then runs the real block."""
+
+    log: str
+    cfg: object
+
+    def __call__(self, system, factor, run_cfg, block, work=None):
+        if block == 0 and run_cfg is not self.cfg:
+            run_ensemble(self.cfg)
+            with open(self.log, "a", encoding="utf-8") as fh:
+                fh.write(f"{_blas_threads()}\n")
+        return _real_run_batch(system, factor, run_cfg, block, work)
+
+
+@dataclasses.dataclass(frozen=True)
+class _AtThreads:
+    """Runs the real block on ``threads`` BLAS threads, as a process that
+    finds no thread API runs it on the count it has."""
+
+    threads: int
+
+    def __call__(self, system, factor, run_cfg, block, work=None):
+        with _at_blas_threads(self.threads):
+            return _real_run_batch(system, factor, run_cfg, block, work)
 
 
 def _pid(batch):
@@ -148,37 +191,12 @@ def test_pairwise_stats_match_two_pass():
 
 
 def test_pairwise_stats_slices_at_least_one_column():
-    # 3,240 rows at p = 162 exceed ONE_THREAD_PRODUCT multiply-adds per column
-    # of all the controls: the product is made in tiles of a few rows and
-    # columns, and equals the one-pass one
+    # 3,240 rows at p = 162, the co-moments of the top tier over the most
+    # pairs a run reaches it with: the product equals the one-pass one
     rows = np.random.default_rng(7).standard_normal((3240, 170))
-    assert 162 * 3240 > ensemble.ONE_THREAD_PRODUCT
     acc = _pairwise_stats(rows, p=162)
     dev = rows - rows.mean(axis=0)
     assert np.abs(acc.cross - dev[:, 8:].T @ dev).max() < 1e-12 * len(rows)
-
-
-@pytest.mark.parametrize("k", [16, 256, 3240])
-def test_product_tiles_stay_on_the_calling_thread(monkeypatch, k):
-    # _product makes a (162, k) @ (k, m) product, the co-moments of a block of
-    # k pairs, in tiles that OpenBLAS runs on the calling thread: each np.matmul
-    # has ONE_THREAD_PRODUCT multiply-adds at most and a row and a column at
-    # least, and the tiles cover the product
-    rng = np.random.default_rng(k)
-    a, b = rng.standard_normal((162, k)), rng.standard_normal((k, 300))
-    shapes, real_matmul = [], np.matmul
-
-    def matmul(x, y, out):
-        shapes.append((*x.shape, y.shape[1]))
-        return real_matmul(x, y, out=out)
-
-    monkeypatch.setattr(np, "matmul", matmul)
-    out = ensemble._product(a, b, np.full((162, 300), np.nan))
-    monkeypatch.undo()
-    assert shapes and all(inner == k for _, inner, _ in shapes)
-    assert all(rows >= 1 and cols >= 1 and rows * k * cols <= ensemble.ONE_THREAD_PRODUCT
-               for rows, _, cols in shapes)
-    assert np.abs(out - a @ b).max() <= 1e-12 * k
 
 
 @pytest.mark.parametrize("k", [37, 255, 256])
@@ -411,7 +429,7 @@ def test_residual_m2_is_clamped_at_zero():
     # a column that is a control itself leaves a residual M2 of rounding size,
     # negative for some; the estimate clamps it, so no error is NaN
     acc = _pairwise_stats(_synthetic_rows(900, 5), p=_P)
-    beta = ensemble._product(ensemble._solve(acc.cross[:, _Y:], np.eye(_P)), acc.cross)
+    beta = np.linalg.solve(acc.cross[:, _Y:], np.eye(_P)) @ acc.cross
     raw = acc.m2 - np.einsum("ij,ij->j", beta, acc.cross)
     assert (raw[_Y:] < 0.0).any()
     _, se = ensemble._estimate(acc, _P)
@@ -809,9 +827,10 @@ def test_report_scores_each_residual_by_its_own_standard_error(monkeypatch):
 
 def test_report_residuals_equal_the_direct_computation(monkeypatch):
     # at the top tier the report's residuals equal those of rows that hold
-    # every residual with its own co-moments: the diagonal ones, read from the
-    # series' imaginary parts times 2, bit for bit, and the others, whose
-    # co-moments come from the series', to rounding
+    # every residual with its own co-moments, folded and estimated on one BLAS
+    # thread as a run's are: the diagonal ones, read from the series'
+    # imaginary parts times 2, bit for bit, and the others, whose co-moments
+    # come from the series', to rounding
     cfg = _driven_61x21(2 * 3240)
     reduced = []
     real_stats = ensemble._pairwise_stats
@@ -823,15 +842,16 @@ def test_report_residuals_equal_the_direct_computation(monkeypatch):
     _, (series, shape), _, _ = ensemble._row_layout(61, 2, _P)
     k = 4 * 61          # the direct rows' residual columns: v_00, v_01, v_11 and the trace's
     acc = _Stats.empty((reduced[0].shape[1] + 2 * (k - series.start),), _P)
-    for rows in reduced:
-        rows = rows.view(complex)
-        v = rows[:, series].reshape(-1, *shape)
-        upper = [v[..., i, j] - np.conj(v[..., j, i]) for i in range(2) for j in range(i, 2)]
-        trace = np.einsum("ptii->pt", v)
-        direct = np.concatenate([np.stack(upper + [trace - trace[:, :1]], axis=-1)
-                                 .reshape(len(v), -1), rows[:, series.start:]], axis=1)
-        acc = acc.merge(real_stats(direct.view(float), p=_P))
-    mean, se = ensemble._estimate(acc, _P)
+    with ensemble._one_blas_thread():
+        for rows in reduced:
+            rows = rows.view(complex)
+            v = rows[:, series].reshape(-1, *shape)
+            upper = [v[..., i, j] - np.conj(v[..., j, i]) for i in range(2) for j in range(i, 2)]
+            trace = np.einsum("ptii->pt", v)
+            direct = np.concatenate([np.stack(upper + [trace - trace[:, :1]], axis=-1)
+                                     .reshape(len(v), -1), rows[:, series.start:]], axis=1)
+            acc = acc.merge(real_stats(direct.view(float), p=_P))
+        mean, se = ensemble._estimate(acc, _P)
     scale = abs(1.0 / np.trace(mean.view(complex)[k:2 * k].reshape(shape)[0]))
     want = [a.reshape(-1, 2)[:k].reshape(61, 4, 2) * scale for a in (mean, se)]
     for got, ref in zip((res.residual_mean, res.residual_se), want):
@@ -1149,30 +1169,122 @@ def test_a_resume_with_merges_pending_keeps_the_bytes(tmp_path, monkeypatch):
     assert document_bytes(result_document(resumed)) == ref
 
 
-@pytest.mark.parametrize("preset", [None, "20"], ids=["unset", "preset"])
-def test_workers_start_with_sleeping_blas_threads(tmp_path, monkeypatch, preset):
-    # each worker process starts with OPENBLAS_THREAD_TIMEOUT=4, and the
-    # caller's environment is left as it was, the variable unset or at its value
-    if preset is None:
-        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", preset)
-    before = dict(os.environ)
-    seen = _Logged(str(tmp_path / "blas.txt"), _blas_timeout)
-    monkeypatch.setattr(ensemble, "_run_batch", seen)
-    run_ensemble(parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE)), workers=2)
-    assert seen.lines() == ["4", "4"]
-    assert dict(os.environ) == before
+@needs_blas_api
+def test_blocks_run_on_one_blas_thread(tmp_path, monkeypatch):
+    # every block runs on one BLAS thread, in the calling process and in each
+    # worker, and the caller's thread count is back after the run, after a
+    # block that raises and after a run nested in a block
+    cfg = parse_config(small_doc(n_traj=2 * ensemble.BATCH_SIZE))
+    with _at_blas_threads(2):
+        for workers in (1, 2):
+            seen = _Logged(str(tmp_path / f"threads-{workers}.txt"), _blas_threads)
+            monkeypatch.setattr(ensemble, "_run_batch", seen)
+            run_ensemble(cfg, workers=workers)
+            assert seen.lines() == ["1", "1"]
+            assert _blas_threads() == 2
+        monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
+        with pytest.raises(Killed):
+            run_ensemble(parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE)))
+        assert _blas_threads() == 2
+        nested = _Nested(str(tmp_path / "nested.txt"), cfg.with_overrides(master_seed=1))
+        monkeypatch.setattr(ensemble, "_run_batch", nested)
+        run_ensemble(cfg)
+        assert Path(nested.log).read_text().split() == ["1"]
+        assert _blas_threads() == 2
+
+
+@needs_blas_api
+def test_overlapping_runs_share_one_blas_thread_count():
+    # two threads whose uses of _one_blas_thread overlap: the count is 1 from
+    # the first entry until the last exit, whichever thread leaves last, and
+    # then back at the count before the first
+    entered, leave_first = threading.Event(), threading.Event()
+    seen = []
+
+    def other():
+        with ensemble._one_blas_thread():
+            entered.set()
+            leave_first.wait(30)
+        seen.append(_blas_threads())
+
+    with _at_blas_threads(2):
+        worker = threading.Thread(target=other)
+        with ensemble._one_blas_thread():
+            worker.start()
+            assert entered.wait(30)
+            assert _blas_threads() == 1
+            leave_first.set()
+            worker.join(30)
+            assert seen == [1] and _blas_threads() == 1
+        assert _blas_threads() == 2
+
+
+@needs_blas_api
+def test_one_blas_thread_holds_under_many_overlapping_threads():
+    # eight threads, more than the cores, enter and leave _one_blas_thread
+    # 200 times each with a short switch interval: inside, every one reads 1,
+    # and once all have left the count before them is back; a lost update of
+    # the shared count would restore it early or never
+    inside, interval = [], sys.getswitchinterval()
+
+    def enter_and_leave():
+        for _ in range(200):
+            with ensemble._one_blas_thread():
+                inside.append(_blas_threads())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with _at_blas_threads(2):
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert inside == [1] * 1600 and _blas_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _blas_grid_cfg(n_traj: int):
+    """small_doc on a grid whose noise synthesis rounds differently on one
+    BLAS thread than on two."""
+    doc = small_doc(n_traj=n_traj)
+    doc["grids"] = {"t_f": 4.0, "n_t": 61, "n_tau": 21}
+    return parse_config(doc)
 
 
 def test_workers_round_blas_calls_as_the_caller():
-    # on this grid the noise synthesis rounds differently with one BLAS thread
-    # than with several, so workers must keep the caller's thread count
-    doc = small_doc(n_traj=ensemble.BATCH_SIZE)
-    doc["grids"] = {"t_f": 4.0, "n_t": 61, "n_tau": 21}
-    cfg = parse_config(doc)
-    ref = document_bytes(result_document(run_ensemble(cfg)))
-    assert document_bytes(result_document(run_ensemble(cfg, workers=2))) == ref
+    # every block runs on one BLAS thread, in the caller and in the workers,
+    # so the bytes are the same at 1 and 2 workers, and one pipeline gives
+    # them with the caller on its own count, inside _one_blas_thread or on two
+    cfg = _blas_grid_cfg(ensemble.BATCH_SIZE)
+    pipe = build_pipeline(cfg)
+    ref = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
+    assert document_bytes(result_document(run_ensemble(cfg, workers=2, pipeline=pipe))) == ref
+    with ensemble._one_blas_thread():
+        assert document_bytes(result_document(run_ensemble(cfg, pipeline=pipe))) == ref
+    if _blas_api is not None:
+        with _at_blas_threads(2):
+            assert document_bytes(result_document(run_ensemble(cfg, pipeline=pipe))) == ref
+
+
+@needs_blas_api
+def test_runs_without_a_blas_thread_api_keep_the_bytes_across_workers(tmp_path, monkeypatch):
+    # where no thread API is found, one BLAS thread is not set: the caller's
+    # blocks run on its count, and a worker, which finds none either (here
+    # _AtThreads stands in for it), on the count it starts with, the caller's
+    cfg = _blas_grid_cfg(2 * ensemble.BATCH_SIZE)
+    pipe = build_pipeline(cfg)
+    monkeypatch.setattr(ensemble, "_blas_threads_api", lambda: None)
+    with _at_blas_threads(2):
+        seen = _Logged(str(tmp_path / "threads.txt"), _blas_threads)
+        monkeypatch.setattr(ensemble, "_run_batch", seen)
+        ref = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
+        assert seen.lines() == ["2", "2"]
+        monkeypatch.setattr(ensemble, "_run_batch", _AtThreads(2))
+        res = run_ensemble(cfg, workers=2, pipeline=pipe)
+    assert document_bytes(result_document(res)) == ref
 
 
 def test_pool_leaves_no_processes(monkeypatch):
@@ -1313,7 +1425,7 @@ def test_checkpoint_refuses_other_layout(tmp_path):
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
                        ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
                        ("version", "0.10.0"), ("version", "0.11.0"), ("version", "0.12.0"),
-                       ("version", "0.13.0"), (None, None)):
+                       ("version", "0.13.0"), ("version", "0.14.0"), (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
@@ -1323,6 +1435,17 @@ def test_checkpoint_refuses_other_layout(tmp_path):
         with pytest.raises(ValidationError) as err:
             run_ensemble(cfg, checkpoint_path=str(ckpt))
         assert err.value.path == "checkpoint"
+
+
+def test_a_fortran_ordered_factor_hashes_as_its_c_ordered_copy():
+    # each channel's factor is built in Fortran order, for the synthesis's
+    # real operand, and a checkpoint's factor hash reads its values in C
+    # order: a C-ordered copy of the same values gives the same layout
+    pipe = build_pipeline(parse_config(small_doc()))
+    assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in pipe.factor.a)
+    copied = tuple(np.ascontiguousarray(a) for a in pipe.factor.a)
+    c_ordered = dataclasses.replace(pipe, factor=dataclasses.replace(pipe.factor, a=copied))
+    assert ensemble._layout(c_ordered) == ensemble._layout(pipe)
 
 
 def _edit(change):

@@ -323,6 +323,20 @@ def test_sample_zero_factor_gives_zero_noise():
     assert np.all(eta == 0) and np.all(nu == 0) and np.all(mu == 0)
 
 
+def test_synthesis_is_one_real_product_of_the_fortran_factor(ctx_one_mode, small_grids):
+    # each channel's fields are a_k @ w_k^T, made as one real product of the
+    # draws with the float view of a_k^T: equal to the complex product to
+    # rounding, and bit for bit those of a C-ordered copy of the factor
+    factor = factorize(build_covariance(ctx_one_mode, small_grids))
+    assert all(a.flags.f_contiguous for a in factor.a)
+    w = draw_normal(factor, 7, 64)
+    fields = np.concatenate(synthesize(factor, w), axis=1)
+    want = factor.a[0] @ w.T
+    assert np.abs(fields[0] - want).max() <= 1e-14 * np.abs(want).max()
+    copied = dataclasses.replace(factor, a=tuple(np.ascontiguousarray(a) for a in factor.a))
+    assert np.array_equal(np.concatenate(synthesize(copied, w), axis=1), fields)
+
+
 def test_sample_deterministic(ctx_one_mode, small_grids):
     cov = build_covariance(ctx_one_mode, small_grids)
     factor = factorize(cov)
