@@ -39,11 +39,11 @@ view in two passes, and the co-moments of the controls with the series, the
 z-factor and the controls by one matrix product (the report's residuals,
 real-linear in the series, take theirs from the series' after the fold);
 block partials are then folded in block order with Chan's merge, whose
-co-moment terms are added PENDING_MERGES at a time, and the calling process
-solves for beta once, after the fold.  All of it depends only
-on block indices and on the completed pair count, so results are
-bit-identical for any worker count, and a checkpoint taken between blocks
-resumes to the same bits.
+co-moment terms are added in one product every CHECKPOINT_EVERY blocks and
+after the last, where checkpoints are written, and the calling process solves
+for beta once, after the fold.  All of it depends only on block indices and
+on the completed pair count, so results are bit-identical for any worker
+count, and a checkpoint resumes to the same bits.
 
 Every process that runs blocks, merges or estimates does so on one BLAS
 thread (_one_blas_thread), so no matrix product rounds by the machine's core
@@ -89,8 +89,8 @@ from .errors import NumericalError, TooManyFailures, ValidationError, WorkerLost
 from .kernels import KernelContext
 from .model import (NormalModes, SystemSpec, coupling_channels, diagonalize_bath,
                     mode_couplings)
-from .noise import (Z_LIMIT, NoiseCovariance, NoiseFactor, build_covariance, derive_seed,
-                    draw_normal, factorize, synthesize)
+from .noise import (Z_LIMIT, NoiseCovariance, NoiseFactor, _safe_ratio, build_covariance,
+                    derive_seed, draw_normal, factorize, synthesize)
 from .propagate import equilibrate_batch, evolve_batch
 from .workspace import Workspace
 
@@ -110,8 +110,8 @@ INCONCLUSIVE_BELOW = 100    # a report that fails on fewer completed trajectorie
 CONTROL_COLUMNS = 8         # K: the draws whose products w_k w_l are the quadratic controls
 QUARTIC_COLUMNS = (4, 6)    # K_4 of each quartic tier: the first K_4 of those draws by norm
 PAIRS_PER_CONTROL = 20      # a tier of controls applies from 20 completed pairs per control on
-CHECKPOINT_EVERY = 16       # blocks between checkpoint writes; the last block writes too
-PENDING_MERGES = 16         # merges whose co-moment terms are added in one product
+CHECKPOINT_EVERY = 16       # blocks between settles of the fold, which fix where the co-moments
+                            # round, and checkpoint writes; the last block settles and writes too
 DOCUMENT_SCHEMA = "esln-result/4"
 # the config sections that fix a run's numbers: documents and checkpoints echo these alone
 ECHOED_SECTIONS = ("system", "bath", "grids", "ensemble")
@@ -163,7 +163,8 @@ class _Stats:
     """Count, mean and M2 of real columns, a complex column being two, re then
     im, and the co-moments of the last p columns, the controls, with the last
     m columns: ``cross`` (p, m) plus u_q u^T, u_q its last p entries and u its
-    last m, for each row u of ``pending``, the merges not yet added in."""
+    last m, for each row u of ``pending``, the merges not yet added in: a run
+    settles its fold before each checkpoint, which never holds them."""
 
     n: int
     mean: np.ndarray
@@ -201,15 +202,14 @@ class _Stats:
 def _chan(a: _Stats, b: _Stats) -> _Stats:
     """Chan's merge of two nonempty partials.  The co-moments gain
     (delta_q s)(delta s)^T with s^2 = n_a n_b / n: the row delta s joins the
-    pending ones, and PENDING_MERGES of them are added in one product, which
-    costs a fraction of an outer product per merge."""
+    pending ones, which settled() adds in by one product, a fraction of an
+    outer product per merge."""
     n = a.n + b.n
     delta = b.mean - a.mean
     corr = a.n * b.n / n
-    merged = _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr,
-                    np.add(a.cross, b.cross, out=a.cross),
-                    a.pending + b.pending + (delta.reshape(-1) * math.sqrt(corr),))
-    return merged.settled() if len(merged.pending) >= PENDING_MERGES else merged
+    return _Stats(n, a.mean + delta * (b.n / n), a.m2 + b.m2 + delta ** 2 * corr,
+                  np.add(a.cross, b.cross, out=a.cross),
+                  a.pending + b.pending + (delta.reshape(-1) * math.sqrt(corr),))
 
 
 def _symmetrize(cross: np.ndarray, p: int):
@@ -379,13 +379,13 @@ def _trajectories(n_traj: int) -> int:
     return n_traj + n_traj % 2
 
 
-def _run_controls(cfg: RunConfig, factor: NoiseFactor) -> int:
-    """The controls that end a run's pair rows: the largest tier whose
-    PAIRS_PER_CONTROL pairs per control the run's whole pairs reach, a rule of
-    the config alone (``factor`` is the config's).  No tier the run can use is
-    left out, and no control it cannot use is made."""
+def _tier(factor: NoiseFactor, pairs: int) -> int:
+    """The largest tier of controls whose PAIRS_PER_CONTROL pairs per control
+    ``pairs`` reach.  Of a run's whole pairs, it is the controls that end its
+    pair rows, a rule of the config alone (``factor`` is the config's): no
+    tier the run can use is left out, and no control it cannot use is made."""
     tiers = _hermite_products(len(_control_columns(factor)))[1]
-    return max(t for t in tiers if _trajectories(cfg.n_traj) // 2 >= PAIRS_PER_CONTROL * t)
+    return max(t for t in tiers if pairs >= PAIRS_PER_CONTROL * t)
 
 
 def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: int,
@@ -401,7 +401,7 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     first half of ``work``'s (r, D, 2n) "fields", their negation fills the
     second, and the legs [z; -z] propagate together.  The pair means are made
     from the two halves of the (n_t, d, d, 2n) series and copied, transposed,
-    into the rows, which end in the run's controls (_run_controls).  A pair
+    into the rows, which end in the controls of the run's whole pairs (_tier).  A pair
     fails if either leg fails, and its row, its controls with it, is
     dropped.  Every large array lives in ``work`` (a new workspace by
     default), which a run passes to all its blocks; nothing of one block
@@ -426,7 +426,7 @@ def _run_batch(system: SystemSpec, factor: NoiseFactor, cfg: RunConfig, block: i
     del fields, eta, nu, mu         # spent: the series took their memory
     failed = div_imag | (np.abs(traces) < 1e-300) | div_real
     (r_cols, r_shape), (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = _row_layout(
-        grids.n_t, system.dim, _run_controls(cfg, factor))
+        grids.n_t, system.dim, _tier(factor, _trajectories(cfg.n_traj) // 2))
     # the pair means are made apart from the rows: numpy copies an operand that
     # may overlap the output, and the parts of one row interleave
     means = work.array("pair means", s_shape + (n,))
@@ -656,11 +656,6 @@ def hermiticity_trace_report(result: EnsembleResult) -> HermiticityReport:
                              n_ok=result.n_ok)
 
 
-def _safe_ratio(num, den):
-    """num / den of float arrays, 0 where num is at rounding level."""
-    return np.where(num <= 1e-14, 0.0, num / np.maximum(den, 1e-300))
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -688,17 +683,18 @@ def _n_failed(acc: _Stats, blocks: int, n_run: int) -> int:
 
 def _write_checkpoint(path: str, cfg_echo: dict, layout: dict, next_batch: int,
                       acc: _Stats, n_run: int):
-    doc = {"schema": DOCUMENT_SCHEMA + "+checkpoint",
-           "config": cfg_echo,
-           "layout": layout,
-           "next_batch": next_batch,
-           "n_failed": _n_failed(acc, next_batch, n_run),
-           "pairs": {"n": acc.n, "mean": acc.mean.tolist(), "m2": acc.m2.tolist(),
-                     "cross": acc.cross.tolist(), "pending": [u.tolist() for u in acc.pending]}}
+    """Write the settled fold ``acc`` of the first ``next_batch`` blocks: one
+    line of sorted-key JSON, then the little-endian float64 bytes of its mean,
+    M2 and co-moments, whose sizes the config fixes and whose SHA-256 the
+    line records."""
+    payload = b"".join(a.astype("<f8").tobytes() for a in (acc.mean, acc.m2, acc.cross))
+    header = {"schema": DOCUMENT_SCHEMA + "+checkpoint", "config": cfg_echo, "layout": layout,
+              "next_batch": next_batch, "n_failed": _n_failed(acc, next_batch, n_run),
+              "n": acc.n, "sha256": hashlib.sha256(payload).hexdigest()}
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # encoded in one call: json.dump's many small writes take twice as long
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with open(tmp, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())       # on disk before it takes the final name
     os.replace(tmp, path)
@@ -708,43 +704,44 @@ def _read_checkpoint(path: str, cfg_echo: dict, layout: dict, n_run: int, width:
                      cross_shape: tuple):
     """(next batch, folded statistics) from ``path``, for a run of ``n_run``
     trajectories whose pair rows have ``width`` complex columns and whose
-    co-moments are ``cross_shape``, (controls, real columns covered), with
-    its pending merges; a torn or malformed checkpoint, one of another run, or
-    one whose counts do not add up to its batches raises ValidationError."""
+    co-moments are ``cross_shape``, (controls, real columns covered); a torn
+    or malformed checkpoint, one of another run, or one whose counts do not
+    add up to its batches raises ValidationError."""
     n_batches = -(-n_run // BATCH_SIZE)
     schema = DOCUMENT_SCHEMA + "+checkpoint"
+    (p, m) = cross_shape
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = dict(json.load(fh))
+        with open(path, "rb") as fh:
+            doc = dict(json.loads(fh.readline()))
+            payload = fh.read()
         if doc.get("schema") != schema:
             raise ValidationError("checkpoint", f"schema {doc.get('schema')!r} is not {schema!r}")
         if doc.get("config") != cfg_echo:
             raise ValidationError("checkpoint", "checkpoint belongs to a different configuration")
         if doc.get("layout") != layout:
-            raise ValidationError("checkpoint", "checkpoint was written with a different noise "
-                                                "factor, batch size or esln version")
+            raise ValidationError("checkpoint", f"checkpoint layout {doc.get('layout')} (noise "
+                                                f"factor, batch size, version) is not {layout}")
         next_batch, n_failed = _count(doc, "next_batch"), _count(doc, "n_failed")
-        pairs = doc["pairs"]
-        stats = np.array([pairs["mean"], pairs["m2"]], dtype=float)
-        if stats.shape != (2, 2 * width) or not np.isfinite(stats).all() or (stats[1] < 0).any():
-            raise ValueError(f"pair statistics are not {2 * width} finite values each, M2 >= 0")
-        (p, m) = cross_shape
-        cross = np.array(pairs["cross"] or np.zeros((0, m)), dtype=float)
-        if cross.shape != cross_shape or not np.isfinite(cross).all():
-            raise ValueError(f"control co-moments are not {p} rows of {m} finite values")
+        if len(payload) != 8 * (4 * width + p * m):
+            raise ValueError(f"{len(payload)} bytes are not {4 * width + p * m} float64")
+        if hashlib.sha256(payload).hexdigest() != doc["sha256"]:
+            raise ValueError("the payload does not match its SHA-256")
+        # a writable copy: a merge adds into the co-moments in place
+        values = np.frombuffer(payload, "<f8").astype(float)
+        mean, m2, cross = np.split(values, [2 * width, 4 * width])
+        if not np.isfinite(values).all() or (m2 < 0).any():
+            raise ValueError("pair statistics are not finite, or an M2 is negative")
+        cross = cross.reshape(p, m)
         block = cross[:, m - p:]
         if not np.array_equal(block, block.T):
             raise ValueError("the controls' own co-moments are not symmetric")
-        pending = np.array(pairs["pending"] or np.zeros((0, 2 * width)), dtype=float)
-        if pending.ndim != 2 or pending.shape[1] != 2 * width or not np.isfinite(pending).all():
-            raise ValueError(f"pending merges are not rows of {2 * width} finite values")
-        acc = _Stats(_count(pairs, "n"), *stats, cross, tuple(pending))
-    except (KeyError, TypeError, ValueError) as exc:     # torn JSON, missing or bad fields
+        acc = _Stats(_count(doc, "n"), mean, m2, cross)
+    except (KeyError, TypeError, ValueError) as exc:     # a torn file, missing or bad fields
         raise ValidationError("checkpoint", f"{path} is torn or malformed: {exc!r}") from exc
     if next_batch > n_batches:
         raise ValidationError("checkpoint", f"next_batch {next_batch} is not in [0, {n_batches}]")
     if _n_failed(acc, next_batch, n_run) != n_failed:
-        raise ValidationError("checkpoint", f"2 * pairs.n {acc.n} + n_failed {n_failed} is not "
+        raise ValidationError("checkpoint", f"2 * n {acc.n} + n_failed {n_failed} is not "
                                             f"the trajectories of {next_batch} batches")
     return next_batch, acc
 
@@ -866,8 +863,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
         layout = _layout(pipe) if checkpoint_path else None
         n_run = _trajectories(cfg.n_traj)
         n_batches = -(-n_run // BATCH_SIZE)
-        tiers = _hermite_products(len(_control_columns(pipe.factor)))[1]
-        parts = _row_layout(cfg.grids.n_t, cfg.system.dim, _run_controls(cfg, pipe.factor))
+        parts = _row_layout(cfg.grids.n_t, cfg.system.dim, _tier(pipe.factor, n_run // 2))
         _, (s_cols, s_shape), (z_cols, _), (c_cols, (p,)) = parts
         width = c_cols.stop
         acc = _Stats.empty((2 * width,), p, 2 * (width - s_cols.start))
@@ -885,10 +881,11 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
                 for out in outs:
                     acc = acc.merge(out)
                     done_batches += 1
-                    if checkpoint_path and (done_batches % CHECKPOINT_EVERY == 0
-                                            or done_batches == n_batches):
-                        _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches, acc,
-                                          n_run)
+                    if done_batches % CHECKPOINT_EVERY == 0 or done_batches == n_batches:
+                        acc = acc.settled()
+                        if checkpoint_path:
+                            _write_checkpoint(checkpoint_path, cfg_echo, layout, done_batches,
+                                              acc, n_run)
         except BrokenProcessPool as exc:
             raise WorkerLost(f"a worker process died; batch {done_batches} and later "
                              f"were not merged") from exc
@@ -902,7 +899,7 @@ def run_ensemble(cfg: RunConfig, workers: int = 1, checkpoint_path: str | None =
             raise TooManyFailures("fewer than two pairs of trajectories completed")
         _check_finite(acc, parts)
 
-        n_controls = max(t for t in tiers if acc.n >= PAIRS_PER_CONTROL * t)
+        n_controls = _tier(pipe.factor, acc.n)
         acc = _widened(acc, parts, n_controls)
         mean, se = _estimate(acc, n_controls)
         mean, se = mean.view(complex), se.reshape(width, 2)
@@ -1033,7 +1030,8 @@ def compare_series(path_a: str, path_b: str):
     """
     times_a, mean_a, se_re_a, se_im_a = read_csv(path_a)
     times_b, mean_b, se_re_b, se_im_b = read_csv(path_b)
-    if times_a.shape != times_b.shape or np.abs(times_a - times_b).max() > 1e-9:
+    # relative to the grid's span, so that times in small units are compared too
+    if times_a.shape != times_b.shape or np.abs(times_a - times_b).max() > 1e-9 * np.ptp(times_a):
         raise ValidationError(path_b, "time grids differ between the two series")
     if mean_a.shape != mean_b.shape:
         raise ValidationError(path_b, "matrix dimensions differ between the two series")

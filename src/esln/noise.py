@@ -66,6 +66,12 @@ BLOCKS = (("eta", "eta"), ("eta", "nu"), ("eta", "mu"),
           ("nu", "nu"), ("nu", "mu"), ("mu", "mu"))
 
 
+def _safe_ratio(num, den):
+    """num / den of float arrays, 0 where num is at rounding level: the
+    z-score of every Monte Carlo check held to Z_LIMIT."""
+    return np.where(num <= 1e-14, 0.0, num / np.maximum(den, 1e-300))
+
+
 @dataclass(frozen=True)
 class TimeGrids:
     """Uniform real-time and imaginary-time grids, both endpoints included.
@@ -401,12 +407,7 @@ def verify_empirical(factor: NoiseFactor, cov: NoiseCovariance, n_samples: int,
     se_im = np.sqrt(var_im / n)
 
     diff = mean - cov.sigma
-    floor = 1e-300
-    z_re = np.abs(diff.real) / np.maximum(se_re, floor)
-    z_re[np.abs(diff.real) < 1e-14] = 0.0
-    z_im = np.abs(diff.imag) / np.maximum(se_im, floor)
-    z_im[np.abs(diff.imag) < 1e-14] = 0.0
-    z_all = np.maximum(z_re, z_im)
+    z_all = np.maximum(_safe_ratio(np.abs(diff.real), se_re), _safe_ratio(np.abs(diff.imag), se_im))
 
     worst = {}
     for fa, fb in BLOCKS:
@@ -462,6 +463,6 @@ def hs_identity_check(cov: NoiseCovariance, factor: NoiseFactor, n_vectors: int 
     mc = s_val / n
     se = np.sqrt(np.maximum(s_re2 / n - mc.real ** 2, 0.0) / n
                  + np.maximum(s_im2 / n - mc.imag ** 2, 0.0) / n)
-    z = np.abs(mc - exact) / np.maximum(se, 1e-300)
+    z = _safe_ratio(np.abs(mc - exact), se)
     return [HsCheckResult(complex(m), complex(e), float(s), float(v))
             for m, e, s, v in zip(mc, exact, se, z)]

@@ -10,6 +10,7 @@ import pytest
 
 import esln
 from esln.cli import main
+from esln.errors import ValidationError
 
 from conftest import small_doc
 
@@ -186,6 +187,23 @@ def test_compare_refuses_a_threshold_that_is_not_finite_and_positive(tmp_path, c
     assert main(["compare", good, good, "--threshold", threshold]) == 2
     captured = capsys.readouterr()
     assert "--threshold" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("t_f", [1.0, 1e-12], ids=["unit", "seconds"])
+def test_compare_refuses_grids_of_another_span_in_any_unit(tmp_path, capsys, t_f):
+    # the grids 0..t_f and 0..3 t_f differ whatever the unit of time: at
+    # t_f = 1e-12, a run in seconds, as at t_f = 1
+    mean, se = np.arange(12).reshape(3, 2, 2) * (1.0 + 0.5j), np.ones((3, 2, 2))
+    for name, span in (("a", t_f), ("b", 3 * t_f)):
+        lines = esln.ensemble.csv_lines(np.linspace(0.0, span, 3), mean, se, se)
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert esln.ensemble.compare_series(a, a)[0] == 0.0
+    with pytest.raises(ValidationError, match="time grids differ"):
+        esln.ensemble.compare_series(a, b)
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 2
+    assert "time grids differ" in capsys.readouterr().err
 
 
 def _good_csv(tmp_path) -> list:

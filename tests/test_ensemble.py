@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -146,6 +147,31 @@ def _pid(batch):
     return os.getpid()
 
 
+def _header(path) -> dict:
+    """The JSON header line of the checkpoint at ``path``."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
+
+
+def _parts(data: bytes) -> tuple:
+    """(header, payload) of a checkpoint's bytes."""
+    line, _, payload = data.partition(b"\n")
+    return json.loads(line), payload
+
+
+def _joined(header: dict, payload: bytes) -> bytes:
+    """A checkpoint of ``header``, written as the run writes it, and ``payload``."""
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+
+
+def _checkpoint_sizes(cfg, pipe) -> tuple:
+    """(width, (p, m)) of a run's checkpoint: its pair rows' complex columns,
+    and its co-moments' controls and real columns covered."""
+    p = ensemble._tier(pipe.factor, ensemble._trajectories(cfg.n_traj) // 2)
+    _, (s_cols, _), _, (c_cols, _) = ensemble._row_layout(cfg.grids.n_t, cfg.system.dim, p)
+    return c_cols.stop, (p, 2 * (c_cols.stop - s_cols.start))
+
+
 @dataclasses.dataclass(frozen=True)
 class _DiesAtBatch2:
     """Ends its process, as an out-of-memory kill would, on batch 2, once the
@@ -158,7 +184,7 @@ class _DiesAtBatch2:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 try:
-                    if json.loads(Path(self.checkpoint).read_text())["next_batch"] == 2:
+                    if _header(self.checkpoint)["next_batch"] == 2:
                         break
                 except (OSError, ValueError):
                     pass
@@ -1083,8 +1109,7 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     first = run_ensemble(cfg, checkpoint_path=str(ckpt))
     assert np.array_equal(first.mean_rho, ref.mean_rho)
     assert ckpt.exists()
-    data = json.loads(ckpt.read_text())
-    assert data["next_batch"] == 2          # written after the last of 2 batches too
+    assert _header(ckpt)["next_batch"] == 2     # written after the last of 2 batches too
 
     # a rerun picks up the finished run's checkpoint, runs no batch, and lands
     # on the same bits as the uninterrupted run (a mid-run resume is
@@ -1114,7 +1139,7 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers, evolve):
     monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
     with pytest.raises(Killed):
         run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
-    assert json.loads(ckpt.read_text())["next_batch"] == 2
+    assert _header(ckpt)["next_batch"] == 2
     monkeypatch.setattr(ensemble, "_run_batch", counted)
     resumed = run_ensemble(cfg, workers=workers, checkpoint_path=str(ckpt))
     ran = [int(batch) for batch in counted.lines()]
@@ -1127,8 +1152,9 @@ def test_checkpoint_resumes_mid_run(tmp_path, monkeypatch, workers, evolve):
 def test_controlled_quick_demo_bytes_whatever_the_workers_or_a_resume(tmp_path, monkeypatch):
     # quick_demo at 3,240 pairs uses the top tier of controls; their estimate
     # is solved once after the fold, so the bytes are the same at 1, 2 and 3
-    # workers and after a run killed in its third block resumes from its
-    # checkpoint
+    # workers, and a run killed in its third block resumes from its
+    # checkpoint to the bytes of the uninterrupted run that settles its fold
+    # every block, as it does
     cfg = parse_config(json.loads((CONFIGS / "quick_demo.json").read_text()))
     cfg = cfg.with_overrides(n_traj=2 * 3240)
     pipe = build_pipeline(cfg)
@@ -1139,34 +1165,56 @@ def test_controlled_quick_demo_bytes_whatever_the_workers_or_a_resume(tmp_path, 
         res = run_ensemble(cfg, workers=workers, pipeline=pipe)
         assert document_bytes(result_document(res)) == ref_bytes
     monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
+    every_block = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
     ckpt = tmp_path / "state.json"
     monkeypatch.setattr(ensemble, "_run_batch", _killed_at_batch_2)
     with pytest.raises(Killed):
         run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
     monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
     resumed = run_ensemble(cfg, workers=2, pipeline=pipe, checkpoint_path=str(ckpt))
-    assert document_bytes(result_document(resumed)) == ref_bytes
+    assert document_bytes(result_document(resumed)) == every_block
 
 
-def test_a_resume_with_merges_pending_keeps_the_bytes(tmp_path, monkeypatch):
-    # 20 blocks: the 16th merge adds the pending co-moment terms in, and a
-    # checkpoint after block 18 holds one merge still pending; the run killed
-    # there resumes on two workers to the bytes of the uninterrupted run
+def test_a_resume_from_the_settled_fold_keeps_the_bytes(tmp_path, monkeypatch):
+    # 20 blocks at the shipped constants: the fold settles after blocks 16
+    # and 20, where the checkpoints are written, so a run killed in block 18
+    # resumes from the fold of 16 blocks, on two workers, to the bytes of the
+    # uninterrupted run; the file is its header line and the fold's float64s
     doc = small_doc(n_traj=20 * ensemble.BATCH_SIZE, master_seed=5)
     doc["grids"] = {"t_f": 0.5, "n_t": 5, "n_tau": 3}
     cfg = parse_config(doc)
     pipe = build_pipeline(cfg)
     ref = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
-    monkeypatch.setattr(ensemble, "CHECKPOINT_EVERY", 1)
     ckpt = tmp_path / "state.json"
     monkeypatch.setattr(ensemble, "_run_batch", _KilledAt(18))
     with pytest.raises(Killed):
         run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
-    written = json.loads(ckpt.read_text())
-    assert written["next_batch"] == 18 and len(written["pairs"]["pending"]) == 1
+    header = _header(ckpt)
+    assert header["next_batch"] == 16
+    width, (p, m) = _checkpoint_sizes(cfg, pipe)
+    assert p > 0
+    data = ckpt.read_bytes()
+    assert len(data) == data.index(b"\n") + 1 + 8 * (4 * width + p * m)
     monkeypatch.setattr(ensemble, "_run_batch", _real_run_batch)
     resumed = run_ensemble(cfg, workers=2, pipeline=pipe, checkpoint_path=str(ckpt))
     assert document_bytes(result_document(resumed)) == ref
+
+
+def test_checkpoint_bytes_whatever_the_workers(tmp_path):
+    # the checkpoint holds the settled fold, a function of block indices
+    # alone: its bytes are the same at 1, 2 and 3 workers and on a repeat, and
+    # a run writing one leaves the document's bytes alone
+    cfg = parse_config(small_doc(n_traj=3 * ensemble.BATCH_SIZE, master_seed=8))
+    pipe = build_pipeline(cfg)
+    ref = document_bytes(result_document(run_ensemble(cfg, pipeline=pipe)))
+    written = set()
+    for i, workers in enumerate((1, 2, 3, 1)):
+        ckpt = tmp_path / f"state-{i}.json"
+        res = run_ensemble(cfg, workers=workers, pipeline=pipe, checkpoint_path=str(ckpt))
+        assert document_bytes(result_document(res)) == ref
+        written.add(ckpt.read_bytes())
+    assert len(written) == 1
+    assert _checkpoint_sizes(cfg, pipe)[1][0] == 36
 
 
 @needs_blas_api
@@ -1370,7 +1418,7 @@ def test_dead_worker_is_a_typed_failure(tmp_path, monkeypatch, capsys):
     with pytest.raises(WorkerLost) as err:
         run_ensemble(cfg, workers=2, checkpoint_path=str(ckpt))
     assert "batch 2 and later were not merged" in str(err.value)
-    assert json.loads(ckpt.read_text())["next_batch"] == 2
+    assert _header(ckpt)["next_batch"] == 2
     assert multiprocessing.active_children() == []
 
     cfg_path = tmp_path / "cfg.json"
@@ -1419,22 +1467,52 @@ def test_checkpoint_refuses_other_layout(tmp_path):
     cfg = parse_config(small_doc(n_traj=600, master_seed=21))
     ckpt = tmp_path / "state.json"
     run_ensemble(cfg, checkpoint_path=str(ckpt))
-    written = json.loads(ckpt.read_text())
+    written, payload = _parts(ckpt.read_bytes())
     assert written["layout"]["batch_size"] == ensemble.BATCH_SIZE
     for key, value in (("factor_sha256", "0" * 64), ("batch_size", 128), ("batch_size", 256),
                        ("version", "0.1.0"), ("version", "0.4.0"), ("version", "0.6.0"),
                        ("version", "0.7.0"), ("version", "0.8.0"), ("version", "0.9.0"),
                        ("version", "0.10.0"), ("version", "0.11.0"), ("version", "0.12.0"),
-                       ("version", "0.13.0"), ("version", "0.14.0"), (None, None)):
+                       ("version", "0.13.0"), ("version", "0.14.0"), ("version", "0.15.0"),
+                       (None, None)):
         data = json.loads(json.dumps(written))
         if key is None:
             del data["layout"]                  # written before the layout was recorded
         else:
             data["layout"][key] = value
-        ckpt.write_text(json.dumps(data))
+        ckpt.write_bytes(_joined(data, payload))
         with pytest.raises(ValidationError) as err:
             run_ensemble(cfg, checkpoint_path=str(ckpt))
         assert err.value.path == "checkpoint"
+        if key == "version":
+            assert f"'version': {value!r}" in err.value.message
+
+
+def test_a_json_checkpoint_of_0_15_is_refused_by_its_version(tmp_path, capsys):
+    # 0.15.0 wrote a checkpoint as one line of JSON, its fold in a "pairs"
+    # record; that line is all a header read takes, and its layout's version
+    # refuses it, named in the message, in the library and on the command line
+    doc = small_doc(n_traj=600, master_seed=21)
+    cfg = parse_config(doc)
+    ckpt = tmp_path / "state.json"
+    run_ensemble(cfg, checkpoint_path=str(ckpt))
+    header, payload = _parts(ckpt.read_bytes())
+    mean, m2 = np.split(np.frombuffer(payload, "<f8"), 2)     # no controls at 300 pairs
+    old = {key: header[key] for key in ("schema", "config", "next_batch", "n_failed")}
+    old["layout"] = dict(header["layout"], version="0.15.0")
+    old["pairs"] = {"n": header["n"], "mean": mean.tolist(), "m2": m2.tolist(), "cross": [],
+                    "pending": []}
+    ckpt.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(ValidationError) as err:
+        run_ensemble(cfg, checkpoint_path=str(ckpt))
+    assert err.value.path == "checkpoint" and "'version': '0.15.0'" in err.value.message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "out.json"),
+                 "--checkpoint", str(ckpt)]) == 2
+    assert "'version': '0.15.0'" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_a_fortran_ordered_factor_hashes_as_its_c_ordered_copy():
@@ -1449,55 +1527,79 @@ def test_a_fortran_ordered_factor_hashes_as_its_c_ordered_copy():
 
 
 def _edit(change):
-    """A damage that decodes the checkpoint, applies ``change`` and encodes it again."""
-    def damage(text):
-        data = json.loads(text)
-        change(data)
-        return json.dumps(data)
+    """A damage that decodes the checkpoint's header, applies ``change`` and
+    encodes it again."""
+    def damage(data, width, cross_shape):
+        header, payload = _parts(data)
+        change(header)
+        return _joined(header, payload)
     return damage
 
 
+def _rehashed(change):
+    """A damage that writes the arrays ``change`` returns from the payload's
+    (mean, m2, cross) in their place, and the SHA-256 of the new payload in
+    the header: the size and value checks refuse it, not the digest."""
+    def damage(data, width, cross_shape):
+        header, payload = _parts(data)
+        mean, m2, cross = np.split(np.frombuffer(payload, "<f8").copy(), [2 * width, 4 * width])
+        payload = b"".join(np.asarray(a, "<f8").tobytes()
+                           for a in change(mean, m2, cross.reshape(cross_shape)))
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        return _joined(header, payload)
+    return damage
+
+
+def _set(a: np.ndarray, index, value) -> np.ndarray:
+    a[index] = value
+    return a
+
+
+def _flip_first_payload_byte(data, width, cross_shape):
+    """The lowest bit of the first payload byte flipped: the values stay
+    finite, and the header keeps the digest of the bytes written."""
+    start = data.index(b"\n") + 1
+    return data[:start] + bytes([data[start] ^ 1]) + data[start + 1:]
+
+
 _DAMAGES = {
-    "truncated": lambda text: text[:len(text) // 2],
-    "not-an-object": lambda text: "[]",
-    "no-series": _edit(lambda data: data.pop("pairs")),       # the record holding it
-    "three-rows": _edit(lambda data: data["pairs"].update(
-        {key: rows[:3] for key, rows in data["pairs"].items() if key != "n"})),
-    "next-batch-negative": _edit(lambda data: data.update(next_batch=-5)),
-    "next-batch-past-end": _edit(lambda data: data.update(next_batch=99)),
-    "next-batch-string": _edit(lambda data: data.update(next_batch="2")),
-    "counts-short-of-batches": _edit(lambda data: (data["pairs"].update(n=5),
-                                                   data.update(n_failed=2))),
+    "truncated": lambda data, *sizes: data[:len(data) // 2],        # inside the payload
+    "truncated-in-header": lambda data, *sizes: data[:data.index(b"\n") // 2],
+    "truncated-at-newline": lambda data, *sizes: data[:data.index(b"\n")],
+    "flipped-payload-byte": _flip_first_payload_byte,
+    "not-an-object": lambda data, *sizes: b"[]\n" + _parts(data)[1],
+    "no-digest": _edit(lambda header: header.pop("sha256")),
+    "no-series": _rehashed(lambda mean, m2, cross: ()),     # an empty payload
+    "three-rows": _rehashed(lambda mean, m2, cross: (mean[:3], m2[:3], cross[:3])),
+    "next-batch-negative": _edit(lambda header: header.update(next_batch=-5)),
+    "next-batch-past-end": _edit(lambda header: header.update(next_batch=99)),
+    "next-batch-string": _edit(lambda header: header.update(next_batch="2")),
+    "counts-short-of-batches": _edit(lambda header: header.update(n=5, n_failed=2)),
     # 600 trajectories: 2 * 299.5 + 2 and 2 * -1 + 602 add up, but are no counts
-    "n-fractional": _edit(lambda data: (data["pairs"].update(n=299.5),
-                                        data.update(n_failed=2))),
-    "n-negative": _edit(lambda data: (data["pairs"].update(n=-1), data.update(n_failed=602))),
-    "n-failed-bool": _edit(lambda data: data.update(n_failed=False)),
+    "n-fractional": _edit(lambda header: header.update(n=299.5, n_failed=2)),
+    "n-negative": _edit(lambda header: header.update(n=-1, n_failed=602)),
+    "n-failed-bool": _edit(lambda header: header.update(n_failed=False)),
     # a negative M2 would put NaN standard errors into the document, a NaN
     # mean would end the run as a numerical failure
-    "m2-negative": _edit(lambda data: data["pairs"]["m2"].__setitem__(10, -1.0)),
-    "mean-nan": _edit(lambda data: data["pairs"]["mean"].__setitem__(11, float("nan"))),
+    "m2-negative": _rehashed(lambda mean, m2, cross: (mean, _set(m2, 10, -1.0), cross)),
+    "mean-nan": _rehashed(lambda mean, m2, cross: (_set(mean, 11, np.nan), m2, cross)),
     # the controls' co-moments: a row per control of every column from the
     # series on, finite, their own block (the last columns) symmetric; a row
     # that also covers the residuals, as before 0.13.0, is refused
-    "no-cross": _edit(lambda data: data["pairs"].pop("cross")),
-    "cross-wide": _edit(lambda data: [row.__setitem__(slice(0, 0), [0.0] * 8)
-                                      for row in data["pairs"]["cross"]]),
-    # the merges still pending: rows of every column, finite
-    "no-pending": _edit(lambda data: data["pairs"].pop("pending")),
-    "pending-narrow": _edit(lambda data: data["pairs"]["pending"][0].pop()),
-    "pending-nan": _edit(lambda data: data["pairs"]["pending"][0].__setitem__(3, float("nan"))),
-    "cross-short": _edit(lambda data: data["pairs"]["cross"].pop()),
-    "cross-narrow": _edit(lambda data: data["pairs"]["cross"][5].pop(0)),
-    "cross-inf": _edit(lambda data: data["pairs"]["cross"][3].__setitem__(7, float("inf"))),
-    "cross-not-symmetric": _edit(lambda data: data["pairs"]["cross"][0].__setitem__(
-        -35, data["pairs"]["cross"][0][-35] + 1.0)),
+    "no-cross": _rehashed(lambda mean, m2, cross: (mean, m2)),
+    "cross-wide": _rehashed(lambda mean, m2, cross: (mean, m2, np.pad(cross, ((0, 0), (8, 0))))),
+    "cross-short": _rehashed(lambda mean, m2, cross: (mean, m2, cross[:-1])),
+    "cross-narrow": _rehashed(lambda mean, m2, cross: (mean, m2,
+                                                       np.delete(cross, 5 * cross.shape[1]))),
+    "cross-inf": _rehashed(lambda mean, m2, cross: (mean, m2, _set(cross, (3, 7), np.inf))),
+    "cross-not-symmetric": _rehashed(lambda mean, m2, cross: (
+        mean, m2, _set(cross, (0, -35), cross[0, -35] + 1.0))),
 }
 
 
 # the damages to the controls' co-moments, which need a run whose rows carry
 # controls: 1,440 trajectories reach the 36 quadratic ones
-_CONTROL_DAMAGES = {"cross-wide", "cross-short", "cross-narrow", "cross-inf",
+_CONTROL_DAMAGES = {"no-cross", "cross-wide", "cross-short", "cross-narrow", "cross-inf",
                     "cross-not-symmetric"}
 
 
@@ -1508,13 +1610,14 @@ def test_damaged_checkpoint_is_refused(tmp_path, capsys, damage):
     n_traj = 2 * ensemble.PAIRS_PER_CONTROL * 36 if damage in _CONTROL_DAMAGES else 600
     doc = small_doc(n_traj=n_traj, master_seed=21)
     cfg = parse_config(doc)
+    pipe = build_pipeline(cfg)
     ckpt = tmp_path / "state.json"
-    run_ensemble(cfg, checkpoint_path=str(ckpt))
-    written = json.loads(ckpt.read_text())["pairs"]["cross"]
-    assert len(written) == (36 if damage in _CONTROL_DAMAGES else 0)
-    ckpt.write_text(_DAMAGES[damage](ckpt.read_text()))
+    run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
+    width, cross_shape = _checkpoint_sizes(cfg, pipe)
+    assert cross_shape[0] == (36 if damage in _CONTROL_DAMAGES else 0)
+    ckpt.write_bytes(_DAMAGES[damage](ckpt.read_bytes(), width, cross_shape))
     with pytest.raises(ValidationError) as err:
-        run_ensemble(cfg, checkpoint_path=str(ckpt))
+        run_ensemble(cfg, pipeline=pipe, checkpoint_path=str(ckpt))
     assert err.value.path == "checkpoint"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -1557,10 +1660,10 @@ def test_checkpoint_refuses_other_schema(tmp_path):
     cfg = parse_config(small_doc(n_traj=300, master_seed=21))
     ckpt = tmp_path / "state.json"
     run_ensemble(cfg, checkpoint_path=str(ckpt))
-    data = json.loads(ckpt.read_text())
+    data, payload = _parts(ckpt.read_bytes())
     assert data["schema"] == ensemble.DOCUMENT_SCHEMA + "+checkpoint"
     data["schema"] = "esln-result/1+checkpoint"
-    ckpt.write_text(json.dumps(data))
+    ckpt.write_bytes(_joined(data, payload))
     with pytest.raises(ValidationError) as err:
         run_ensemble(cfg, checkpoint_path=str(ckpt))
     assert err.value.path == "checkpoint"
